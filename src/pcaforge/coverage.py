@@ -1,8 +1,11 @@
 """Exhaustive coverage verification.
 
-The primary counter (:func:`coverage_profile`) walks column t-sets in
-lexicographic order and counts distinct projected rows with a presence buffer
-of length v^t, one t-set at a time, so memory stays O(v^t) regardless of k.
+Every scan runs through one counting kernel, :func:`_scan`, which counts the
+distinct tuples (or orbits) of all t-sets sharing a (t-1)-prefix in one
+batch, in lexicographic order.  Its scratch memory per chunk stays within
+``_CHUNK_BUDGET`` elements, or one t-set's N ranks if that is more, whatever
+N and v^t are.  Early-exit callers stop taking chunks.
+
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
 cross-validation and never used by the builders.
@@ -17,19 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Array, rank_weights
-from .errors import CapacityExceeded, EpsilonOutOfRange, StrengthTooSmall
+from .core import Array
+from .errors import CapacityExceeded, EpsilonOutOfRange, MOutOfRange, StrengthTooSmall
 from .galois import OrbitStructure
 
-# Presence-buffer guard for the primary counter.
+# Guard on v^t for every exhaustive scan.
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
+# Scratch elements per kernel chunk: B*N ranks.
+_CHUNK_BUDGET = 2**20
+
+# (prefix, first, counts): counts[i] is for the t-set prefix + (first + i,).
+_Chunks = Iterator[tuple[tuple[int, ...], int, np.ndarray]]
 
 
 class Defect(NamedTuple):
@@ -69,11 +77,25 @@ class CoverageProfile:
 
     def defective(self, m: int) -> list[Defect]:
         """All t-sets covering fewer than m distinct tuples, in lex order."""
-        return [
-            Defect(tset, int(c))
-            for tset, c in zip(self.tsets, self.counts)
-            if c < m
-        ]
+        if m > self.v**self.t:
+            raise MOutOfRange(f"m={m} outside [1, v^t={self.v ** self.t}]")
+        below = self.counts < m
+        tsets = compress(self.tsets, below.tolist())
+        return [Defect(tset, c) for tset, c in zip(tsets, self.counts[below].tolist())]
+
+    def allowed(self, epsilon: float) -> int:
+        """Defective t-sets an epsilon-almost array may have."""
+        if not 0.0 <= epsilon <= 1.0:
+            raise EpsilonOutOfRange(f"epsilon={epsilon} outside [0, 1]")
+        return math.floor(epsilon * math.comb(self.k, self.t))
+
+    def completeness(self, q: float) -> float:
+        """The :func:`completeness` fraction."""
+        if not 0.0 <= q <= 1.0:
+            raise EpsilonOutOfRange(f"q={q} outside [0, 1]")
+        target = q * self.v**self.t
+        threshold = math.ceil(target - 1e-9 * max(1.0, target))
+        return float(np.count_nonzero(self.counts >= threshold)) / len(self.counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoverageProfile):
@@ -84,33 +106,65 @@ class CoverageProfile:
         )
 
 
-def _check_profile_args(a: Array, t: int) -> int:
-    if t < 1 or t > a.cols:
-        raise StrengthTooSmall(f"t={t} outside [1, k={a.cols}]")
-    vt = a.v**t
+def _scan(
+    cells: np.ndarray, v: int, t: int, class_of: np.ndarray | None = None,
+    n_classes: int | None = None, exclude: int | None = None,
+) -> _Chunks:
+    """Distinct classes covered per column t-set, in lexicographic chunks.
+
+    ``class_of`` maps tuple ranks to class ids below ``n_classes`` (default:
+    each tuple is its own class); ``exclude`` is a class left out of every
+    count.  Each (t-1)-prefix is ranked once, then every later column against
+    it as one ``(B, N)`` slice of a column-major copy of the cells.  Classes
+    are counted by OR-reducing one-hot bits (at most 64 classes) or else by
+    sorting rows.
+    """
+    n, k = cells.shape
+    if t < 1 or t > k:
+        raise StrengthTooSmall(f"t={t} outside [1, k={k}]")
+    vt = v**t
     if vt > PROFILE_CAPACITY:
         raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
-    return vt
+    if class_of is None:
+        n_classes = vt
+    else:
+        class_of = class_of.astype(np.min_scalar_type(n_classes - 1))
+    cols = np.ascontiguousarray(cells.T, dtype=np.min_scalar_type(vt - 1))
+    if n_classes <= 64:
+        bit = np.dtype(f"uint{max(8, 1 << (n_classes - 1).bit_length())}").type(1)
+    step = max(1, min(k, _CHUNK_BUDGET // max(n, 1)))
+    for prefix in combinations(range(k - 1), t - 1):
+        base = 0
+        for c in prefix:
+            base = (base + cols[c]) * v
+        for lo in range(prefix[-1] + 1 if prefix else 0, k, step):
+            ranks = base + cols[lo : lo + step]
+            cls = ranks if class_of is None else class_of.take(ranks)
+            if n_classes <= 64:
+                bits = np.left_shift(bit, cls, dtype=bit.dtype)
+                counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
+            else:
+                cls = np.sort(cls, axis=1)
+                counts = (n > 0) + np.count_nonzero(cls[:, 1:] != cls[:, :-1], axis=1)
+            if exclude is not None:
+                counts = counts - (cls == exclude).any(axis=1)
+            yield prefix, lo, counts.astype(np.int64)
 
 
-def _distinct_counts(cells: np.ndarray, v: int, t: int) -> np.ndarray:
-    """Distinct projected-row count per lex t-set, via a reused presence buffer."""
-    k = cells.shape[1]
-    weights = rank_weights(t, v)
-    present = np.zeros(v**t, dtype=bool)
-    counts = np.empty(math.comb(k, t), dtype=np.int64)
-    for i, tset in enumerate(combinations(range(k), t)):
-        ranks = cells[:, tset] @ weights
-        present[ranks] = True
-        counts[i] = np.count_nonzero(present)
-        present[ranks] = False  # cheap reset: only touched positions
-    return counts
+def _count_below(chunks: _Chunks, required: int, stop_above: int | None) -> int:
+    """t-sets counting below ``required``; ``stop_above + 1`` once past it."""
+    defects = 0
+    for _, _, counts in chunks:
+        defects += int(np.count_nonzero(counts < required))
+        if stop_above is not None and defects > stop_above:
+            return stop_above + 1
+    return defects
 
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
     """Count the distinct tuples each column t-set covers."""
-    _check_profile_args(a, t)
-    return CoverageProfile(t=t, v=a.v, k=a.cols, counts=_distinct_counts(a.cells, a.v, t))
+    counts = np.concatenate([c for _, _, c in _scan(a.cells, a.v, t)])
+    return CoverageProfile(t=t, v=a.v, k=a.cols, counts=counts)
 
 
 def naive_oracle(a: Array, t: int) -> CoverageProfile:
@@ -137,18 +191,13 @@ def naive_oracle(a: Array, t: int) -> CoverageProfile:
 def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
     """Lexicographically first t-set covering < m distinct tuples, else None.
 
-    Early-exit scan used by the resampling builder; same counting scheme as
-    :func:`coverage_profile`.
+    Early-exit scan used by the resampling builder.
     """
-    weights = rank_weights(t, v)
-    present = np.zeros(v**t, dtype=bool)
-    for tset in combinations(range(cells.shape[1]), t):
-        ranks = cells[:, tset] @ weights
-        present[ranks] = True
-        count = int(np.count_nonzero(present))
-        present[ranks] = False
-        if count < m:
-            return Defect(tset, count)
+    for prefix, first, counts in _scan(cells, v, t):
+        below = np.flatnonzero(counts < m)
+        if len(below):
+            i = int(below[0])
+            return Defect((*prefix, first + i), int(counts[i]))
     return None
 
 
@@ -156,19 +205,7 @@ def count_defects(
     cells: np.ndarray, v: int, t: int, m: int, *, stop_above: int | None = None
 ) -> int:
     """Number of t-sets covering < m tuples; stops early past ``stop_above``."""
-    weights = rank_weights(t, v)
-    present = np.zeros(v**t, dtype=bool)
-    defects = 0
-    for tset in combinations(range(cells.shape[1]), t):
-        ranks = cells[:, tset] @ weights
-        present[ranks] = True
-        count = int(np.count_nonzero(present))
-        present[ranks] = False
-        if count < m:
-            defects += 1
-            if stop_above is not None and defects > stop_above:
-                return defects
-    return defects
+    return _count_below(_scan(cells, v, t), m, stop_above)
 
 
 def is_pca(a: Array, t: int, m: int) -> PcaCheck:
@@ -176,6 +213,8 @@ def is_pca(a: Array, t: int, m: int) -> PcaCheck:
 
     On failure the witness is the lex-first defective t-set with its count.
     """
+    if 1 <= t <= a.cols and m > a.v**t:  # other t are refused by the scan
+        raise MOutOfRange(f"m={m} outside [1, v^t={a.v ** t}]")
     defect = first_defect(a.cells, a.v, t, m)
     return PcaCheck(ok=defect is None, witness=defect)
 
@@ -185,11 +224,8 @@ def is_apca(a: Array, t: int, m: int, epsilon: float) -> ApcaCheck:
 
     The report lists every defective t-set in lexicographic order.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise EpsilonOutOfRange(f"epsilon={epsilon} outside [0, 1]")
     profile = coverage_profile(a, t)
-    defects = profile.defective(m)
-    allowed = math.floor(epsilon * math.comb(a.cols, t))
+    allowed, defects = profile.allowed(epsilon), profile.defective(m)
     return ApcaCheck(ok=len(defects) <= allowed, defects=defects, allowed=allowed)
 
 
@@ -199,13 +235,7 @@ def completeness(a: Array, q: float, t: int) -> float:
     The threshold is ``ceil(q * v^t)`` with an exact-integer product not
     rounded up (a count meeting the product exactly qualifies).
     """
-    if not 0.0 <= q <= 1.0:
-        raise EpsilonOutOfRange(f"q={q} outside [0, 1]")
-    profile = coverage_profile(a, t)
-    target = q * a.v**t
-    threshold = math.ceil(target - 1e-9 * max(1.0, target))
-    n_tsets = len(profile.counts)
-    return float(np.count_nonzero(profile.counts >= threshold)) / n_tsets
+    return coverage_profile(a, t).completeness(q)
 
 
 def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
@@ -216,18 +246,10 @@ def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
     its members, so the developed distinct-tuple count per t-set equals the
     sum of covered orbit lengths.
     """
-    _check_profile_args(a, t)
     if structure.t != t or structure.v != a.v:
         raise ValueError("orbit structure does not match array parameters")
-    weights = rank_weights(t, a.v)
-    present = np.zeros(structure.n_orbits, dtype=bool)
-    counts = np.empty(math.comb(a.cols, t), dtype=np.int64)
-    for i, tset in enumerate(combinations(range(a.cols), t)):
-        oids = structure.orbit_index[a.cells[:, tset] @ weights]
-        present[oids] = True
-        counts[i] = np.count_nonzero(present)
-        present[oids] = False
-    return counts
+    chunks = _scan(a.cells, a.v, t, structure.orbit_index, structure.n_orbits)
+    return np.concatenate([c for _, _, c in chunks])
 
 
 def count_orbit_defects(
@@ -246,18 +268,5 @@ def count_orbit_defects(
     short orbit, which constant rows cover unconditionally).  Early exit past
     ``stop_above`` mirrors the builders' accept/reject scan.
     """
-    weights = rank_weights(t, v)
-    present = np.zeros(structure.n_orbits, dtype=bool)
-    defects = 0
-    for tset in combinations(range(cells.shape[1]), t):
-        oids = structure.orbit_index[cells[:, tset] @ weights]
-        present[oids] = True
-        covered = int(np.count_nonzero(present))
-        if exclude_orbit is not None and present[exclude_orbit]:
-            covered -= 1
-        present[oids] = False
-        if covered < required:
-            defects += 1
-            if stop_above is not None and defects > stop_above:
-                return defects
-    return defects
+    chunks = _scan(cells, v, t, structure.orbit_index, structure.n_orbits, exclude_orbit)
+    return _count_below(chunks, required, stop_above)

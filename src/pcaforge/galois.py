@@ -25,7 +25,7 @@ import numpy as np
 from .core import Array, rank_weights
 from .errors import AlphabetTooSmall, CapacityExceeded, NotPrimePower, OrderTooLarge
 
-# Enumeration guard for orbit computation: v^t * |G| table entries.
+# Enumeration guard for orbit computation: v^t tuples times |G| elements.
 ORBIT_CAPACITY = 2**24
 
 # Irreducible polynomials over GF(p), ascending coefficients, monic.
@@ -225,20 +225,14 @@ def orbits(t: int, v: int, action: GroupAction) -> OrbitStructure:
     if vt * g > ORBIT_CAPACITY:
         raise CapacityExceeded(f"v^t * |G| = {vt * g} exceeds {ORBIT_CAPACITY}")
     weights = rank_weights(t, v)
-    # digits[r] = the tuple with rank r, coordinate 0 most significant
-    digits = (np.arange(vt, dtype=np.int64)[:, None] // weights[None, :]) % v
-    # images[e, r] = rank of element e applied to tuple r; filled one element
-    # at a time to keep the peak intermediate at (v^t, t) instead of g times that
-    images = np.empty((g, vt), dtype=np.int64)
-    for e in range(g):
-        images[e] = action.perms[e][digits] @ weights
     orbit_index = np.full(vt, -1, dtype=np.int64)
     representatives: list[int] = []
     lengths: list[int] = []
     for r in range(vt):
         if orbit_index[r] >= 0:
             continue
-        members = np.unique(images[:, r])
+        # the ranks of every group element applied to the tuple with rank r
+        members = np.unique(action.perms[:, (r // weights) % v] @ weights)
         oid = len(representatives)
         orbit_index[members] = oid
         representatives.append(r)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcaforge import coverage
 from pcaforge.artifact_io import read_array, write_array
 from pcaforge.cli import main
 from pcaforge.core import Array
@@ -144,6 +145,29 @@ class TestVerifyCommand:
                      "--epsilon", "1.0"])
         assert code == 0
         assert "apca(m=3, epsilon=1.0): pass" in capsys.readouterr().out
+
+    def test_one_scan_answers_every_claim(self, tmp_path, capsys, monkeypatch):
+        scans = []
+        kernel = coverage._scan
+
+        def counted(*args, **kwargs):
+            scans.append(args[2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(coverage, "_scan", counted)
+        path = tmp_path / "const.pca"
+        write_array(constant_rows(4, 2), path)
+        for extra in (["--epsilon", "1.0"], []):
+            scans.clear()
+            code = main(["verify", "--in", str(path), "--t", "2", "--m", "3",
+                         "--q", "0.5", *extra])
+            assert code == (0 if extra else 1)
+            assert scans == [2]
+
+    def test_m_above_vt_exit_2(self, tmp_path, capsys):
+        path = full_factorial_file(tmp_path)
+        assert main(["verify", "--in", str(path), "--t", "2", "--m", "5"]) == 2
+        assert "MOutOfRange" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.pca"

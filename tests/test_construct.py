@@ -1,6 +1,7 @@
 """Tests for the randomized builders and the derandomized one."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestDerandomized:
     def test_epsilon_zero(self):
         with pytest.raises(EpsilonZero):
             build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=0.0))
+
+
+class TestCapacityGuard:
+    @pytest.mark.parametrize("build,epsilon", [
+        (build_pca_moser_tardos, 0.0),
+        (build_apca_randomized, 0.5),
+    ])
+    def test_huge_alphabet_refused_before_allocating(self, build, epsilon):
+        # v^t = 4e10: a presence buffer of that size would need 37 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded):
+                build(PcaParams(t=2, k=4, v=200000, m=2, epsilon=epsilon))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBuildReport:

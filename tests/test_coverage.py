@@ -19,7 +19,7 @@ from pcaforge.coverage import (
     naive_oracle,
     orbit_coverage,
 )
-from pcaforge.errors import CapacityExceeded, StrengthTooSmall
+from pcaforge.errors import CapacityExceeded, MOutOfRange, StrengthTooSmall
 from pcaforge.galois import constant_rows, cyclic_action, orbits
 
 
@@ -116,6 +116,17 @@ class TestPredicates:
         a = Array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]], 2)
         check = is_pca(a, 2, 4)
         assert check.witness.tset == (0, 2)
+
+    def test_pca_t_above_k(self):
+        with pytest.raises(StrengthTooSmall):
+            is_pca(constant_rows(3, 2), 4, 1)
+
+    def test_m_above_vt(self):
+        a = full_factorial(2, 2)
+        with pytest.raises(MOutOfRange):
+            is_pca(a, 2, 5)
+        with pytest.raises(MOutOfRange):
+            is_apca(a, 2, 5, 0.5)
 
     def test_apca_epsilon_one(self):
         rng = np.random.default_rng(4)

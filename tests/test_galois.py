@@ -1,5 +1,7 @@
 """Tests for finite fields, group actions, orbits, and development."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,18 @@ class TestOrbits:
     def test_capacity_guard(self):
         with pytest.raises(CapacityExceeded):
             orbits(12, 5, cyclic_action(5))
+
+    def test_no_image_table(self):
+        # a (|G|, v^t) table of images would take 132 MB here
+        action = frobenius_action(64)
+        tracemalloc.start()
+        try:
+            st = orbits(2, 64, action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(st.lengths) == [64, 64 * 63]
 
 
 class TestDevelop:
