@@ -1,11 +1,16 @@
-"""Watch the derandomized builder fix columns one at a time.
+"""Watch the derandomized builder fix its cells one at a time.
 
-The score is an exactly computable upper bound on the expected number of
-missing (column pair, tuple) pairs given the columns fixed so far.  Fixing a
-column to the minimizing assignment can never raise it, and once all columns
-are fixed the score is the literal count of missing pairs, so the final array
-is guaranteed to satisfy the almost-coverage target.  No randomness anywhere:
-two runs produce byte-identical arrays.
+The score is the exact expected number of missing (column pair, tuple) pairs
+when the cells not yet fixed are uniformly random.  Cells are fixed column by
+column, top row first; each takes the symbol that minimizes the score, ties
+going to the smallest symbol.  The old score is the average over the choices,
+so it can never rise, and once all cells are fixed it is the literal count of
+missing pairs, so the final array is guaranteed to satisfy the almost-coverage
+target.  Counts kept per column pair make each choice cost O(k v), so a build
+costs O(N k^2 v) here instead of scoring all v^N candidate columns; sizes
+whose counts would not fit the scan capacity are refused before allocating.
+The trace below is the score before any column, then after each column.  No
+randomness anywhere: two runs produce byte-identical arrays.
 """
 
 import pcaforge as pf

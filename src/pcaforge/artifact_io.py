@@ -74,7 +74,10 @@ def _parse_claims(text: str, lineno: int) -> dict:
         key, _, value = token.partition("=")
         if key not in ("t", "m", "epsilon") or not value:
             raise ParseError(lineno, f"bad claims token {token!r}")
-        claims[key] = float(value) if key == "epsilon" else int(value)
+        try:
+            claims[key] = float(value) if key == "epsilon" else int(value)
+        except ValueError:
+            raise ParseError(lineno, f"bad claims value {token!r}") from None
     return claims
 
 

@@ -44,6 +44,7 @@ from .errors import (
     MConditionViolated,
     MNotFull,
     MOutOfRange,
+    PcaForgeError,
     RNonPositive,
     ROutOfRange,
     SOutOfRange,
@@ -440,7 +441,7 @@ def sweep(
                 results[name] = evaluate_formula(
                     name, t=t, k=point_k, v=v, m=point_m, epsilon=epsilon
                 )
-            except Exception as exc:  # gap marker, never silent omission
+            except PcaForgeError as exc:  # gap marker, never silent omission
                 results[name] = None
                 gaps[name] = f"{type(exc).__name__}: {exc}"
         points.append(SweepPoint(value=value, results=results, gap_reasons=gaps))

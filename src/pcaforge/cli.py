@@ -180,16 +180,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     array, _header = artifact_io.read_array(args.infile)
     profile = coverage.coverage_profile(array, args.t)
+    # Every flag is checked before the first line goes out.
+    defects = None if args.m is None else profile.defective(args.m)
+    allowed = profile.allowed(args.epsilon)
+    completeness = None if args.q is None else profile.completeness(args.q)
     print(f"rows={array.rows} cols={array.cols} v={array.v} t={args.t}")
     print(f"min_count={profile.min_count}")
     exit_code = EXIT_OK
-    if args.m is not None:
-        defects = profile.defective(args.m)
+    if defects is not None:
         print(f"defects(m={args.m})={len(defects)}")
         if args.defects_csv is not None:
             artifact_io.write_defects_csv(defects, array.v, args.t, args.defects_csv)
         if args.epsilon > 0:
-            allowed = profile.allowed(args.epsilon)
             ok = len(defects) <= allowed
             print(f"apca(m={args.m}, epsilon={args.epsilon}): "
                   f"{'pass' if ok else 'FAIL'} "
@@ -202,9 +204,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             witness = defects[0]  # the lex-first defective t-set, as is_pca reports it
             print(f"pca(m={args.m}): FAIL at t-set {witness.tset} covering {witness.count}")
             exit_code = EXIT_VIOLATED
-    if args.q is not None:
-        value = profile.completeness(args.q)
-        print(f"completeness(q={args.q})={value:.6g}")
+    if completeness is not None:
+        print(f"completeness(q={args.q})={completeness:.6g}")
     return exit_code
 
 

@@ -24,9 +24,15 @@ Builders:
   the short orbit.  Base sizing uses the same halved-epsilon/restart scheme.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component and verify both guarantees.
-* :func:`build_apca_derandomized` — deterministic column-by-column choice
-  minimizing an exactly computable upper bound on the expected number of
-  missing (t-set, tuple) pairs; supports full coverage targets (m = v^t) only.
+* :func:`build_apca_derandomized` — deterministic cell-by-cell choice (columns
+  left to right, rows top to bottom) by exact conditional expectation of the
+  number of missing (t-set, tuple) pairs: each cell takes the symbol that
+  minimizes the expectation over the cells still random, ties going to the
+  smallest symbol.  Counts kept per t-set through the current column make
+  each choice cost O(C(k-1,t-1) v), so a build costs O(N k C(k-1,t-1) v);
+  sizes whose counts would exceed ``coverage.PROFILE_CAPACITY`` raise
+  ``CapacityExceeded`` before allocating.  Supports full coverage targets
+  (m = v^t) only.
 """
 
 from __future__ import annotations
@@ -40,13 +46,14 @@ import numpy as np
 
 from . import bounds
 from .coverage import (
+    PROFILE_CAPACITY,
     count_defects,
     count_orbit_defects,
     first_defect,
     is_apca,
     is_pca,
 )
-from .core import Array, BoundResult, PcaParams, validate
+from .core import Array, BoundResult, PcaParams, rank_weights, validate
 from .errors import (
     CapacityExceeded,
     EpsilonZero,
@@ -59,8 +66,6 @@ from .galois import constant_rows, cyclic_action, develop, frobenius_action, orb
 
 DEFAULT_RESAMPLE_CAP = 1_000_000
 DEFAULT_RESTART_CAP = 64
-# v^N limit for exact derandomization (candidate columns enumerated outright).
-DERANDOMIZE_CAPACITY = 2**20
 
 
 @dataclass(frozen=True)
@@ -354,6 +359,10 @@ def _pessimistic_estimator(cells: np.ndarray, n_fixed: int, t: int, v: int) -> f
     is ``(1 - v^(f-t))^c`` where c counts rows whose fixed projection matches
     x; summing over x gives ``v^(t-f) * sum_q beta^(count_q)``.  With all
     columns fixed this is exactly the number of missing pairs.
+
+    The reference definition of the derandomizer's estimator, recomputed from
+    scratch per t-set; tests compare :func:`derandomize_columns`' trace with
+    it, and no builder calls it.
     """
     n, k = cells.shape
     total = 0.0
@@ -377,64 +386,74 @@ def _pessimistic_estimator(cells: np.ndarray, n_fixed: int, t: int, v: int) -> f
 
 
 def derandomize_columns(t: int, k: int, v: int, n_rows: int) -> tuple[np.ndarray, list[float]]:
-    """Fix columns left to right, minimizing the missing-pair estimator.
+    """Fix the cells column by column, top row first, by conditional expectation.
 
-    For each column all v^N candidate assignments are scored; the minimizer
-    is kept, ties resolved to the lexicographically smallest column (row 0
-    most significant).  Returns the cells and the estimator trace: the value
-    before any column is fixed, then after each column.  The trace never
-    increases, because the previous value is the average of the candidate
-    scores and the minimum cannot exceed the average.
+    While column j is being filled, columns left of j are fixed, rows above
+    the current one hold their column-j symbol, and every other cell is still
+    uniformly random.  For a t-set T through j with f fixed columns left of
+    j, let ``w = v^-(t-1-f)``, q a projection onto those f columns,
+    ``U[q]`` the rows projecting to q whose column-j cell is free and
+    ``A[q, a]`` those whose column-j cell is a.  The expected number of
+    missing (T, tuple) pairs is ``(1/w) sum_{q,a} (1 - w/v)^U[q] (1 - w)^A[q,a]``,
+    so giving row i (projection q_i) the symbol s changes the estimator of
+    :func:`_pessimistic_estimator` by a term proportional to
+    ``-sum_T (1 - w/v)^(U[q_i]-1) (1 - w)^A[q_i,s]``.  Row i gets the symbol
+    maximizing that sum, ties going to the smallest symbol; the old value is
+    the average over the v choices, so the estimator never increases.
+    t-sets that differ only right of j share f, q and the counts, so each
+    group of them is kept once with its multiplicity.
+
+    Returns the cells and the estimator trace: the value before any column is
+    fixed, then after each column, read off the same counts.  Cost is
+    O(N k C(k-1,t-1) v) arithmetic; ``n_rows * k`` and
+    ``C(k-1,t-1) * max(v^t, n_rows)`` must stay within
+    :data:`~pcaforge.coverage.PROFILE_CAPACITY`, checked before allocating.
     """
-    if v**n_rows > DERANDOMIZE_CAPACITY:
-        raise CapacityExceeded(f"v^N = {v}^{n_rows} exceeds {DERANDOMIZE_CAPACITY}")
-    n_candidates = v**n_rows
-    place = v ** np.arange(n_rows - 1, -1, -1, dtype=np.int64)
+    width = math.comb(k - 1, t - 1)
+    if n_rows * k > PROFILE_CAPACITY or width * max(v**t, n_rows) > PROFILE_CAPACITY:
+        raise CapacityExceeded(
+            f"N*k = {n_rows}*{k} or C(k-1,t-1)*max(v^t, N) = {width}*{max(v**t, n_rows)} "
+            f"exceeds {PROFILE_CAPACITY}"
+        )
     cells = np.zeros((n_rows, k), dtype=np.int64)
-    trace = [_pessimistic_estimator(cells, 0, t, v)]
-    chunk = max(1, min(n_candidates, (1 << 22) // max(v**t, 1)))
+    trace = [math.comb(k, t) * v**t * (1.0 - float(v) ** -t) ** n_rows]
     for j in range(k):
-        tsets = [ts for ts in combinations(range(k), t) if j in ts]
-        prefix_ranks = []
-        fsizes = []
-        for ts in tsets:
-            fixed = [c for c in ts if c < j]
-            ranks = np.zeros(n_rows, dtype=np.int64)
-            for c in fixed:
-                ranks = ranks * v + cells[:, c]
-            prefix_ranks.append(ranks)
-            fsizes.append(len(fixed) + 1)
-        best_score = math.inf
-        best_idx = -1
-        for lo in range(0, n_candidates, chunk):
-            idx = np.arange(lo, min(lo + chunk, n_candidates), dtype=np.int64)
-            cand = (idx[:, None] // place[None, :]) % v  # (B, N) candidate columns
-            scores = np.zeros(len(idx))
-            for ts, pref, f in zip(tsets, prefix_ranks, fsizes):
-                full = pref[None, :] * v + cand  # rank over the f fixed coords
-                vf = v**f
-                flat = (np.arange(len(idx), dtype=np.int64)[:, None] * vf + full).ravel()
-                cnt = np.bincount(flat, minlength=len(idx) * vf).reshape(len(idx), vf)
-                beta = 1.0 - float(v) ** (f - t)
-                if beta == 0.0:
-                    scores += np.count_nonzero(cnt == 0, axis=1).astype(float)
-                else:
-                    scores += float(v) ** (t - f) * (beta**cnt).sum(axis=1)
-            pos = int(np.argmin(scores))  # first minimum = lex smallest
-            if scores[pos] < best_score:
-                best_score = float(scores[pos])
-                best_idx = int(idx[pos])
-        cells[:, j] = (best_idx // place) % v
-        trace.append(_pessimistic_estimator(cells, j + 1, t, v))
+        # One group per set of fixed columns: f of the j earlier columns, with
+        # C(k-1-j, t-1-f) ways to pick the remaining columns right of j.
+        ranks, group_f, mult = [], [], []
+        for f in range(max(0, t - k + j), min(t - 1, j) + 1):
+            fixed = np.array(list(combinations(range(j), f)), dtype=np.int64)
+            ranks.append(cells[:, fixed] @ rank_weights(f, v))
+            group_f += [f] * len(fixed)
+            mult += [float(math.comb(k - 1 - j, t - 1 - f))] * len(fixed)
+        sizes = v ** np.array(group_f)
+        w = float(v) ** (np.array(group_f) - t + 1)
+        mult = np.array(mult)
+        b_free, b_fixed = 1.0 - w / v, 1.0 - w
+        idx = np.concatenate(ranks, axis=1) + (np.cumsum(sizes) - sizes)  # (N, groups) slots
+        free = np.bincount(idx.ravel(), minlength=sizes.sum())
+        fixed_to = np.zeros((len(free), v), dtype=np.int64)
+        weight = np.repeat(mult / w, sizes)
+        before = float(np.sum(weight * v * np.repeat(b_free, sizes) ** free))
+        for i in range(n_rows):
+            at = idx[i]
+            free[at] -= 1  # row i's own cell is no longer free
+            gain = (mult * b_free ** free[at])[:, None] * b_fixed[:, None] ** fixed_to[at]
+            s = int(np.argmax(gain.sum(axis=0)))
+            cells[i, j] = s
+            fixed_to[at, s] += 1
+        after = float(np.sum(weight[:, None] * np.repeat(b_fixed, sizes)[:, None] ** fixed_to))
+        trace.append(trace[-1] - before + after)
     return cells, trace
 
 
 def build_apca_derandomized(params: PcaParams) -> BuildReport:
     """Deterministic builder for epsilon-almost full coverage (m = v^t only).
 
-    Uses the union-bound row count, then fixes columns by exact conditional
-    expectation of the missing-pair estimator.  The estimator decomposes per
-    tuple only in the full-coverage case, which is why smaller m is rejected.
+    Uses the union-bound row count, then fixes cells by exact conditional
+    expectation of the missing-pair estimator (:func:`derandomize_columns`).
+    The estimator decomposes per tuple only in the full-coverage case, which
+    is why smaller m is rejected.
     """
     params = validate(params)
     t, k, v = params.t, params.k, params.v

@@ -20,6 +20,7 @@ from .errors import (
     MOutOfRange,
     Overflow,
     RankOutOfRange,
+    SeedOutOfRange,
     StrengthTooSmall,
     SymbolOutOfRange,
     UnsortedColumnSet,
@@ -54,7 +55,7 @@ def validate(params: PcaParams) -> PcaParams:
     """Return ``params`` unchanged if every invariant holds, else raise.
 
     Invariants: 2 <= t <= k, v >= 2, 1 <= m <= v^t, 0 <= epsilon <= 1,
-    and v^t fits in a 64-bit integer.
+    0 <= seed < 2^64, and v^t fits in a 64-bit integer.
     """
     t, k, v, m = params.t, params.k, params.v, params.m
     if t < 2:
@@ -69,6 +70,8 @@ def validate(params: PcaParams) -> PcaParams:
         raise MOutOfRange(f"m={m} outside [1, v^t={v ** t}]")
     if not 0.0 <= params.epsilon <= 1.0:
         raise EpsilonOutOfRange(f"epsilon={params.epsilon} outside [0, 1]")
+    if not 0 <= params.seed < 2**64:
+        raise SeedOutOfRange(f"seed={params.seed} outside [0, 2^64)")
     return params
 
 

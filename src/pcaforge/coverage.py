@@ -26,7 +26,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Array
-from .errors import CapacityExceeded, EpsilonOutOfRange, MOutOfRange, StrengthTooSmall
+from .errors import (
+    CapacityExceeded,
+    EpsilonOutOfRange,
+    MOutOfRange,
+    StrengthTooSmall,
+    StructureMismatch,
+)
 from .galois import OrbitStructure
 
 # Guard on v^t for every exhaustive scan.
@@ -77,7 +83,7 @@ class CoverageProfile:
 
     def defective(self, m: int) -> list[Defect]:
         """All t-sets covering fewer than m distinct tuples, in lex order."""
-        if m > self.v**self.t:
+        if not 1 <= m <= self.v**self.t:
             raise MOutOfRange(f"m={m} outside [1, v^t={self.v ** self.t}]")
         below = self.counts < m
         tsets = compress(self.tsets, below.tolist())
@@ -238,6 +244,15 @@ def completeness(a: Array, q: float, t: int) -> float:
     return coverage_profile(a, t).completeness(q)
 
 
+def _orbit_classes(structure: OrbitStructure, t: int, v: int) -> tuple[np.ndarray, int]:
+    """The structure's class map and class count, once it is checked to fit (t, v)."""
+    if (structure.t, structure.v) != (t, v):
+        raise StructureMismatch(
+            f"orbit structure for t={structure.t}, v={structure.v} used with t={t}, v={v}"
+        )
+    return structure.orbit_index, structure.n_orbits
+
+
 def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
     """Covered-orbit count per t-set for an undeveloped base array.
 
@@ -246,9 +261,7 @@ def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
     its members, so the developed distinct-tuple count per t-set equals the
     sum of covered orbit lengths.
     """
-    if structure.t != t or structure.v != a.v:
-        raise ValueError("orbit structure does not match array parameters")
-    chunks = _scan(a.cells, a.v, t, structure.orbit_index, structure.n_orbits)
+    chunks = _scan(a.cells, a.v, t, *_orbit_classes(structure, t, a.v))
     return np.concatenate([c for _, _, c in chunks])
 
 
@@ -268,5 +281,5 @@ def count_orbit_defects(
     short orbit, which constant rows cover unconditionally).  Early exit past
     ``stop_above`` mirrors the builders' accept/reject scan.
     """
-    chunks = _scan(cells, v, t, structure.orbit_index, structure.n_orbits, exclude_orbit)
+    chunks = _scan(cells, v, t, *_orbit_classes(structure, t, v), exclude_orbit)
     return _count_below(chunks, required, stop_above)

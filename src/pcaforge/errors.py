@@ -16,6 +16,10 @@ class StrengthTooSmall(PcaForgeError):
     """t < 2, or t > k."""
 
 
+class SeedOutOfRange(PcaForgeError):
+    """RNG seed outside [0, 2^64)."""
+
+
 class AlphabetTooSmall(PcaForgeError):
     """v < 2."""
 
@@ -92,6 +96,10 @@ class NotPrimePower(PcaForgeError):
 
 class OrderTooLarge(PcaForgeError):
     """Field order above the supported maximum (64)."""
+
+
+class StructureMismatch(PcaForgeError, ValueError):
+    """An orbit structure was built for another strength or alphabet."""
 
 
 # -- enumeration / construction -------------------------------------------------

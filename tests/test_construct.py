@@ -197,9 +197,9 @@ class TestDerandomized:
             assert b <= a + 1e-9
 
     def test_single_tset_full_factorial(self):
-        # k = t: with N = v^t rows the minimizer is the lex-ordered factorial
+        # k = t: with N = v^t rows the rows are the v^t tuples, each once
         cells, trace = derandomize_columns(2, 2, 2, 4)
-        assert cells.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert sorted(map(tuple, cells.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert trace[-1] == 0.0
 
     def test_final_trace_counts_missing_pairs(self):
@@ -242,9 +242,21 @@ class TestDerandomized:
             build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=3, epsilon=0.5))
 
     def test_capacity_guard(self):
-        # epsilon small enough to push v^N past the limit
-        with pytest.raises(CapacityExceeded):
-            build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=1e-4))
+        # 37 rows: far past any v^N candidate enumeration, cheap cell by cell
+        report = build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=1e-4))
+        assert report.n_rows == 37
+        assert is_apca(report.array, 2, 4, 1e-4).ok
+
+    def test_oversize_refused_before_allocating(self):
+        # N = 1.26e9 rows: the cells alone would need 30 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded):
+                build_apca_derandomized(PcaParams(t=2, k=3, v=8192, m=8192**2, epsilon=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_epsilon_zero(self):
         with pytest.raises(EpsilonZero):

@@ -20,6 +20,7 @@ from pcaforge.errors import (
     MOutOfRange,
     Overflow,
     RankOutOfRange,
+    SeedOutOfRange,
     StrengthTooSmall,
     SymbolOutOfRange,
     UnsortedColumnSet,
@@ -58,6 +59,15 @@ class TestValidate:
     def test_overflow(self):
         with pytest.raises(Overflow):
             validate(PcaParams(t=64, k=70, v=3, m=1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(SeedOutOfRange):
+            validate(PcaParams(t=2, k=4, v=2, m=4, seed=seed))
+
+    def test_seed_largest_64_bit(self):
+        p = PcaParams(t=2, k=4, v=2, m=4, seed=2**64 - 1)
+        assert validate(p) is p
 
 
 class TestTupleRank:

@@ -7,12 +7,13 @@ from pcaforge.artifact_io import read_array, write_array
 from pcaforge.bounds import bound_apca, bound_apca_cyclic, evaluate_formula, sweep
 from pcaforge.cli import main
 from pcaforge.core import Array
-from pcaforge.coverage import completeness, naive_oracle
+from pcaforge.coverage import completeness, count_orbit_defects, naive_oracle, orbit_coverage
 from pcaforge.errors import (
     DomainError,
     EpsilonOutOfRange,
     MNotFull,
     ParseError,
+    PcaForgeError,
     StrengthTooSmall,
 )
 from pcaforge.galois import constant_rows, cyclic_action, develop, orbits
@@ -34,6 +35,11 @@ class TestBoundsEdges:
     def test_bad_axis(self):
         with pytest.raises(DomainError):
             sweep(["eq5"], "rows", [4], t=2, k=4, v=2)
+
+    def test_sweep_gap_markers_only_for_package_errors(self):
+        # a wrong argument type is a caller bug, not an infeasible point
+        with pytest.raises(TypeError):
+            sweep(["eq5"], "m", [4], t=2, k=4, v="3")
 
     def test_development_formulas_need_full_m(self):
         with pytest.raises(MNotFull):
@@ -71,6 +77,18 @@ class TestCoverageEdges:
         with pytest.raises(EpsilonOutOfRange):
             completeness(constant_rows(3, 2), 1.5, 2)
 
+    @pytest.mark.parametrize("t,v", [(2, 3), (3, 2)])
+    def test_orbit_coverage_rejects_mismatched_structure(self, t, v):
+        with pytest.raises(PcaForgeError):
+            orbit_coverage(constant_rows(4, v), t, orbits(2, 2, cyclic_action(2)))
+
+    @pytest.mark.parametrize("t,v", [(2, 3), (3, 2)])
+    def test_orbit_defects_rejects_mismatched_structure(self, t, v):
+        # the v=3 case used to index past the v=2 structure's orbit table
+        cells = np.full((2, 4), v - 1, dtype=np.int64)
+        with pytest.raises(PcaForgeError):
+            count_orbit_defects(cells, v, t, orbits(2, 2, cyclic_action(2)), 1)
+
 
 class TestArtifactIoEdges:
     def test_write_bad_base(self, tmp_path):
@@ -80,6 +98,14 @@ class TestArtifactIoEdges:
     def test_bad_claims_token(self, tmp_path):
         path = tmp_path / "a.pca"
         path.write_text("pca-forge v1\n1 2 2 0\nclaims q=9\n0 1\n")
+        with pytest.raises(ParseError) as err:
+            read_array(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("token", ["t=x", "m=2.5", "epsilon=half"])
+    def test_bad_claims_value(self, tmp_path, token):
+        path = tmp_path / "a.pca"
+        path.write_text(f"pca-forge v1\n1 2 2 0\nclaims {token}\n0 1\n")
         with pytest.raises(ParseError) as err:
             read_array(path)
         assert err.value.line == 3
@@ -111,6 +137,21 @@ class TestCliEdges:
         code = main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
                      "--m", "4", "--seed", "-3", "--out", str(tmp_path / "x.pca")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "3", "--epsilon", "1.5"],
+        ["--m", "0"],
+        ["--epsilon", "-0.5"],
+        ["--m", "3", "--q", "2"],
+    ])
+    def test_verify_rejects_flags_before_printing(self, tmp_path, capsys, flags):
+        path = tmp_path / "const.pca"
+        write_array(constant_rows(4, 2), path)
+        code = main(["verify", "--in", str(path), "--t", "2", *flags])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["verify", "--in", str(tmp_path / "absent.pca"), "--t", "2"])
