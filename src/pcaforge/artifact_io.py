@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import INFORMATIONAL, BoundSweep
+from .bounds import BoundSweep, lookup_formula
 from .construct import BuildReport
-from .core import Array, PcaParams
+from .core import WIDE_INT_MAX, Array, PcaParams
 from .coverage import Defect
-from .errors import DimensionMismatch, ParseError, SymbolOutOfRange
+from .errors import DimensionMismatch, DomainError, ParseError, SymbolOutOfRange
 
 MAGIC = "pca-forge v1"
 
@@ -58,7 +58,7 @@ def write_array(
 ) -> None:
     """Serialize an array; ``base=1`` shifts symbols up by one on output."""
     if base not in (0, 1):
-        raise ValueError(f"base must be 0 or 1, got {base}")
+        raise DomainError(f"base must be 0 or 1, got {base}")
     lines = [MAGIC, f"{a.rows} {a.cols} {a.v} {base}"]
     if claims:
         lines.append(_format_claims(claims))
@@ -83,7 +83,11 @@ def _parse_claims(text: str, lineno: int) -> dict:
 
 def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
     """Parse and validate an array file; base-1 content is normalized to base 0."""
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "non-ASCII byte") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -100,6 +104,8 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
         raise ParseError(2, f"count line needs integers, got {lines[1]!r}") from None
     if base not in (0, 1):
         raise ParseError(2, f"base must be 0 or 1, got {base}")
+    if v > WIDE_INT_MAX:  # symbols up to v - 1 must fit the int64 cells
+        raise ParseError(2, f"v={v} exceeds the 64-bit range")
     body_start = 2
     claims = None
     if len(lines) > 2 and lines[2].startswith("claims"):
@@ -108,7 +114,10 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
     body = lines[body_start:]
     if len(body) != n:
         raise DimensionMismatch(f"declared {n} rows, file has {len(body)}")
-    cells = np.zeros((n, k), dtype=np.int64)
+    try:
+        cells = np.zeros((n, k), dtype=np.int64)
+    except ValueError:  # a negative or unrepresentable column count
+        raise ParseError(2, f"no array has {n} rows and {k} columns") from None
     for i, line in enumerate(body):
         parts = line.split()
         if len(parts) != k:
@@ -144,7 +153,7 @@ def sweep_csv_text(sweep: BoundSweep) -> str:
             result = point.results[formula]
             if result is None:
                 lines.append(f"{point.value},{formula},,,0")
-            elif formula in INFORMATIONAL:
+            elif lookup_formula(formula).informational:
                 lines.append(f"{point.value},{formula},{_fmt_real(result.real_bound)},,1")
             else:
                 lines.append(

@@ -9,7 +9,8 @@ inequality is strict ("expected count below 1") the minimal integer enforces
 strictness; where it is non-strict, equality at an exact-integer boundary is
 accepted.  A naive ceiling gets both of those boundary cases wrong.
 
-Formula labels used throughout (also the CSV vocabulary):
+Formula labels used throughout (also the CSV vocabulary); :data:`FORMULAS`
+holds them with their friendly names and evaluators:
 
 ========== ==============================================================
 label      bound
@@ -18,6 +19,7 @@ eq5        union bound over missing tuple sets (partial coverage)
 eq6        local-lemma bound, needs k >= 2t (partial coverage)
 eq7        asymptotic rewrite of eq6 (informational, real-valued only)
 eq8        cyclic-development bound for partial coverage
+eq8-t      eq8 with the factor t inside the log (the other published form)
 apca       union bound allowing a defective fraction epsilon of t-sets
 cyclic     cyclic-orbit bound for almost-full coverage (m = v^t)
 frobenius  affine-group-orbit bound, prime-power v only (m = v^t)
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import BoundResult
 from .errors import (
@@ -81,6 +83,13 @@ def _min_int(log_constant: float, log_ratio: float, *, strict: bool) -> tuple[fl
     return rb, n
 
 
+def _check_tv(t: int, v: int) -> None:
+    if t < 2:
+        raise StrengthTooSmall(f"strength t={t} must be at least 2")
+    if v < 2:
+        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+
+
 def _check_common(t: int, k: int, v: int) -> None:
     if t < 2:
         raise StrengthTooSmall(f"strength t={t} must be at least 2")
@@ -98,7 +107,7 @@ def _check_m(m: int, vt: int) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if epsilon <= 0:
         raise EpsilonZero("epsilon must be positive")
-    if epsilon > 1:
+    if not epsilon <= 1:  # also rejects NaN
         raise EpsilonOutOfRange(f"epsilon={epsilon} outside (0, 1]")
 
 
@@ -147,10 +156,7 @@ def bound_pca_asymptotic(t: int, k: float, v: int, m: int) -> float:
     Returns ``(v^t (t-1) ln k / r) (1 - ln r / ln k)`` with r = v^t - m + 1.
     ``k`` may be real here (the formula is a smooth function of ln k).
     """
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_tv(t, v)
     vt = v**t
     _check_m(m, vt)
     r = vt - m + 1
@@ -167,10 +173,7 @@ def bound_apca(t: int, v: int, m: int, epsilon: float) -> BoundResult:
 
     Minimal N with ``C(v^t, m-1) ((m-1)/v^t)^N <= epsilon``; independent of k.
     """
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_tv(t, v)
     vt = v**t
     _check_m(m, vt)
     _check_epsilon(epsilon)
@@ -190,10 +193,7 @@ def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
     union-bound inequality ``v^(t-1) (1 - 1/v^(t-1))^n <= epsilon``, which is
     tighter than the closed form.  Base-row count n is in ``detail``.
     """
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_tv(t, v)
     _check_epsilon(epsilon)
     orbits = v ** (t - 1)
     const = math.log(orbits) - math.log(epsilon)
@@ -216,10 +216,7 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     for the exact full-orbit inequality
     ``((v^(t-1)-1)/(v-1)) (1 - (v-1)/v^(t-1))^n <= epsilon``.
     """
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_tv(t, v)
     is_prime_power(v, required=True)
     _check_epsilon(epsilon)
     orbits = v ** (t - 1)
@@ -282,7 +279,7 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
     _check_common(t, k, v)
     vt = v**t
     _check_m(m, vt)
-    if epsilon <= 0:
+    if not epsilon > 0:  # also rejects NaN
         raise EpsilonZero("epsilon must be positive")
     denom = math.log(v) - math.log(epsilon) / (t - 1)
     if denom <= 0:
@@ -329,60 +326,79 @@ def bound_can_reference(t: int, k: int, v: int) -> tuple[float, float]:
 
 # -- sweeps ---------------------------------------------------------------------
 
-#: Formula labels accepted by :func:`sweep` and the CLI, with friendly aliases.
-FORMULA_ALIASES: Mapping[str, str] = {
-    "eq5": "eq5",
-    "union": "eq5",
-    "eq6": "eq6",
-    "lll": "eq6",
-    "eq7": "eq7",
-    "asymptotic": "eq7",
-    "eq8": "eq8",
-    "cyclic-pca": "eq8",
-    "eq8-t": "eq8-t",
-    "apca": "apca",
-    "cyclic": "cyclic",
-    "frobenius": "frobenius",
-    "concat": "concat",
-    "can-upper": "can-upper",
-    "can-lower": "can-lower",
-}
+@dataclass(frozen=True)
+class Formula:
+    """One labeled bound formula: its CSV label, the name the ``bounds``
+    table prints, how to evaluate it, whether it yields only a real value
+    (no minimal row count), and whether ``bounds --all`` lists it."""
 
-#: Formulas that produce a real value but no minimal row count.
-INFORMATIONAL = frozenset({"eq7", "can-upper", "can-lower"})
+    label: str
+    friendly: str
+    evaluate: Callable[[int, int, int, int, float], BoundResult]
+    informational: bool = False
+    in_all: bool = True
+
+
+def _informational(label: str, value: float) -> BoundResult:
+    return BoundResult(real_bound=value, n_rows=0, source=label)
+
+
+def _full_only(label: str, t: int, v: int, m: int) -> None:
+    _check_tv(t, v)
+    if m != v**t:
+        raise MNotFull(f"{label} development bound targets m = v^t, got m={m}")
+
+
+def _cyclic(t: int, k: int, v: int, m: int, epsilon: float) -> BoundResult:
+    _full_only("cyclic", t, v, m)
+    return bound_apca_cyclic(t, v, epsilon)
+
+
+def _frobenius(t: int, k: int, v: int, m: int, epsilon: float) -> BoundResult:
+    _full_only("frobenius", t, v, m)
+    return bound_apca_frobenius(t, v, epsilon)
+
+
+#: Every formula, in the order ``bounds --all`` prints them.  ``eq8-t`` is
+#: reached from ``--all`` through ``--eq8-variant with-t`` instead.
+FORMULAS: tuple[Formula, ...] = (
+    Formula("eq5", "union", lambda t, k, v, m, e: bound_pca_union(t, k, v, m)),
+    Formula("eq6", "lll", lambda t, k, v, m, e: bound_pca_lll(t, k, v, m)),
+    Formula("eq7", "asymptotic",
+            lambda t, k, v, m, e: _informational("eq7", bound_pca_asymptotic(t, k, v, m)),
+            informational=True),
+    Formula("eq8", "cyclic-pca", lambda t, k, v, m, e: bound_pca_cyclic(t, k, v, m)),
+    Formula("eq8-t", "cyclic-pca-t",
+            lambda t, k, v, m, e: bound_pca_cyclic(t, k, v, m, include_t_factor=True),
+            in_all=False),
+    Formula("apca", "apca", lambda t, k, v, m, e: bound_apca(t, v, m, e)),
+    Formula("cyclic", "cyclic", _cyclic),
+    Formula("frobenius", "frobenius", _frobenius),
+    Formula("concat", "concat", lambda t, k, v, m, e: bound_concat(t, k, v, m, e)),
+    Formula("can-upper", "can-upper",
+            lambda t, k, v, m, e: _informational("can-upper", bound_can_reference(t, k, v)[0]),
+            informational=True),
+    Formula("can-lower", "can-lower",
+            lambda t, k, v, m, e: _informational("can-lower", bound_can_reference(t, k, v)[1]),
+            informational=True),
+)
+
+_BY_NAME = {name: f for f in FORMULAS for name in (f.label, f.friendly)}
+
+
+def lookup_formula(name: str) -> Formula:
+    """The registry entry for a formula label or friendly name."""
+    formula = _BY_NAME.get(name)
+    if formula is None:
+        raise DomainError(f"unknown formula {name!r}")
+    return formula
 
 
 def evaluate_formula(
     formula: str, *, t: int, k: int, v: int, m: int, epsilon: float = 0.0
 ) -> BoundResult:
     """Evaluate one labeled formula at a parameter point."""
-    name = FORMULA_ALIASES.get(formula)
-    if name is None:
-        raise DomainError(f"unknown formula {formula!r}")
-    if name == "eq5":
-        return bound_pca_union(t, k, v, m)
-    if name == "eq6":
-        return bound_pca_lll(t, k, v, m)
-    if name == "eq7":
-        val = bound_pca_asymptotic(t, k, v, m)
-        return BoundResult(real_bound=val, n_rows=0, source="eq7")
-    if name == "eq8":
-        return bound_pca_cyclic(t, k, v, m)
-    if name == "eq8-t":
-        return bound_pca_cyclic(t, k, v, m, include_t_factor=True)
-    if name == "apca":
-        return bound_apca(t, v, m, epsilon)
-    if name in ("cyclic", "frobenius"):
-        if m != v**t:
-            raise MNotFull(f"{name} development bound targets m = v^t, got m={m}")
-        if name == "cyclic":
-            return bound_apca_cyclic(t, v, epsilon)
-        return bound_apca_frobenius(t, v, epsilon)
-    if name == "concat":
-        return bound_concat(t, k, v, m, epsilon)
-    upper, lower = bound_can_reference(t, k, v)
-    val = upper if name == "can-upper" else lower
-    return BoundResult(real_bound=val, n_rows=0, source=name)
+    return lookup_formula(formula).evaluate(t, k, v, m, epsilon)
 
 
 @dataclass(frozen=True)
@@ -424,12 +440,7 @@ def sweep(
     values = list(values)
     if not values:
         raise EmptyRange("sweep range is empty")
-    canon = []
-    for f in formulas:
-        name = FORMULA_ALIASES.get(f)
-        if name is None:
-            raise DomainError(f"unknown formula {f!r}")
-        canon.append(name)
+    canon = [lookup_formula(f).label for f in formulas]
     points = []
     for value in sorted(set(values)):
         point_k = value if axis == "k" else k

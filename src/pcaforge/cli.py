@@ -21,31 +21,12 @@ from pathlib import Path
 
 from . import artifact_io, bounds, construct, coverage
 from .core import PcaParams, validate
-from .errors import IterationCap, PcaForgeError
+from .errors import DomainError, IterationCap, PcaForgeError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_ITERATION_CAP = 3
-
-_BOUNDS_ORDER = (
-    "eq5", "eq6", "eq7", "eq8", "apca", "cyclic", "frobenius", "concat",
-    "can-upper", "can-lower",
-)
-
-_FRIENDLY = {
-    "eq5": "union",
-    "eq6": "lll",
-    "eq7": "asymptotic",
-    "eq8": "cyclic-pca",
-    "eq8-t": "cyclic-pca-t",
-    "apca": "apca",
-    "cyclic": "cyclic",
-    "frobenius": "frobenius",
-    "concat": "concat",
-    "can-upper": "can-upper",
-    "can-lower": "can-lower",
-}
 
 _ALGORITHMS = {
     "mt": construct.build_pca_moser_tardos,
@@ -58,7 +39,11 @@ _ALGORITHMS = {
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PCAFORGE_SEED", "0"))
+    raw = os.environ.get("PCAFORGE_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"PCAFORGE_SEED={raw!r} is not an integer") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,29 +107,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    labels = list(args.formula)
-    if args.all:
-        labels = list(_BOUNDS_ORDER)
-    if not labels:
+    if not (args.all or args.formula):
         print("error: pass --all or at least one --formula", file=sys.stderr)
         return EXIT_USAGE
     validate(PcaParams(t=args.t, k=args.k, v=args.v, m=args.m, epsilon=args.epsilon))
+    if args.all:
+        formulas = [f for f in bounds.FORMULAS if f.in_all]
+    else:
+        formulas = [bounds.lookup_formula(label) for label in args.formula]
     rows = []
-    for label in labels:
-        name = bounds.FORMULA_ALIASES.get(label)
-        if name is None:
-            print(f"error: unknown formula {label!r}", file=sys.stderr)
-            return EXIT_USAGE
-        if name == "eq8" and args.eq8_variant == "with-t":
-            name = "eq8-t"
+    for formula in formulas:
+        if formula.label == "eq8" and args.eq8_variant == "with-t":
+            formula = bounds.lookup_formula("eq8-t")
         try:
-            result = bounds.evaluate_formula(
-                name, t=args.t, k=args.k, v=args.v, m=args.m, epsilon=args.epsilon
-            )
-            n_rows = "" if name in bounds.INFORMATIONAL else str(result.n_rows)
-            rows.append((_FRIENDLY[name], f"{result.real_bound:.6g}", n_rows, name))
+            result = formula.evaluate(args.t, args.k, args.v, args.m, args.epsilon)
+            n_rows = "" if formula.informational else str(result.n_rows)
+            rows.append((formula.friendly, f"{result.real_bound:.6g}", n_rows, formula.label))
         except PcaForgeError as exc:
-            rows.append((_FRIENDLY[name], "-", "-", f"skipped: {type(exc).__name__}"))
+            rows.append((formula.friendly, "-", "-", f"skipped: {type(exc).__name__}"))
     width = max(len(r[0]) for r in rows)
     print(f"{'formula':<{width}}  {'real_bound':>12}  {'n_rows':>8}  source")
     for name, real, n_rows, source in rows:
@@ -210,16 +190,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_values(text: str) -> list[int]:
-    if "," in text or ":" not in text:
-        return [int(x) for x in text.split(",") if x.strip()]
-    parts = [int(x) for x in text.split(":")]
-    if len(parts) == 2:
-        start, stop, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        start, stop, step = parts
-    else:
-        raise ValueError(f"bad values range {text!r}")
-    return list(range(start, stop + 1, step))
+    try:
+        if "," in text or ":" not in text:
+            return [int(x) for x in text.split(",") if x.strip()]
+        parts = [int(x) for x in text.split(":")]
+        if len(parts) not in (2, 3):
+            raise ValueError
+        return list(range(parts[0], parts[1] + 1, *parts[2:]))  # a zero step raises too
+    except ValueError:
+        raise DomainError(
+            f"bad values {text!r}: expected start:stop[:step] or integers separated by commas"
+        ) from None
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -3,8 +3,18 @@
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit seed
 in the parameter bundle, so a fixed seed reproduces the output array and the
 iteration count bit for bit on any platform.  Every builder verifies its own
-output with the coverage predicates before returning; hitting an iteration cap
-raises instead of returning a partial result.
+output with the coverage predicates before returning, in one shared tail that
+also assembles the :class:`BuildReport`; hitting an iteration cap raises
+instead of returning a partial result.
+
+The epsilon-almost builders are one Las Vegas restart algorithm: sample a
+uniform array at the row count whose union bound holds for epsilon/2, accept
+it when at most ``floor(epsilon * C(k,t))`` t-sets are defective, otherwise
+draw a fresh one.  At epsilon/2 the expected number of defective t-sets is at
+most half the allowance, so by Markov's inequality one attempt succeeds with
+probability >= 1/2 and the expected number of attempts is at most 2.  One
+private loop runs this for every such builder; attempts count from 1 and the
+``max_restarts``-th failure raises ``IterationCap``.
 
 Builders:
 
@@ -14,14 +24,15 @@ Builders:
   entries of those t columns.  (The classic resampling scheme redraws only the
   violating event's variables; redrawing whole columns is what this variant
   prescribes.)
-* :func:`build_apca_randomized` — sample whole arrays at the halved-epsilon
-  union-bound row count until at most ``floor(epsilon * C(k,t))`` t-sets are
-  defective; sampling succeeds with probability >= 1/2, so the expected number
-  of attempts is at most 2.
-* :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — sample a small
-  base array until enough t-sets cover every (full) orbit, then develop it
-  over the group; the affine variant appends the v constant rows to pick up
-  the short orbit.  Base sizing uses the same halved-epsilon/restart scheme.
+* :func:`build_apca_randomized` — the restart loop on whole arrays, sized by
+  :func:`pcaforge.bounds.bound_apca` at epsilon/2.
+* :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — the restart loop
+  on a small base array, accepted when enough t-sets cover every orbit, then
+  developed over the group.  The base size is the ``base_rows`` of
+  :func:`~pcaforge.bounds.bound_apca_cyclic` or
+  :func:`~pcaforge.bounds.bound_apca_frobenius` at epsilon/2.  The affine
+  group also has the short orbit of constant tuples: the accept test skips
+  it and the v constant rows appended after developing cover it.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component and verify both guarantees.
 * :func:`build_apca_derandomized` — deterministic cell-by-cell choice (columns
@@ -41,28 +52,19 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY,
-    count_defects,
-    count_orbit_defects,
-    first_defect,
-    is_apca,
-    is_pca,
+    PROFILE_CAPACITY, count_defects, count_orbit_defects, first_defect, is_apca, is_pca,
 )
 from .core import Array, BoundResult, PcaParams, rank_weights, validate
 from .errors import (
-    CapacityExceeded,
-    EpsilonZero,
-    IterationCap,
-    KTooSmallForLLL,
-    MNotFull,
-    PcaForgeError,
+    CapacityExceeded, EpsilonZero, IterationCap, KTooSmallForLLL, MNotFull, PcaForgeError,
 )
-from .galois import constant_rows, cyclic_action, develop, frobenius_action, orbits
+from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action, orbits
 
 DEFAULT_RESAMPLE_CAP = 1_000_000
 DEFAULT_RESTART_CAP = 64
@@ -86,13 +88,71 @@ class BuildReport:
 
 
 def _rng_for(params: PcaParams, rng: np.random.Generator | None) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return np.random.Generator(np.random.PCG64(params.seed))
+    return rng if rng is not None else np.random.Generator(np.random.PCG64(params.seed))
 
 
 def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
     return rng.integers(0, v, size=(n, k), dtype=np.int64)
+
+
+def _restart(
+    params: PcaParams, rng: np.random.Generator | None, n_rows: int,
+    count_bad: Callable[[np.ndarray, int], int], max_restarts: int,
+) -> tuple[np.ndarray, int, int]:
+    """Draw ``n_rows x k`` arrays until ``count_bad(cells, allowed) <= allowed``.
+
+    ``allowed = floor(epsilon * C(k,t))``; ``count_bad`` may stop counting
+    once it passes ``allowed``.  Returns the accepted cells, the attempt count
+    (from 1) and ``allowed``.
+    """
+    allowed = math.floor(params.epsilon * math.comb(params.k, params.t))
+    rng = _rng_for(params, rng)
+    for attempt in range(1, max_restarts + 1):
+        cells = _sample(rng, n_rows, params.k, params.v)
+        if count_bad(cells, allowed) <= allowed:
+            return cells, attempt, allowed
+    raise IterationCap(f"hit restart cap {max_restarts}")
+
+
+def _verified(
+    params: PcaParams, array: Array, bound: BoundResult, start: float, iterations: int, *,
+    pca_m: int | None = None, apca_m: int | None = None, detail: dict | None = None,
+) -> BuildReport:
+    """Check ``array`` against the builder's claims and wrap it in a report.
+
+    ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
+    but ``floor(epsilon * C(k,t))`` do; a build with the apca claim alone also
+    reports its defective t-set count.  Raises if a claim fails.
+    """
+    t, epsilon = params.t, params.epsilon
+    detail = dict(detail or {})
+    claims, ok = [], True
+    if pca_m is not None:
+        claims.append(f"pca(t={t}, m={pca_m})")
+        ok = is_pca(array, t, pca_m).ok
+    if apca_m is not None:
+        claims.append(f"apca(t={t}, m={apca_m}, epsilon={epsilon})")
+        check = is_apca(array, t, apca_m, epsilon)
+        ok = ok and check.ok
+        if pca_m is None:
+            detail["defective_tsets"] = len(check.defects)
+    verifier = " + ".join(claims)
+    if not ok:
+        raise PcaForgeError(f"internal: unverified output for {verifier}")
+    return BuildReport(
+        array=array, iterations=iterations, rng_seed=params.seed, bound_used=bound,
+        elapsed=time.perf_counter() - start, verifier=verifier, detail=detail,
+    )
+
+
+def _full_coverage(params: PcaParams, what: str) -> PcaParams:
+    """Validate a full-coverage (m = v^t) request with a positive epsilon."""
+    params = validate(params)
+    if params.m != params.v**params.t:
+        raise MNotFull(f"{what}, got m={params.m}")
+    if params.epsilon <= 0:
+        raise EpsilonZero("epsilon must be positive")
+    return params
 
 
 def build_pca_moser_tardos(
@@ -111,26 +171,12 @@ def build_pca_moser_tardos(
     rng = _rng_for(params, rng)
     cells = _sample(rng, bound.n_rows, k, v)
     resamples = 0
-    while True:
-        defect = first_defect(cells, v, t, m)
-        if defect is None:
-            break
+    while (defect := first_defect(cells, v, t, m)) is not None:
         if resamples >= max_resamples:
             raise IterationCap(f"hit resample cap {max_resamples} at t-set {defect.tset}")
         cells[:, defect.tset] = _sample(rng, bound.n_rows, t, v)
         resamples += 1
-    array = Array(cells, v)
-    check = is_pca(array, t, m)
-    if not check.ok:
-        raise PcaForgeError(f"internal: unverified output at {check.witness}")
-    return BuildReport(
-        array=array,
-        iterations=resamples,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"pca(t={t}, m={m})",
-    )
+    return _verified(params, Array(cells, v), bound, start, resamples, pca_m=m)
 
 
 def algorithm_rows_apca(t: int, v: int, m: int, epsilon: float) -> int:
@@ -147,42 +193,52 @@ def build_apca_randomized(
 ) -> BuildReport:
     """Sample-and-check builder for epsilon-almost partial m-coverage."""
     params = validate(params)
-    t, k, v, m = params.t, params.k, params.v, params.m
-    epsilon = params.epsilon
+    t, v, m, epsilon = params.t, params.v, params.m, params.epsilon
     if epsilon <= 0:
         raise EpsilonZero("epsilon must be positive")
     start = time.perf_counter()
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
     bound = bounds.bound_apca(t, v, m, epsilon)
-    allowed = math.floor(epsilon * math.comb(k, t))
-    rng = _rng_for(params, rng)
-    attempts = 0
-    while True:
-        if attempts >= max_restarts:
-            raise IterationCap(f"hit restart cap {max_restarts}")
-        attempts += 1
-        cells = _sample(rng, n_rows, k, v)
-        # early exit once the defect budget is exceeded
-        if count_defects(cells, v, t, m, stop_above=allowed) <= allowed:
-            break
-    array = Array(cells, v)
-    check = is_apca(array, t, m, epsilon)
-    if not check.ok:
-        raise PcaForgeError("internal: unverified output")
-    return BuildReport(
-        array=array,
-        iterations=attempts,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"apca(t={t}, m={m}, epsilon={epsilon})",
-        detail={"defective_tsets": len(check.defects), "allowed": allowed},
+    cells, attempts, allowed = _restart(
+        params, rng, n_rows,
+        lambda cells, allowed: count_defects(cells, v, t, m, stop_above=allowed), max_restarts,
+    )
+    return _verified(
+        params, Array(cells, v), bound, start, attempts, apca_m=m, detail={"allowed": allowed}
     )
 
 
-def _min_base_rows(log_constant: float, log_ratio: float) -> int:
-    _, n = bounds._min_int(log_constant, log_ratio, strict=False)
-    return n
+def _build_developed(
+    params: PcaParams, action: GroupAction, bound_fn: Callable[[int, int, float], BoundResult],
+    rng: np.random.Generator | None, max_restarts: int,
+) -> BuildReport:
+    """Restart on base arrays until enough t-sets cover every orbit of
+    ``action`` that the accept test counts, then develop over the group.
+
+    The base size is ``bound_fn`` at epsilon/2.  A short orbit (the affine
+    group's constant tuples) is left out of the accept test and covered by
+    appending the v constant rows.
+    """
+    t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
+    start = time.perf_counter()
+    structure = orbits(t, v, action)
+    n_base = bound_fn(t, v, epsilon / 2).detail["base_rows"]
+    bound = bound_fn(t, v, epsilon)
+    short = structure.short_orbit_id
+    required = structure.n_orbits - (short is not None)
+    base, attempts, _ = _restart(
+        params, rng, n_base,
+        lambda cells, allowed: count_orbit_defects(
+            cells, v, t, structure, required, exclude_orbit=short, stop_above=allowed
+        ),
+        max_restarts,
+    )
+    array = develop(Array(base, v), action)
+    if short is not None:
+        array = array.stack(constant_rows(k, v))
+    return _verified(
+        params, array, bound, start, attempts, apca_m=v**t, detail={"base_rows": n_base}
+    )
 
 
 def build_apca_cyclic(
@@ -198,44 +254,9 @@ def build_apca_cyclic(
     the halved-epsilon inequality so each sample succeeds with probability
     >= 1/2.
     """
-    params = validate(params)
-    t, k, v = params.t, params.k, params.v
-    epsilon = params.epsilon
-    if params.m != v**t:
-        raise MNotFull(f"cyclic development targets m = v^t, got m={params.m}")
-    if epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
-    start = time.perf_counter()
-    structure = orbits(t, v, cyclic_action(v))
-    n_orbits = structure.n_orbits
-    n_base = _min_base_rows(
-        math.log(n_orbits) - math.log(epsilon / 2),
-        math.log(n_orbits / (n_orbits - 1)),
-    )
-    bound = bounds.bound_apca_cyclic(t, v, epsilon)
-    allowed = math.floor(epsilon * math.comb(k, t))
-    rng = _rng_for(params, rng)
-    attempts = 0
-    while True:
-        if attempts >= max_restarts:
-            raise IterationCap(f"hit restart cap {max_restarts}")
-        attempts += 1
-        base = _sample(rng, n_base, k, v)
-        bad = count_orbit_defects(base, v, t, structure, n_orbits, stop_above=allowed)
-        if bad <= allowed:
-            break
-    array = develop(Array(base, v), cyclic_action(v))
-    check = is_apca(array, t, v**t, epsilon)
-    if not check.ok:
-        raise PcaForgeError("internal: unverified output")
-    return BuildReport(
-        array=array,
-        iterations=attempts,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"apca(t={t}, m={v ** t}, epsilon={epsilon})",
-        detail={"base_rows": n_base, "defective_tsets": len(check.defects)},
+    params = _full_coverage(params, "cyclic development targets m = v^t")
+    return _build_developed(
+        params, cyclic_action(params.v), bounds.bound_apca_cyclic, rng, max_restarts
     )
 
 
@@ -250,55 +271,9 @@ def build_apca_frobenius(
     The accept test looks at full orbits only; the appended constant rows
     cover the short orbit in every t-set unconditionally.
     """
-    params = validate(params)
-    t, k, v = params.t, params.k, params.v
-    epsilon = params.epsilon
-    if params.m != v**t:
-        raise MNotFull(f"affine development targets m = v^t, got m={params.m}")
-    if epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
-    action = frobenius_action(v)  # raises NotPrimePower for composite non-powers
-    start = time.perf_counter()
-    structure = orbits(t, v, action)
-    n_full = structure.n_orbits - 1
-    vtm1 = v ** (t - 1)
-    n_base = _min_base_rows(
-        math.log(n_full) - math.log(epsilon / 2),
-        math.log(vtm1 / (vtm1 - (v - 1))),
-    )
-    bound = bounds.bound_apca_frobenius(t, v, epsilon)
-    allowed = math.floor(epsilon * math.comb(k, t))
-    rng = _rng_for(params, rng)
-    attempts = 0
-    while True:
-        if attempts >= max_restarts:
-            raise IterationCap(f"hit restart cap {max_restarts}")
-        attempts += 1
-        base = _sample(rng, n_base, k, v)
-        bad = count_orbit_defects(
-            base,
-            v,
-            t,
-            structure,
-            n_full,
-            exclude_orbit=structure.short_orbit_id,
-            stop_above=allowed,
-        )
-        if bad <= allowed:
-            break
-    array = develop(Array(base, v), action).stack(constant_rows(k, v))
-    check = is_apca(array, t, v**t, epsilon)
-    if not check.ok:
-        raise PcaForgeError("internal: unverified output")
-    return BuildReport(
-        array=array,
-        iterations=attempts,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"apca(t={t}, m={v ** t}, epsilon={epsilon})",
-        detail={"base_rows": n_base, "defective_tsets": len(check.defects)},
-    )
+    params = _full_coverage(params, "affine development targets m = v^t")
+    action = frobenius_action(params.v)  # raises NotPrimePower for composite non-powers
+    return _build_developed(params, action, bounds.bound_apca_frobenius, rng, max_restarts)
 
 
 def build_concat(
@@ -314,8 +289,7 @@ def build_concat(
     Child builders get independent seeds derived from the bundle seed.
     """
     params = validate(params)
-    t, k, v, m = params.t, params.k, params.v, params.m
-    epsilon = params.epsilon
+    t, k, v, m, epsilon = params.t, params.k, params.v, params.m, params.epsilon
     start = time.perf_counter()
     bound = bounds.bound_concat(t, k, v, m, epsilon)
     m1 = bound.detail["m1"]
@@ -330,23 +304,14 @@ def build_concat(
         rng=np.random.Generator(np.random.PCG64(seq2)),
         max_restarts=max_restarts,
     )
-    array = part1.array.stack(part2.array)
-    pca_check = is_pca(array, t, m)
-    apca_check = is_apca(array, t, v**t, epsilon)
-    if not (pca_check.ok and apca_check.ok):
-        raise PcaForgeError("internal: unverified output")
-    return BuildReport(
-        array=array,
-        iterations=part1.iterations + part2.iterations,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"pca(t={t}, m={m}) + apca(t={t}, m={v ** t}, epsilon={epsilon})",
-        detail={
-            "m1": m1,
-            "component_rows": (part1.n_rows, part2.n_rows),
-            "component_iterations": (part1.iterations, part2.iterations),
-        },
+    detail = {
+        "m1": m1,
+        "component_rows": (part1.n_rows, part2.n_rows),
+        "component_iterations": (part1.iterations, part2.iterations),
+    }
+    return _verified(
+        params, part1.array.stack(part2.array), bound, start,
+        part1.iterations + part2.iterations, pca_m=m, apca_m=v**t, detail=detail,
     )
 
 
@@ -455,26 +420,12 @@ def build_apca_derandomized(params: PcaParams) -> BuildReport:
     The estimator decomposes per tuple only in the full-coverage case, which
     is why smaller m is rejected.
     """
-    params = validate(params)
-    t, k, v = params.t, params.k, params.v
-    epsilon = params.epsilon
-    if params.m != v**t:
-        raise MNotFull(f"derandomization supports m = v^t only, got m={params.m}")
-    if epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
+    params = _full_coverage(params, "derandomization supports m = v^t only")
+    t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
     bound = bounds.bound_apca(t, v, v**t, epsilon)
     cells, trace = derandomize_columns(t, k, v, bound.n_rows)
-    array = Array(cells, v)
-    check = is_apca(array, t, v**t, epsilon)
-    if not check.ok:
-        raise PcaForgeError("internal: unverified output")
-    return BuildReport(
-        array=array,
-        iterations=0,
-        rng_seed=params.seed,
-        bound_used=bound,
-        elapsed=time.perf_counter() - start,
-        verifier=f"apca(t={t}, m={v ** t}, epsilon={epsilon})",
-        detail={"estimator_trace": trace, "defective_tsets": len(check.defects)},
+    return _verified(
+        params, Array(cells, v), bound, start, 0, apca_m=v**t,
+        detail={"estimator_trace": trace},
     )

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     AlphabetTooSmall,
     ColumnOutOfRange,
+    DimensionMismatch,
     EpsilonOutOfRange,
     MOutOfRange,
     Overflow,
@@ -76,11 +77,14 @@ def validate(params: PcaParams) -> PcaParams:
 
 
 def _as_cells(cells: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    arr = np.asarray(cells, dtype=np.int64)
+    try:
+        arr = np.asarray(cells, dtype=np.int64)
+    except ValueError:  # ragged rows
+        raise DimensionMismatch("cells must form a rectangular grid") from None
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, 0)
     if arr.ndim != 2:
-        raise ValueError(f"cells must be 2-dimensional, got shape {arr.shape}")
+        raise DimensionMismatch(f"cells must be 2-dimensional, got shape {arr.shape}")
     return arr
 
 
@@ -130,7 +134,7 @@ class Array:
     def stack(self, other: "Array") -> "Array":
         """Vertical concatenation; both arrays must share cols and v."""
         if self.v != other.v or self.cols != other.cols:
-            raise ValueError("stacked arrays must share column count and alphabet")
+            raise DimensionMismatch("stacked arrays must share column count and alphabet")
         return Array(np.vstack([self.cells, other.cells]), self.v)
 
 
@@ -169,6 +173,10 @@ def tuple_rank(x: Iterable[int], v: int) -> int:
 def tuple_unrank(r: int, t: int, v: int) -> tuple[int, ...]:
     """Inverse of :func:`tuple_rank`: the t-tuple with the given rank."""
     r = int(r)
+    if v < 2:
+        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    if t < 0:
+        raise StrengthTooSmall(f"tuple length t={t} is negative")
     if not 0 <= r < v**t:
         raise RankOutOfRange(f"rank {r} outside [0, {v ** t})")
     out = []

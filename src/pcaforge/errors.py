@@ -80,8 +80,11 @@ class RNonPositive(PcaForgeError):
     """ln(v / epsilon^(1/(t-1))) <= 0 in the concatenated construction."""
 
 
-class DomainError(PcaForgeError):
-    """Argument outside the mathematical domain of an informational formula."""
+class DomainError(PcaForgeError, ValueError):
+    """Argument outside the domain a function accepts: an informational
+    formula's mathematical domain, an unknown formula or axis label, a file
+    base other than 0 or 1, a malformed value list or a non-integer
+    ``PCAFORGE_SEED``."""
 
 
 class EmptyRange(PcaForgeError):
@@ -99,7 +102,7 @@ class OrderTooLarge(PcaForgeError):
 
 
 class StructureMismatch(PcaForgeError, ValueError):
-    """An orbit structure was built for another strength or alphabet."""
+    """An orbit structure or group action is for another strength or alphabet."""
 
 
 # -- enumeration / construction -------------------------------------------------
@@ -126,5 +129,6 @@ class ParseError(PcaForgeError):
         self.line = line
 
 
-class DimensionMismatch(PcaForgeError):
-    """Declared dimensions disagree with the file body."""
+class DimensionMismatch(PcaForgeError, ValueError):
+    """Shapes disagree: a file body with its declared dimensions, stacked
+    arrays with each other, or cells with a 2-D grid."""

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, rank_weights
-from .errors import AlphabetTooSmall, CapacityExceeded, NotPrimePower, OrderTooLarge
+from .errors import (
+    AlphabetTooSmall,
+    CapacityExceeded,
+    NotPrimePower,
+    OrderTooLarge,
+    StrengthTooSmall,
+    StructureMismatch,
+)
 
 # Enumeration guard for orbit computation: v^t tuples times |G| elements.
 ORBIT_CAPACITY = 2**24
@@ -219,7 +226,9 @@ class OrbitStructure:
 def orbits(t: int, v: int, action: GroupAction) -> OrbitStructure:
     """Enumerate all orbits of ``[v]^t``, representatives in increasing rank."""
     if action.v != v:
-        raise ValueError(f"action is over v={action.v}, asked for v={v}")
+        raise StructureMismatch(f"action is over v={action.v}, asked for v={v}")
+    if t < 1:
+        raise StrengthTooSmall(f"strength t={t} must be at least 1")
     vt = v**t
     g = action.order
     if vt * g > ORBIT_CAPACITY:
@@ -259,7 +268,7 @@ def develop(a: Array, action: GroupAction) -> Array:
     so results are byte-identical for a given input.
     """
     if action.v != a.v:
-        raise ValueError(f"action is over v={action.v}, array over v={a.v}")
+        raise StructureMismatch(f"action is over v={action.v}, array over v={a.v}")
     stacked = action.perms[:, a.cells]          # (g, N, k)
     out = stacked.transpose(1, 0, 2).reshape(-1, a.cols)
     return Array(out, a.v)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcaforge import coverage
+from pcaforge import bounds, coverage
 from pcaforge.artifact_io import read_array, write_array
 from pcaforge.cli import main
 from pcaforge.core import Array
@@ -47,6 +47,59 @@ class TestBoundsCommand:
               "--formula", "union"])
         out = capsys.readouterr().out
         assert "union" in out and "lll" not in out
+
+
+# `bounds --all` stdout recorded before the formula names moved into one table;
+# the second point has skipped rows.
+ALL_TABLES = [
+    (["--t", "2", "--k", "10", "--v", "3", "--m", "9", "--epsilon", "0.05"],
+     "formula       real_bound    n_rows  source\n"
+     "union            50.9741        51  eq5\n"
+     "lll              52.5794        53  eq6\n"
+     "asymptotic       20.7233            eq7\n"
+     "cyclic-pca       32.5641        33  eq8\n"
+     "apca             44.0892        45  apca\n"
+     "cyclic           36.8491        33  cyclic\n"
+     "frobenius        36.1999        21  frobenius\n"
+     "concat           95.6668        89  concat\n"
+     "can-upper        29.8974            can-upper\n"
+     "can-lower        9.96578            can-lower\n"),
+    (["--t", "6", "--k", "20", "--v", "4", "--m", "4092"],
+     "formula       real_bound    n_rows  source\n"
+     "union            38776.9     38777  eq5\n"
+     "lll              40312.4     40313  eq6\n"
+     "asymptotic       5678.26            eq7\n"
+     "cyclic-pca       48730.9     48732  eq8\n"
+     "apca                   -         -  skipped: EpsilonZero\n"
+     "cyclic                 -         -  skipped: MNotFull\n"
+     "frobenius              -         -  skipped: MNotFull\n"
+     "concat                 -         -  skipped: EpsilonZero\n"
+     "can-upper        88513.1            can-upper\n"
+     "can-lower        4425.65            can-lower\n"),
+]
+
+
+@pytest.mark.parametrize("point,table", ALL_TABLES, ids=["t2-v3", "t6-v4-skipped"])
+def test_bounds_all_bytes(capsys, point, table):
+    assert main(["bounds", *point, "--all"]) == 0
+    assert capsys.readouterr().out == table
+
+
+FORMULA_NAMES = sorted({name for f in bounds.FORMULAS for name in (f.label, f.friendly)})
+
+
+@pytest.mark.parametrize("name", FORMULA_NAMES)
+def test_every_formula_name_accepted(capsys, name):
+    entry = bounds.lookup_formula(name)
+    point = ["--t", "6", "--k", "20", "--v", "4", "--m", "4092"]
+    assert main(["bounds", *point, "--formula", name]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [entry.friendly]
+    assert main(["compare", "--axis", "m", "--values", "4090,4092", *point[:6],
+                 "--formulas", name]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [["4090", entry.label],
+                                                       ["4092", entry.label]]
 
 
 class TestGenerateCommand:

@@ -194,30 +194,47 @@ class TestClassScans:
 
 # -- generated arrays are the same as before the kernel ------------------------------
 
-# sha256 of the file `generate` writes, recorded with the per-t-set loops.
+# sha256 of the file `generate` writes and of its `--report` JSON; the array
+# hashes were recorded with the per-t-set loops, the report hashes and the
+# derand cases with the restart builders before they shared one loop.
 GOLDEN = [
     (["mt", "2", "8", "2", "4", "0", "0"],
-     "cf994c04acb53c7ba7883635e0a0a14fb1bce443b792277d7bebcb83fb6a6757"),
+     "cf994c04acb53c7ba7883635e0a0a14fb1bce443b792277d7bebcb83fb6a6757",
+     "278a4a33eaf9f211086710a2e9fa379bd10b789b7493bacf05c2a4141ecae85b"),
     (["mt", "3", "20", "3", "26", "0", "4"],
-     "fcfe3fc7a51e3a1691884b3f64c6d954d8ddc581bee5724b8f5f85d7119cfe7a"),
+     "fcfe3fc7a51e3a1691884b3f64c6d954d8ddc581bee5724b8f5f85d7119cfe7a",
+     "d2fc61ece07ec10af815bd7c3c198386656b77c9bb2a82c358a03a5e46729485"),
     (["apca", "2", "10", "3", "9", "0.05", "0"],
-     "15b7d1117113d7b260504d5aa43b989205822486e79b97e4c8aec2b4a8a8dde3"),
+     "15b7d1117113d7b260504d5aa43b989205822486e79b97e4c8aec2b4a8a8dde3",
+     "9eef679b04bc95b4df21a848d1c4ae82f107ef204e910cef9e006bf85a0e89d9"),
     (["cyclic", "2", "10", "4", "16", "0.05", "0"],
-     "d174c40a2d0c19697cf2a5625e829f1b808c9b4ccb73a7340062ea7277af41be"),
+     "d174c40a2d0c19697cf2a5625e829f1b808c9b4ccb73a7340062ea7277af41be",
+     "6fba729e0707a3bc883583649658b7eeb29b2ea2e62cbf50ff547a374d2c1b0d"),
     (["frobenius", "2", "10", "5", "25", "0.05", "0"],
-     "c91a85ed12e4639a523e8a31acb87e191fa557f96e303b305660627fca34d5f4"),
+     "c91a85ed12e4639a523e8a31acb87e191fa557f96e303b305660627fca34d5f4",
+     "94e4fec070b2380808f46cca66a838f1bc918d843a6bca5dd93c708563019e63"),
     (["frobenius", "3", "8", "4", "64", "0.05", "0"],
-     "0eb2d6b9447092602c3bb51848310c40e217f3dad5f7bcbb0a7be4f38ba84e6b"),
+     "0eb2d6b9447092602c3bb51848310c40e217f3dad5f7bcbb0a7be4f38ba84e6b",
+     "73653577b05f32ff4b7886f045354cca3f28ebda96a0f7932b5c37ca3b84f895"),
     (["concat", "2", "8", "3", "8", "0.1", "2"],
-     "f42de89c381703f5ecb4b80fc6826758bacc80e9de2ad1e63a485e2a763cf2a0"),
+     "f42de89c381703f5ecb4b80fc6826758bacc80e9de2ad1e63a485e2a763cf2a0",
+     "3b7fbb96b19a24068b8fb64af354c34601af8cbd6cd44149508bccb9121809ef"),
+    (["derand", "2", "10", "3", "9", "0.5", "0"],
+     "c7ef8283512037bb124bcd1113aa7aec972848fd45cedcaa0581234376602475",
+     "5e87827b5358e6c5c8005ac985b3be5fb9cf916682fd8950fb535329f5fd91c9"),
+    (["derand", "3", "8", "2", "8", "0.2", "0"],
+     "4a103614243a056fde480d2c31fa7a67c231917ab80ae1ad67af106bbc623ecc",
+     "b79357e933a45d97e1abef64c43b79508f78314ab05da69d84e053e285ab211e"),
 ]
 
 
-@pytest.mark.parametrize("spec,sha", GOLDEN, ids=[" ".join(s[:4]) for s, _ in GOLDEN])
-def test_generate_unchanged(tmp_path, capsys, spec, sha):
+@pytest.mark.parametrize("spec,sha,report_sha", GOLDEN,
+                         ids=[" ".join(s[:4]) for s, _, _ in GOLDEN])
+def test_generate_unchanged(tmp_path, capsys, spec, sha, report_sha):
     alg, t, k, v, m, epsilon, seed = spec
-    out = tmp_path / "a.pca"
+    out, report = tmp_path / "a.pca", tmp_path / "r.json"
     argv = ["generate", "--alg", alg, "--t", t, "--k", k, "--v", v, "--m", m,
-            "--epsilon", epsilon, "--seed", seed, "--out", str(out)]
+            "--epsilon", epsilon, "--seed", seed, "--out", str(out), "--report", str(report)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

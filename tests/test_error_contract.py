@@ -1,0 +1,94 @@
+"""Fuzz the public entry points: whatever the input, only a ``PcaForgeError``
+(or ``OSError`` for I/O) may escape."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcaforge.artifact_io import MAGIC, read_array
+from pcaforge.bounds import FORMULAS, evaluate_formula
+from pcaforge.core import Array, PcaParams, project, tuple_rank, tuple_unrank, validate
+from pcaforge.errors import PcaForgeError
+from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
+
+small = st.integers(-3, 9)
+epsilons = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, 0.0, 1.0]))
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+def _contained(call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except (PcaForgeError, OSError):
+        pass
+
+
+@FUZZ
+@given(small, small, small, small, epsilons, st.integers(-2, 2**64 + 1))
+def test_validate(t, k, v, m, epsilon, seed):
+    _contained(validate, PcaParams(t, k, v, m, epsilon, seed))
+
+
+@FUZZ
+@given(st.sampled_from([f.label for f in FORMULAS]), small, small, small, st.integers(-3, 80),
+       epsilons)
+def test_evaluate_formula(label, t, k, v, m, epsilon):
+    _contained(evaluate_formula, label, t=t, k=k, v=v, m=m, epsilon=epsilon)
+
+
+@FUZZ
+@given(st.lists(small, max_size=4), small, small, small)
+def test_tuple_rank_unrank(x, r, t, v):
+    _contained(tuple_rank, x, v)
+    _contained(tuple_unrank, r, t, v)
+
+
+@FUZZ
+@given(st.lists(st.lists(small, max_size=4), max_size=4), small, st.lists(small, max_size=4))
+def test_array_and_project(cells, v, columns):
+    try:
+        a = Array(cells, v)
+    except PcaForgeError:
+        return
+    _contained(project, a, columns)
+
+
+@FUZZ
+@given(st.integers(-2, 3), st.integers(2, 6), st.integers(2, 6), st.booleans(),
+       st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=3))
+def test_orbits_and_develop_with_any_action(t, v, action_v, affine, rows):
+    try:
+        action = frobenius_action(action_v) if affine else cyclic_action(action_v)
+        a = Array(rows, v)
+    except PcaForgeError:
+        return
+    _contained(orbits, t, v, action)
+    _contained(develop, a, action)
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=48).map(lambda b: f"{MAGIC}\n".encode() + b),
+    st.tuples(small, small, small, st.integers(-1, 2), st.binary(max_size=24)).map(
+        lambda h: f"{MAGIC}\n{h[0]} {h[1]} {h[2]} {h[3]}\n".encode() + h[4]),
+))
+def test_read_array_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "a.pca"
+    path.write_bytes(data)
+    _contained(read_array, path)
+
+
+@pytest.mark.parametrize("r,t,v", [(0, -1, 0), (0, -1, 2)])
+def test_tuple_unrank_rejects_bad_sizes(r, t, v):
+    # (0, -1, 0) escaped as ZeroDivisionError, (0, -1, 2) returned ()
+    with pytest.raises(PcaForgeError):
+        tuple_unrank(r, t, v)
+
+
+def test_orbits_rejects_negative_strength():
+    # v ** -1 is a float, which numpy refused with a TypeError
+    with pytest.raises(PcaForgeError):
+        orbits(-1, 2, cyclic_action(2))

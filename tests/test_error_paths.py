@@ -9,12 +9,14 @@ from pcaforge.cli import main
 from pcaforge.core import Array
 from pcaforge.coverage import completeness, count_orbit_defects, naive_oracle, orbit_coverage
 from pcaforge.errors import (
+    DimensionMismatch,
     DomainError,
     EpsilonOutOfRange,
     MNotFull,
     ParseError,
     PcaForgeError,
     StrengthTooSmall,
+    StructureMismatch,
 )
 from pcaforge.galois import constant_rows, cyclic_action, develop, orbits
 
@@ -57,6 +59,16 @@ class TestCoreEdges:
         with pytest.raises(ValueError):
             Array(np.zeros((2, 2, 2), dtype=np.int64), 2)
 
+    def test_stack_mismatch_is_package_error(self):
+        with pytest.raises(DimensionMismatch):
+            Array([[0, 1]], 2).stack(Array([[0, 1]], 3))
+
+    @pytest.mark.parametrize("cells", [np.zeros((2, 2, 2), dtype=np.int64), [[0, 1], [0]]],
+                             ids=["3-d", "ragged"])
+    def test_cells_shape_is_package_error(self, cells):
+        with pytest.raises(DimensionMismatch):
+            Array(cells, 2)
+
 
 class TestGaloisEdges:
     def test_orbits_rejects_mismatched_v(self):
@@ -65,6 +77,14 @@ class TestGaloisEdges:
 
     def test_develop_rejects_mismatched_v(self):
         with pytest.raises(ValueError):
+            develop(Array([[0, 1]], 2), cyclic_action(3))
+
+    def test_orbits_mismatch_is_package_error(self):
+        with pytest.raises(StructureMismatch):
+            orbits(2, 3, cyclic_action(2))
+
+    def test_develop_mismatch_is_package_error(self):
+        with pytest.raises(StructureMismatch):
             develop(Array([[0, 1]], 2), cyclic_action(3))
 
 
@@ -94,6 +114,32 @@ class TestArtifactIoEdges:
     def test_write_bad_base(self, tmp_path):
         with pytest.raises(ValueError):
             write_array(Array([[0, 1]], 2), tmp_path / "x.pca", base=2)
+
+    def test_write_bad_base_is_package_error(self, tmp_path):
+        with pytest.raises(DomainError):
+            write_array(Array([[0, 1]], 2), tmp_path / "x.pca", base=2)
+
+    def test_non_ascii_is_parse_error(self, tmp_path):
+        path = tmp_path / "a.pca"
+        path.write_bytes(b"pca-forge v1\n1 2 2 0\n0 \xc3\xa9\n")
+        with pytest.raises(ParseError) as err:
+            read_array(path)
+        assert err.value.line == 3
+
+    def test_alphabet_beyond_64_bits_is_parse_error(self, tmp_path):
+        path = tmp_path / "a.pca"
+        path.write_text("pca-forge v1\n1 2 99999999999999999999999 0\n0 99999999999999999999\n")
+        with pytest.raises(ParseError) as err:
+            read_array(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("count_line", ["0 -1 2 0", "0 4611686018427387904 2 0"])
+    def test_unrepresentable_shape_is_parse_error(self, tmp_path, count_line):
+        path = tmp_path / "a.pca"
+        path.write_text(f"pca-forge v1\n{count_line}\n")
+        with pytest.raises(ParseError) as err:
+            read_array(path)
+        assert err.value.line == 2
 
     def test_bad_claims_token(self, tmp_path):
         path = tmp_path / "a.pca"
@@ -152,6 +198,26 @@ class TestCliEdges:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_verify_non_ascii_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "a.pca"
+        path.write_bytes(b"pca-forge v1\n1 2 2 0\n\xff 1\n")
+        assert main(["verify", "--in", str(path), "--t", "2"]) == 2
+        assert capsys.readouterr().err == "error: ParseError: line 3: non-ASCII byte\n"
+
+    @pytest.mark.parametrize("values", ["3:x", "1:5:0", "1:2:3:4", "4,x"])
+    def test_compare_bad_values_exit_2(self, capsys, values):
+        code = main(["compare", "--axis", "m", "--values", values, "--t", "2", "--k", "4",
+                     "--v", "2", "--formulas", "eq5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: DomainError: bad values")
+
+    def test_generate_non_integer_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PCAFORGE_SEED", "abc")
+        code = main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
+                     "--m", "4", "--out", str(tmp_path / "x.pca")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: DomainError: PCAFORGE_SEED")
 
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["verify", "--in", str(tmp_path / "absent.pca"), "--t", "2"])
