@@ -62,9 +62,7 @@ def write_array(
     lines = [MAGIC, f"{a.rows} {a.cols} {a.v} {base}"]
     if claims:
         lines.append(_format_claims(claims))
-    body = a.cells + base
-    for row in body:
-        lines.append(" ".join(str(int(x)) for x in row))
+    lines.extend(" ".join(map(str, row.tolist())) for row in a.cells + base)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
@@ -79,6 +77,17 @@ def _parse_claims(text: str, lineno: int) -> dict:
         except ValueError:
             raise ParseError(lineno, f"bad claims value {token!r}") from None
     return claims
+
+
+def _row_fault(line: str, lineno: int, lo: int, hi: int) -> Exception:
+    """The error for a row of the declared width that is known to be bad: its
+    first non-integer token, else its first symbol outside [lo, hi]."""
+    try:
+        values = [int(p) for p in line.split()]
+    except ValueError:
+        return ParseError(lineno, f"non-integer symbol in {line!r}")
+    value = next(x for x in values if not lo <= x <= hi)
+    return SymbolOutOfRange(f"line {lineno}: symbol {value} outside [{lo}, {hi}]")
 
 
 def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
@@ -114,31 +123,26 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
     body = lines[body_start:]
     if len(body) != n:
         raise DimensionMismatch(f"declared {n} rows, file has {len(body)}")
+    if n * k > len(data):  # every symbol takes at least one byte
+        raise DimensionMismatch(f"declared {n}x{k} symbols, file has {len(data)} bytes")
     try:
         cells = np.zeros((n, k), dtype=np.int64)
     except ValueError:  # a negative or unrepresentable column count
         raise ParseError(2, f"no array has {n} rows and {k} columns") from None
-    for i, line in enumerate(body):
+    lo, hi = (1, v) if base == 1 else (0, v - 1)
+    for lineno, (row, line) in enumerate(zip(cells, body), body_start + 1):
         parts = line.split()
         if len(parts) != k:
-            raise DimensionMismatch(
-                f"line {body_start + i + 1}: declared {k} columns, row has {len(parts)}"
-            )
+            raise DimensionMismatch(f"line {lineno}: declared {k} columns, row has {len(parts)}")
         try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(body_start + i + 1, f"non-integer symbol in {line!r}") from None
-        lo, hi = (1, v) if base == 1 else (0, v - 1)
-        for value in row:
-            if not lo <= value <= hi:
-                raise SymbolOutOfRange(
-                    f"line {body_start + i + 1}: symbol {value} outside [{lo}, {hi}]"
-                )
-        cells[i] = row
-    if base == 1:
-        cells -= 1
-    header = ArrayFileHeader(rows=n, cols=k, v=v, base=base, claims=claims)
-    return Array(cells, v), header
+            row[:] = parts  # numpy parses each token with int()
+        except (ValueError, OverflowError):
+            raise _row_fault(line, lineno, lo, hi) from None
+    bad = np.flatnonzero(((cells < lo) | (cells > hi)).any(axis=1))
+    if bad.size:
+        raise _row_fault(body[bad[0]], body_start + bad[0] + 1, lo, hi)
+    cells -= base
+    return Array(cells, v), ArrayFileHeader(rows=n, cols=k, v=v, base=base, claims=claims)
 
 
 def _fmt_real(x: float) -> str:

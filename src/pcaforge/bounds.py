@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BoundResult
+from .core import BoundResult, _check_tkv
 from .errors import (
-    AlphabetTooSmall,
     DomainError,
     EmptyRange,
     EpsilonOutOfRange,
@@ -50,7 +49,6 @@ from .errors import (
     RNonPositive,
     ROutOfRange,
     SOutOfRange,
-    StrengthTooSmall,
 )
 from .galois import is_prime_power
 
@@ -83,22 +81,6 @@ def _min_int(log_constant: float, log_ratio: float, *, strict: bool) -> tuple[fl
     return rb, n
 
 
-def _check_tv(t: int, v: int) -> None:
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
-
-
-def _check_common(t: int, k: int, v: int) -> None:
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if k < t:
-        raise StrengthTooSmall(f"strength t={t} exceeds column count k={k}")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
-
-
 def _check_m(m: int, vt: int) -> None:
     if not 1 <= m <= vt:
         raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
@@ -121,7 +103,7 @@ def bound_pca_union(t: int, k: int, v: int, m: int) -> BoundResult:
 
     Minimal N with ``C(k,t) C(v^t, m-1) ((m-1)/v^t)^N < 1`` (strict).
     """
-    _check_common(t, k, v)
+    _check_tkv(t, v, k)
     vt = v**t
     _check_m(m, vt)
     if m == 1:
@@ -137,7 +119,7 @@ def bound_pca_lll(t: int, k: int, v: int, m: int) -> BoundResult:
 
     Minimal N with ``e t C(k,t-1) C(v^t, m-1) ((m-1)/v^t)^N <= 1`` (non-strict).
     """
-    _check_common(t, k, v)
+    _check_tkv(t, v, k)
     if k < 2 * t:
         raise KTooSmallForLLL(f"k={k} below 2t={2 * t}")
     vt = v**t
@@ -156,7 +138,7 @@ def bound_pca_asymptotic(t: int, k: float, v: int, m: int) -> float:
     Returns ``(v^t (t-1) ln k / r) (1 - ln r / ln k)`` with r = v^t - m + 1.
     ``k`` may be real here (the formula is a smooth function of ln k).
     """
-    _check_tv(t, v)
+    _check_tkv(t, v)
     vt = v**t
     _check_m(m, vt)
     r = vt - m + 1
@@ -173,7 +155,7 @@ def bound_apca(t: int, v: int, m: int, epsilon: float) -> BoundResult:
 
     Minimal N with ``C(v^t, m-1) ((m-1)/v^t)^N <= epsilon``; independent of k.
     """
-    _check_tv(t, v)
+    _check_tkv(t, v)
     vt = v**t
     _check_m(m, vt)
     _check_epsilon(epsilon)
@@ -193,7 +175,7 @@ def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
     union-bound inequality ``v^(t-1) (1 - 1/v^(t-1))^n <= epsilon``, which is
     tighter than the closed form.  Base-row count n is in ``detail``.
     """
-    _check_tv(t, v)
+    _check_tkv(t, v)
     _check_epsilon(epsilon)
     orbits = v ** (t - 1)
     const = math.log(orbits) - math.log(epsilon)
@@ -216,7 +198,7 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     for the exact full-orbit inequality
     ``((v^(t-1)-1)/(v-1)) (1 - (v-1)/v^(t-1))^n <= epsilon``.
     """
-    _check_tv(t, v)
+    _check_tkv(t, v)
     is_prime_power(v, required=True)
     _check_epsilon(epsilon)
     orbits = v ** (t - 1)
@@ -246,7 +228,7 @@ def bound_pca_cyclic(
     two published forms differ).  ``n_rows = v * n`` with n from the non-strict
     minimal-integer rule on the chosen form.
     """
-    _check_common(t, k, v)
+    _check_tkv(t, v, k)
     vt = v**t
     _check_m(m, vt)
     source = "eq8-t" if include_t_factor else "eq8"
@@ -276,7 +258,7 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
 
     Checks the admissibility condition ``m <= v^t + 1 - ln k / ln(v/eps^(1/(t-1)))``.
     """
-    _check_common(t, k, v)
+    _check_tkv(t, v, k)
     vt = v**t
     _check_m(m, vt)
     if not epsilon > 0:  # also rejects NaN
@@ -320,7 +302,7 @@ def bound_can_reference(t: int, k: int, v: int) -> tuple[float, float]:
     Informational context for sweep tables; leading constants of the suppressed
     lower-order terms are not modeled.
     """
-    _check_common(t, k, v)
+    _check_tkv(t, v, k)
     return ((t - 1) * v**t * math.log2(k), v ** (t - 1) * math.log2(k))
 
 
@@ -344,7 +326,7 @@ def _informational(label: str, value: float) -> BoundResult:
 
 
 def _full_only(label: str, t: int, v: int, m: int) -> None:
-    _check_tv(t, v)
+    _check_tkv(t, v)
     if m != v**t:
         raise MNotFull(f"{label} development bound targets m = v^t, got m={m}")
 

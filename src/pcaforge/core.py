@@ -52,6 +52,19 @@ class PcaParams:
         return self.v**self.t
 
 
+def _check_tkv(t: int, v: int, k: int | None = None) -> None:
+    """Raise unless t >= 2, t <= k (when k is given), v >= 2 and v^t fits in
+    a 64-bit integer; the shared domain of :func:`validate` and the bounds."""
+    if t < 2:
+        raise StrengthTooSmall(f"strength t={t} must be at least 2")
+    if k is not None and k < t:
+        raise StrengthTooSmall(f"strength t={t} exceeds column count k={k}")
+    if v < 2:
+        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    if v > WIDE_INT_MAX or t * math.log(v) > math.log(WIDE_INT_MAX):
+        raise Overflow(f"v^t = {v}^{t} exceeds the 64-bit range")
+
+
 def validate(params: PcaParams) -> PcaParams:
     """Return ``params`` unchanged if every invariant holds, else raise.
 
@@ -59,14 +72,7 @@ def validate(params: PcaParams) -> PcaParams:
     0 <= seed < 2^64, and v^t fits in a 64-bit integer.
     """
     t, k, v, m = params.t, params.k, params.v, params.m
-    if t < 2:
-        raise StrengthTooSmall(f"strength t={t} must be at least 2")
-    if k < t:
-        raise StrengthTooSmall(f"strength t={t} exceeds column count k={k}")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
-    if v > WIDE_INT_MAX or t * math.log(v) > math.log(WIDE_INT_MAX):
-        raise Overflow(f"v^t = {v}^{t} exceeds the 64-bit range")
+    _check_tkv(t, v, k)
     if not 1 <= m <= v**t:
         raise MOutOfRange(f"m={m} outside [1, v^t={v ** t}]")
     if not 0.0 <= params.epsilon <= 1.0:

@@ -10,10 +10,10 @@ coordinatewise on t-tuples partitions ``[v]^t`` into orbits:
 * affine: ``(v^(t-1)-1)/(v-1)`` full orbits of length ``v(v-1)`` plus the one
   short orbit of length v made of the constant tuples.
 
-Field tables come from one fixed irreducible polynomial per (p, n), so element
-labels are deterministic across runs.  Which polynomial is chosen changes row
-labels of developed arrays but no coverage statistic (the orbit partitions are
-isomorphic either way).
+Field tables come from one fixed irreducible polynomial per (p, n) (x itself
+when v is prime), so element labels are deterministic across runs.  Which
+polynomial is chosen changes row labels of developed arrays but no coverage
+statistic (the orbit partitions are isomorphic either way).
 """
 
 from __future__ import annotations
@@ -92,21 +92,6 @@ class Field:
     mul: np.ndarray
 
 
-def _digits(e: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(e % p)
-        e //= p
-    return out
-
-
-def _undigits(d: list[int], p: int) -> int:
-    e = 0
-    for c in reversed(d):
-        e = e * p + c
-    return e
-
-
 def field_make(v: int) -> Field:
     """Build the field of order v from its fixed irreducible polynomial."""
     pn = _factor_prime_power(v)
@@ -115,34 +100,19 @@ def field_make(v: int) -> Field:
     p, n = pn
     if v > 64:
         raise OrderTooLarge(f"field order {v} above the supported maximum 64")
-    if n == 1:
-        poly: tuple[int, ...] = (0, 1)  # placeholder; arithmetic is plain mod p
-        xy = np.arange(v, dtype=np.int64)
-        add = (xy[:, None] + xy[None, :]) % v
-        mul = (xy[:, None] * xy[None, :]) % v
-        return Field(v=v, p=p, n=n, poly=poly, add=add, mul=mul)
-    poly = _IRREDUCIBLE[(p, n)]
-    add = np.zeros((v, v), dtype=np.int64)
-    mul = np.zeros((v, v), dtype=np.int64)
-    digit_cache = [_digits(e, p, n) for e in range(v)]
-    for a in range(v):
-        da = digit_cache[a]
-        for b in range(v):
-            db = digit_cache[b]
-            add[a, b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
-            # polynomial product reduced modulo the irreducible polynomial
-            prod = [0] * (2 * n - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            for deg in range(2 * n - 2, n - 1, -1):
-                c = prod[deg]
-                if c:
-                    prod[deg] = 0
-                    for j in range(n):
-                        prod[deg - n + j] = (prod[deg - n + j] - c * poly[j]) % p
-            mul[a, b] = _undigits(prod[:n], p)
+    # a prime field reduces modulo x, which the n - 1 = 0 shift steps never apply
+    poly = _IRREDUCIBLE.get((p, n), (0, 1))
+    place = p ** np.arange(n, dtype=np.int64)
+    digits = np.arange(v, dtype=np.int64)[:, None] // place % p    # (v, n)
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ place
+    # shifted[i] holds the digits of x^i * b for every b: multiply by x, then
+    # subtract the carried top coefficient times the monic polynomial
+    shifted = [digits]
+    low = np.array(poly[:n], dtype=np.int64)
+    for _ in range(n - 1):
+        prev = shifted[-1]
+        shifted.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) - prev[:, -1:] * low) % p)
+    mul = np.einsum("ai,ibj->abj", digits, np.stack(shifted)) % p @ place
     add.setflags(write=False)
     mul.setflags(write=False)
     return Field(v=v, p=p, n=n, poly=poly, add=add, mul=mul)
@@ -183,13 +153,7 @@ def frobenius_action(v: int) -> GroupAction:
     the identity and comes first.
     """
     field = field_make(v)
-    perms = np.zeros((v * (v - 1), v), dtype=np.int64)
-    i = 0
-    for a in range(1, v):
-        ax = field.mul[a]
-        for b in range(v):
-            perms[i] = field.add[ax, b]
-            i += 1
+    perms = field.add[field.mul[1:, None, :], np.arange(v)[None, :, None]].reshape(-1, v)
     perms.setflags(write=False)
     return GroupAction(kind="frobenius", v=v, perms=perms)
 

@@ -1,6 +1,7 @@
 """Tests for the array file format, CSV outputs, and build-report records."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,57 @@ class TestArrayFormat:
         assert header.base == 1
         assert loaded == Array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], 2)
         assert is_pca(loaded, 2, 4).ok
+
+
+# one fault on line 5 (the third body row) of an otherwise valid 3x3 file
+SINGLE_FAULTS = [
+    ("0", "0 1", DimensionMismatch, "line 5: declared 3 columns, row has 2"),
+    ("0", "0 x 1", ParseError, "line 5: non-integer symbol in '0 x 1'"),
+    ("0", "0 3 1", SymbolOutOfRange, "line 5: symbol 3 outside [0, 2]"),
+    ("1", "1 0 2", SymbolOutOfRange, "line 5: symbol 0 outside [1, 3]"),
+    ("0", "0 99999999999999999999 1", SymbolOutOfRange,
+     "line 5: symbol 99999999999999999999 outside [0, 2]"),
+    ("0", "0 -99999999999999999999 1", SymbolOutOfRange,
+     "line 5: symbol -99999999999999999999 outside [0, 2]"),
+    # within one row, a non-integer outranks a symbol too wide for 64 bits
+    ("0", "99999999999999999999 x 1", ParseError,
+     "line 5: non-integer symbol in '99999999999999999999 x 1'"),
+]
+
+
+@pytest.mark.parametrize("base,row,error,message", SINGLE_FAULTS)
+def test_single_fault_class_and_line(tmp_path, base, row, error, message):
+    path = tmp_path / "a.pca"
+    good = "1 2 1" if base == "1" else "0 1 2"
+    path.write_text(f"pca-forge v1\n3 3 3 {base}\n{good}\n{good}\n{row}\n")
+    with pytest.raises(error) as err:
+        read_array(path)
+    assert str(err.value) == message
+
+
+def test_declared_shape_beyond_file_size_allocates_nothing(tmp_path):
+    # 10^15 declared symbols in a 40-byte file: rejected before any allocation
+    path = tmp_path / "a.pca"
+    path.write_bytes(b"pca-forge v1\n1 1000000000000000 2 0\n0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch):
+            read_array(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_multi_digit_base1_round_trip_bytes(tmp_path):
+    a = Array(np.random.default_rng(5).integers(0, 64, size=(50, 12)), 64)
+    first, second = tmp_path / "a.pca", tmp_path / "b.pca"
+    write_array(a, first, base=1, claims={"t": 2, "m": 4096})
+    loaded, header = read_array(first)
+    assert loaded == a and header.base == 1
+    write_array(loaded, second, base=1, claims=header.claims)
+    assert second.read_bytes() == first.read_bytes()
+    assert a.cells.max() == 63  # so the file holds the two-digit symbol 64
 
 
 class TestSweepCsv:

@@ -196,7 +196,8 @@ class TestClassScans:
 
 # sha256 of the file `generate` writes and of its `--report` JSON; the array
 # hashes were recorded with the per-t-set loops, the report hashes and the
-# derand cases with the restart builders before they shared one loop.
+# derand cases with the restart builders before they shared one loop, and the
+# last two cases with the field tables and array codec built symbol by symbol.
 GOLDEN = [
     (["mt", "2", "8", "2", "4", "0", "0"],
      "cf994c04acb53c7ba7883635e0a0a14fb1bce443b792277d7bebcb83fb6a6757",
@@ -225,16 +226,23 @@ GOLDEN = [
     (["derand", "3", "8", "2", "8", "0.2", "0"],
      "4a103614243a056fde480d2c31fa7a67c231917ab80ae1ad67af106bbc623ecc",
      "b79357e933a45d97e1abef64c43b79508f78314ab05da69d84e053e285ab211e"),
+    (["frobenius", "2", "60", "64", "4096", "0.05", "0"],
+     "4ed24584f06b0be1286509d52313a26b69131d5c34481ec95360f81e3d8d245b",
+     "c3ab92cbab6d39b92a2399acd8639ff9eef1ffae3541f5087662a81e255d5af9"),
+    (["cyclic", "2", "10", "16", "256", "0.05", "0", "--base", "1"],
+     "e2dd65f9c9d3f65d00c4255db0e420a90f24e8d6d528379f50a7083673de230d",
+     "e9c6c2b8ae84d15a6988fb743f85bbb61022942f0ec029dd1728a6bf094b688b"),
 ]
 
 
 @pytest.mark.parametrize("spec,sha,report_sha", GOLDEN,
-                         ids=[" ".join(s[:4]) for s, _, _ in GOLDEN])
+                         ids=[" ".join(s[:4] + s[7:]) for s, _, _ in GOLDEN])
 def test_generate_unchanged(tmp_path, capsys, spec, sha, report_sha):
-    alg, t, k, v, m, epsilon, seed = spec
+    alg, t, k, v, m, epsilon, seed, *extra = spec
     out, report = tmp_path / "a.pca", tmp_path / "r.json"
     argv = ["generate", "--alg", alg, "--t", t, "--k", k, "--v", v, "--m", m,
-            "--epsilon", epsilon, "--seed", seed, "--out", str(out), "--report", str(report)]
+            "--epsilon", epsilon, "--seed", seed, "--out", str(out), "--report", str(report),
+            *extra]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcaforge.artifact_io import read_array, write_array
-from pcaforge.bounds import bound_apca, bound_apca_cyclic, evaluate_formula, sweep
+from pcaforge.bounds import FORMULAS, bound_apca, bound_apca_cyclic, evaluate_formula, sweep
 from pcaforge.cli import main
 from pcaforge.core import Array
 from pcaforge.coverage import completeness, count_orbit_defects, naive_oracle, orbit_coverage
@@ -13,6 +13,7 @@ from pcaforge.errors import (
     DomainError,
     EpsilonOutOfRange,
     MNotFull,
+    Overflow,
     ParseError,
     PcaForgeError,
     StrengthTooSmall,
@@ -42,6 +43,12 @@ class TestBoundsEdges:
         # a wrong argument type is a caller bug, not an infeasible point
         with pytest.raises(TypeError):
             sweep(["eq5"], "m", [4], t=2, k=4, v="3")
+
+    @pytest.mark.parametrize("label", [f.label for f in FORMULAS])
+    def test_vt_beyond_64_bits_is_overflow(self, label):
+        # the rule validate() applies; v^t = 2^64 here
+        with pytest.raises(Overflow):
+            evaluate_formula(label, t=2, k=4, v=2**32, m=3, epsilon=0.1)
 
     def test_development_formulas_need_full_m(self):
         with pytest.raises(MNotFull):
@@ -211,6 +218,12 @@ class TestCliEdges:
                      "--v", "2", "--formulas", "eq5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: DomainError: bad values")
+
+    def test_compare_vt_beyond_double_range_is_gap_row(self, capsys):
+        code = main(["compare", "--axis", "m", "--values", "3", "--t", "2", "--k", "4",
+                     "--v", "1" + "0" * 200, "--formulas", "eq5"])
+        assert code == 0
+        assert capsys.readouterr().out == "axis,formula,real_bound,n_rows,feasible\n3,eq5,,,0\n"
 
     def test_generate_non_integer_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCAFORGE_SEED", "abc")

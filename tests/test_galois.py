@@ -9,6 +9,7 @@ from pcaforge.core import Array, tuple_rank, tuple_unrank
 from pcaforge.coverage import coverage_profile, orbit_coverage
 from pcaforge.errors import CapacityExceeded, NotPrimePower, OrderTooLarge
 from pcaforge.galois import (
+    _IRREDUCIBLE,
     act,
     constant_rows,
     cyclic_action,
@@ -98,6 +99,82 @@ class TestField:
                     found = True
                     break
             assert found, f"no generator found for v={v}"
+
+
+# -- frozen loop-based reference: the tables as first built, entry by entry ----
+
+def _ref_digits(e, p, n):
+    out = []
+    for _ in range(n):
+        out.append(e % p)
+        e //= p
+    return out
+
+
+def _ref_undigits(d, p):
+    e = 0
+    for c in reversed(d):
+        e = e * p + c
+    return e
+
+
+def _ref_field(v):
+    p, n = next((p, n) for p in range(2, v + 1) for n in range(1, 7) if p**n == v)
+    if n == 1:
+        xy = np.arange(v, dtype=np.int64)
+        return (0, 1), (xy[:, None] + xy[None, :]) % v, (xy[:, None] * xy[None, :]) % v
+    poly = _IRREDUCIBLE[(p, n)]
+    add = np.zeros((v, v), dtype=np.int64)
+    mul = np.zeros((v, v), dtype=np.int64)
+    digit_cache = [_ref_digits(e, p, n) for e in range(v)]
+    for a in range(v):
+        da = digit_cache[a]
+        for b in range(v):
+            db = digit_cache[b]
+            add[a, b] = _ref_undigits([(x + y) % p for x, y in zip(da, db)], p)
+            prod = [0] * (2 * n - 1)
+            for i, x in enumerate(da):
+                if x:
+                    for j, y in enumerate(db):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+            for deg in range(2 * n - 2, n - 1, -1):
+                c = prod[deg]
+                if c:
+                    prod[deg] = 0
+                    for j in range(n):
+                        prod[deg - n + j] = (prod[deg - n + j] - c * poly[j]) % p
+            mul[a, b] = _ref_undigits(prod[:n], p)
+    return poly, add, mul
+
+
+def _ref_frobenius_perms(v):
+    _, add, mul = _ref_field(v)
+    perms = np.zeros((v * (v - 1), v), dtype=np.int64)
+    i = 0
+    for a in range(1, v):
+        for b in range(v):
+            perms[i] = add[mul[a], b]
+            i += 1
+    return perms
+
+
+def _assert_same_table(got, want):
+    assert got.dtype == np.int64
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("v", PRIME_POWERS_TO_64)
+class TestAgainstLoopReference:
+    def test_field_tables(self, v):
+        poly, add, mul = _ref_field(v)
+        f = field_make(v)
+        assert f.poly == poly
+        _assert_same_table(f.add, add)
+        _assert_same_table(f.mul, mul)
+
+    def test_frobenius_perms(self, v):
+        _assert_same_table(frobenius_action(v).perms, _ref_frobenius_perms(v))
 
 
 class TestActions:
