@@ -35,18 +35,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BoundResult, _check_tkv
+from .core import BoundResult, _check_fraction, _check_full, _check_m, _check_tkv
 from .errors import (
     DomainError,
     EmptyRange,
-    EpsilonOutOfRange,
-    EpsilonZero,
     KTooSmallForLLL,
     MConditionViolated,
-    MNotFull,
-    MOutOfRange,
     PcaForgeError,
-    RNonPositive,
     ROutOfRange,
     SOutOfRange,
 )
@@ -79,18 +74,6 @@ def _min_int(log_constant: float, log_ratio: float, *, strict: bool) -> tuple[fl
     else:
         n = math.ceil(rb)
     return rb, n
-
-
-def _check_m(m: int, vt: int) -> None:
-    if not 1 <= m <= vt:
-        raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
-    if not epsilon <= 1:  # also rejects NaN
-        raise EpsilonOutOfRange(f"epsilon={epsilon} outside (0, 1]")
 
 
 def _degenerate(source: str) -> BoundResult:
@@ -158,7 +141,7 @@ def bound_apca(t: int, v: int, m: int, epsilon: float) -> BoundResult:
     _check_tkv(t, v)
     vt = v**t
     _check_m(m, vt)
-    _check_epsilon(epsilon)
+    _check_fraction(epsilon, positive=True)
     if m == 1:
         return _degenerate("apca")
     const = log_binomial(vt, m - 1) - math.log(epsilon)
@@ -176,7 +159,7 @@ def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
     tighter than the closed form.  Base-row count n is in ``detail``.
     """
     _check_tkv(t, v)
-    _check_epsilon(epsilon)
+    _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
     const = math.log(orbits) - math.log(epsilon)
     ratio = math.log(orbits / (orbits - 1))
@@ -200,7 +183,7 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     """
     _check_tkv(t, v)
     is_prime_power(v, required=True)
-    _check_epsilon(epsilon)
+    _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
     full_orbits = (orbits - 1) // (v - 1)
     const = math.log(full_orbits) - math.log(epsilon)
@@ -261,13 +244,9 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
     _check_tkv(t, v, k)
     vt = v**t
     _check_m(m, vt)
-    if not epsilon > 0:  # also rejects NaN
-        raise EpsilonZero("epsilon must be positive")
+    _check_fraction(epsilon, positive=True)
+    # epsilon <= 1 keeps the denominator at least ln v >= ln 2
     denom = math.log(v) - math.log(epsilon) / (t - 1)
-    if denom <= 0:
-        raise RNonPositive(
-            f"ln(v/epsilon^(1/(t-1))) = {denom:.6g} <= 0 at v={v}, epsilon={epsilon}"
-        )
     r_real = math.log(k) / denom
     if m > vt + 1 - r_real:
         raise MConditionViolated(
@@ -327,8 +306,7 @@ def _informational(label: str, value: float) -> BoundResult:
 
 def _full_only(label: str, t: int, v: int, m: int) -> None:
     _check_tkv(t, v)
-    if m != v**t:
-        raise MNotFull(f"{label} development bound targets m = v^t, got m={m}")
+    _check_full(m, v**t, f"{label} development bound targets m = v^t")
 
 
 def _cyclic(t: int, k: int, v: int, m: int, epsilon: float) -> BoundResult:

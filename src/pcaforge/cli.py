@@ -158,6 +158,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.defects_csv is not None and args.m is None:
+        print("error: --defects-csv needs --m", file=sys.stderr)
+        return EXIT_USAGE
     array, _header = artifact_io.read_array(args.infile)
     profile = coverage.coverage_profile(array, args.t)
     # Every flag is checked before the first line goes out.

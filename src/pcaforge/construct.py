@@ -60,10 +60,10 @@ from . import bounds
 from .coverage import (
     PROFILE_CAPACITY, count_defects, count_orbit_defects, first_defect, is_apca, is_pca,
 )
-from .core import Array, BoundResult, PcaParams, rank_weights, validate
-from .errors import (
-    CapacityExceeded, EpsilonZero, IterationCap, KTooSmallForLLL, MNotFull, PcaForgeError,
+from .core import (
+    Array, BoundResult, PcaParams, _check_fraction, _check_full, rank_weights, validate,
 )
+from .errors import CapacityExceeded, IterationCap, PcaForgeError
 from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action, orbits
 
 DEFAULT_RESAMPLE_CAP = 1_000_000
@@ -148,10 +148,8 @@ def _verified(
 def _full_coverage(params: PcaParams, what: str) -> PcaParams:
     """Validate a full-coverage (m = v^t) request with a positive epsilon."""
     params = validate(params)
-    if params.m != params.v**params.t:
-        raise MNotFull(f"{what}, got m={params.m}")
-    if params.epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
+    _check_full(params.m, params.vt, what)
+    _check_fraction(params.epsilon, positive=True)
     return params
 
 
@@ -164,8 +162,6 @@ def build_pca_moser_tardos(
     """Resampling builder for partial m-coverage at the local-lemma row count."""
     params = validate(params)
     t, k, v, m = params.t, params.k, params.v, params.m
-    if k < 2 * t:
-        raise KTooSmallForLLL(f"k={k} below 2t={2 * t}")
     start = time.perf_counter()
     bound = bounds.bound_pca_lll(t, k, v, m)
     rng = _rng_for(params, rng)
@@ -194,8 +190,6 @@ def build_apca_randomized(
     """Sample-and-check builder for epsilon-almost partial m-coverage."""
     params = validate(params)
     t, v, m, epsilon = params.t, params.v, params.m, params.epsilon
-    if epsilon <= 0:
-        raise EpsilonZero("epsilon must be positive")
     start = time.perf_counter()
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
     bound = bounds.bound_apca(t, v, m, epsilon)
@@ -317,39 +311,6 @@ def build_concat(
 
 # -- derandomization -------------------------------------------------------------
 
-def _pessimistic_estimator(cells: np.ndarray, n_fixed: int, t: int, v: int) -> float:
-    """Expected missing (t-set, tuple) pairs when columns >= n_fixed are random.
-
-    For a t-set with f fixed columns, the probability that tuple x is missing
-    is ``(1 - v^(f-t))^c`` where c counts rows whose fixed projection matches
-    x; summing over x gives ``v^(t-f) * sum_q beta^(count_q)``.  With all
-    columns fixed this is exactly the number of missing pairs.
-
-    The reference definition of the derandomizer's estimator, recomputed from
-    scratch per t-set; tests compare :func:`derandomize_columns`' trace with
-    it, and no builder calls it.
-    """
-    n, k = cells.shape
-    total = 0.0
-    for tset in combinations(range(k), t):
-        fixed = [c for c in tset if c < n_fixed]
-        f = len(fixed)
-        if f == 0:
-            total += v**t * (1.0 - v**-t) ** n
-            continue
-        beta = 1.0 - float(v) ** (f - t)
-        ranks = np.zeros(n, dtype=np.int64)
-        for c in fixed:
-            ranks = ranks * v + cells[:, c]
-        cnt = np.bincount(ranks, minlength=v**f)
-        if beta == 0.0:
-            # fully fixed t-set: count tuples with no matching row
-            total += float(np.count_nonzero(cnt == 0))
-        else:
-            total += float(v) ** (t - f) * float((beta**cnt).sum())
-    return total
-
-
 def derandomize_columns(t: int, k: int, v: int, n_rows: int) -> tuple[np.ndarray, list[float]]:
     """Fix the cells column by column, top row first, by conditional expectation.
 
@@ -360,8 +321,8 @@ def derandomize_columns(t: int, k: int, v: int, n_rows: int) -> tuple[np.ndarray
     ``U[q]`` the rows projecting to q whose column-j cell is free and
     ``A[q, a]`` those whose column-j cell is a.  The expected number of
     missing (T, tuple) pairs is ``(1/w) sum_{q,a} (1 - w/v)^U[q] (1 - w)^A[q,a]``,
-    so giving row i (projection q_i) the symbol s changes the estimator of
-    :func:`_pessimistic_estimator` by a term proportional to
+    and this sum over all t-sets is the estimator.  Giving row i (projection
+    q_i) the symbol s changes it by a term proportional to
     ``-sum_T (1 - w/v)^(U[q_i]-1) (1 - w)^A[q_i,s]``.  Row i gets the symbol
     maximizing that sum, ties going to the smallest symbol; the old value is
     the average over the v choices, so the estimator never increases.

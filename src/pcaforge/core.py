@@ -3,6 +3,13 @@
 Symbols are 0-based ``{0, ..., v-1}`` everywhere in memory; the 1-based
 presentation exists only as a file-format option in :mod:`pcaforge.artifact_io`.
 All value types here are immutable and safe to share across workers.
+
+Each parameter rule has one private checker here, which every module calls,
+so a rule raises the same error class and message wherever it is enforced:
+``_check_v`` (v >= 2), ``_check_tkv`` (t, k and the 64-bit range of v^t and
+k), ``_check_m`` (1 <= m <= v^t), ``_check_fraction`` (epsilon or q in
+[0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
+``_check_full`` (m = v^t for the full-coverage constructions).
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .errors import (
     ColumnOutOfRange,
     DimensionMismatch,
     EpsilonOutOfRange,
+    EpsilonZero,
+    MNotFull,
     MOutOfRange,
     Overflow,
     RankOutOfRange,
@@ -52,31 +61,54 @@ class PcaParams:
         return self.v**self.t
 
 
+def _check_v(v: int) -> None:
+    if v < 2:
+        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+
+
 def _check_tkv(t: int, v: int, k: int | None = None) -> None:
-    """Raise unless t >= 2, t <= k (when k is given), v >= 2 and v^t fits in
-    a 64-bit integer; the shared domain of :func:`validate` and the bounds."""
+    """Raise unless t >= 2, t <= k (when k is given), v >= 2, and v^t and k
+    fit in a 64-bit integer; the shared domain of :func:`validate` and the
+    bounds."""
     if t < 2:
         raise StrengthTooSmall(f"strength t={t} must be at least 2")
     if k is not None and k < t:
         raise StrengthTooSmall(f"strength t={t} exceeds column count k={k}")
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_v(v)
     if v > WIDE_INT_MAX or t * math.log(v) > math.log(WIDE_INT_MAX):
         raise Overflow(f"v^t = {v}^{t} exceeds the 64-bit range")
+    if k is not None and k > WIDE_INT_MAX:
+        raise Overflow(f"k={k} exceeds the 64-bit range")
+
+
+def _check_m(m: int, vt: int) -> None:
+    if not 1 <= m <= vt:
+        raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
+
+
+def _check_fraction(x: float, name: str = "epsilon", *, positive: bool = False) -> None:
+    """Raise unless ``x`` lies in [0, 1], or in (0, 1] when ``positive``."""
+    if positive and x <= 0:
+        raise EpsilonZero(f"{name} must be positive")
+    if not 0.0 <= x <= 1.0:  # also rejects NaN
+        raise EpsilonOutOfRange(f"{name}={x} outside {'(0, 1]' if positive else '[0, 1]'}")
+
+
+def _check_full(m: int, vt: int, what: str) -> None:
+    """Raise unless m = v^t; ``what`` names the construction that needs it."""
+    if m != vt:
+        raise MNotFull(f"{what}, got m={m}")
 
 
 def validate(params: PcaParams) -> PcaParams:
     """Return ``params`` unchanged if every invariant holds, else raise.
 
     Invariants: 2 <= t <= k, v >= 2, 1 <= m <= v^t, 0 <= epsilon <= 1,
-    0 <= seed < 2^64, and v^t fits in a 64-bit integer.
+    0 <= seed < 2^64, and v^t and k fit in a 64-bit integer.
     """
-    t, k, v, m = params.t, params.k, params.v, params.m
-    _check_tkv(t, v, k)
-    if not 1 <= m <= v**t:
-        raise MOutOfRange(f"m={m} outside [1, v^t={v ** t}]")
-    if not 0.0 <= params.epsilon <= 1.0:
-        raise EpsilonOutOfRange(f"epsilon={params.epsilon} outside [0, 1]")
+    _check_tkv(params.t, params.v, params.k)
+    _check_m(params.m, params.vt)
+    _check_fraction(params.epsilon)
     if not 0 <= params.seed < 2**64:
         raise SeedOutOfRange(f"seed={params.seed} outside [0, 2^64)")
     return params
@@ -106,8 +138,7 @@ class Array:
     v: int
 
     def __init__(self, cells: np.ndarray | Sequence[Sequence[int]], v: int):
-        if v < 2:
-            raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+        _check_v(v)
         arr = _as_cells(cells)
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             bad = arr[(arr < 0) | (arr >= v)].flat[0]
@@ -167,6 +198,7 @@ def rank_weights(t: int, v: int) -> np.ndarray:
 
 def tuple_rank(x: Iterable[int], v: int) -> int:
     """Rank of a tuple over ``{0..v-1}`` in [0, v^t), coordinate 0 most significant."""
+    _check_v(v)
     r = 0
     for c in x:
         c = int(c)
@@ -179,8 +211,7 @@ def tuple_rank(x: Iterable[int], v: int) -> int:
 def tuple_unrank(r: int, t: int, v: int) -> tuple[int, ...]:
     """Inverse of :func:`tuple_rank`: the t-tuple with the given rank."""
     r = int(r)
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_v(v)
     if t < 0:
         raise StrengthTooSmall(f"tuple length t={t} is negative")
     if not 0 <= r < v**t:

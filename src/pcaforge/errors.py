@@ -29,7 +29,7 @@ class MOutOfRange(PcaForgeError):
 
 
 class Overflow(PcaForgeError):
-    """v^t does not fit in a 64-bit integer."""
+    """v^t or k does not fit in a 64-bit integer."""
 
 
 class EpsilonOutOfRange(PcaForgeError):
@@ -74,10 +74,6 @@ class SOutOfRange(PcaForgeError):
 
 class MConditionViolated(PcaForgeError):
     """m exceeds the admissible range for the concatenated construction."""
-
-
-class RNonPositive(PcaForgeError):
-    """ln(v / epsilon^(1/(t-1))) <= 0 in the concatenated construction."""
 
 
 class DomainError(PcaForgeError, ValueError):

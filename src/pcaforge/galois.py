@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, rank_weights
+from .core import Array, _check_v, rank_weights
 from .errors import (
-    AlphabetTooSmall,
     CapacityExceeded,
     NotPrimePower,
     OrderTooLarge,
@@ -67,12 +66,17 @@ def _factor_prime_power(v: int) -> tuple[int, int] | None:
     return None
 
 
+def _prime_power(v: int) -> tuple[int, int]:
+    """(p, n) with v = p^n; raise NotPrimePower if v is not a prime power."""
+    pn = _factor_prime_power(v)
+    if pn is None:
+        raise NotPrimePower(f"v={v} is not a prime power")
+    return pn
+
+
 def is_prime_power(v: int, *, required: bool = False) -> bool:
     """Whether v = p^n; with ``required=True`` raise NotPrimePower instead."""
-    ok = _factor_prime_power(v) is not None
-    if required and not ok:
-        raise NotPrimePower(f"v={v} is not a prime power")
-    return ok
+    return (_prime_power(v) if required else _factor_prime_power(v)) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +98,7 @@ class Field:
 
 def field_make(v: int) -> Field:
     """Build the field of order v from its fixed irreducible polynomial."""
-    pn = _factor_prime_power(v)
-    if pn is None:
-        raise NotPrimePower(f"v={v} is not a prime power")
-    p, n = pn
+    p, n = _prime_power(v)
     if v > 64:
         raise OrderTooLarge(f"field order {v} above the supported maximum 64")
     # a prime field reduces modulo x, which the n - 1 = 0 shift steps never apply
@@ -138,8 +139,7 @@ class GroupAction:
 
 def cyclic_action(v: int) -> GroupAction:
     """The v shifts ``x -> x + c (mod v)``, c = 0..v-1."""
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_v(v)
     x = np.arange(v, dtype=np.int64)
     perms = (x[None, :] + np.arange(v, dtype=np.int64)[:, None]) % v
     perms.setflags(write=False)
@@ -240,7 +240,6 @@ def develop(a: Array, action: GroupAction) -> Array:
 
 def constant_rows(k: int, v: int) -> Array:
     """The v rows (i, i, ..., i); they cover the constant tuple of every t-set."""
-    if v < 2:
-        raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
+    _check_v(v)
     cells = np.repeat(np.arange(v, dtype=np.int64), k).reshape(v, k)
     return Array(cells, v)

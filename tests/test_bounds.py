@@ -28,11 +28,11 @@ from pcaforge.bounds import (
 from pcaforge.errors import (
     DomainError,
     EmptyRange,
+    EpsilonOutOfRange,
     EpsilonZero,
     KTooSmallForLLL,
     MConditionViolated,
     NotPrimePower,
-    RNonPositive,
     ROutOfRange,
     SOutOfRange,
 )
@@ -338,8 +338,9 @@ class TestConcatBound:
         assert res.detail["r"] == 4 and res.detail["m1"] == 5
 
     def test_r_nonpositive(self):
-        # v <= epsilon^(1/(t-1)) kills the log denominator
-        with pytest.raises(RNonPositive):
+        # v <= epsilon^(1/(t-1)) would kill the log denominator; epsilon <= 1
+        # rules that out, so such an epsilon is out of range
+        with pytest.raises(EpsilonOutOfRange):
             bound_concat(3, 8, 2, 4, 16.0)
 
     def test_m_condition_violated(self):

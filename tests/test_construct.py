@@ -217,7 +217,7 @@ class TestDerandomized:
         # every completion of the unfixed columns
         from itertools import product
 
-        from pcaforge.construct import _pessimistic_estimator
+        from test_derandomize import _pessimistic_estimator
         from pcaforge.coverage import coverage_profile
 
         t, k, v, n = 2, 3, 2, 3

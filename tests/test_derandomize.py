@@ -5,15 +5,50 @@ Every trace entry is checked against the estimator's reference definition,
 """
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pcaforge.artifact_io import read_array
 from pcaforge.bounds import bound_apca
 from pcaforge.cli import main
-from pcaforge.construct import _pessimistic_estimator, build_apca_derandomized
+from pcaforge.construct import build_apca_derandomized
 from pcaforge.core import PcaParams
 from pcaforge.coverage import ORACLE_CAPACITY, is_apca, naive_oracle
+
+
+def _pessimistic_estimator(cells: np.ndarray, n_fixed: int, t: int, v: int) -> float:
+    """Expected missing (t-set, tuple) pairs when columns >= n_fixed are random.
+
+    For a t-set with f fixed columns, the probability that tuple x is missing
+    is ``(1 - v^(f-t))^c`` where c counts rows whose fixed projection matches
+    x; summing over x gives ``v^(t-f) * sum_q beta^(count_q)``.  With all
+    columns fixed this is exactly the number of missing pairs.
+
+    The reference definition of the derandomizer's estimator, recomputed from
+    scratch per t-set; the tests compare the trace of
+    :func:`~pcaforge.construct.derandomize_columns` with it.
+    """
+    n, k = cells.shape
+    total = 0.0
+    for tset in combinations(range(k), t):
+        fixed = [c for c in tset if c < n_fixed]
+        f = len(fixed)
+        if f == 0:
+            total += v**t * (1.0 - v**-t) ** n
+            continue
+        beta = 1.0 - float(v) ** (f - t)
+        ranks = np.zeros(n, dtype=np.int64)
+        for c in fixed:
+            ranks = ranks * v + cells[:, c]
+        cnt = np.bincount(ranks, minlength=v**f)
+        if beta == 0.0:
+            # fully fixed t-set: count tuples with no matching row
+            total += float(np.count_nonzero(cnt == 0))
+        else:
+            total += float(v) ** (t - f) * float((beta**cnt).sum())
+    return total
 
 
 def _grid():

@@ -4,16 +4,21 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcaforge.artifact_io import MAGIC, read_array
 from pcaforge.bounds import FORMULAS, evaluate_formula
-from pcaforge.core import Array, PcaParams, project, tuple_rank, tuple_unrank, validate
+from pcaforge.core import (
+    WIDE_INT_MAX, Array, PcaParams, project, tuple_rank, tuple_unrank, validate,
+)
 from pcaforge.errors import PcaForgeError
 from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
 
 small = st.integers(-3, 9)
+# sizes past the 64-bit range and past the double range
+huge = st.sampled_from([2**63 - 1, 2**63, 10**400])
+sizes = st.one_of(small, huge)
 epsilons = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, 0.0, 1.0]))
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -26,14 +31,23 @@ def _contained(call, *args, **kwargs):
 
 
 @FUZZ
-@given(small, small, small, small, epsilons, st.integers(-2, 2**64 + 1))
+@given(small, sizes, sizes, small, epsilons, st.integers(-2, 2**64 + 1))
+@example(2, 10**400, 3, 3, 0.0, 0)
+@example(2, 2**63, 3, 3, 0.0, 0)
 def test_validate(t, k, v, m, epsilon, seed):
-    _contained(validate, PcaParams(t, k, v, m, epsilon, seed))
+    try:
+        validate(PcaParams(t, k, v, m, epsilon, seed))
+    except PcaForgeError:
+        return
+    # a validated bundle is safe for the bounds: k and v^t fit in 64 bits
+    assert k <= WIDE_INT_MAX and v**t <= WIDE_INT_MAX
 
 
 @FUZZ
-@given(st.sampled_from([f.label for f in FORMULAS]), small, small, small, st.integers(-3, 80),
+@given(st.sampled_from([f.label for f in FORMULAS]), small, sizes, sizes, st.integers(-3, 80),
        epsilons)
+@example("eq5", 2, 10**400, 3, 3, 0.0)
+@example("concat", 2, 10**400, 3, 3, 0.5)
 def test_evaluate_formula(label, t, k, v, m, epsilon):
     _contained(evaluate_formula, label, t=t, k=k, v=v, m=m, epsilon=epsilon)
 

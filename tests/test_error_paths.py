@@ -225,6 +225,33 @@ class TestCliEdges:
         assert code == 0
         assert capsys.readouterr().out == "axis,formula,real_bound,n_rows,feasible\n3,eq5,,,0\n"
 
+    def test_compare_k_beyond_64_bits_is_gap_row(self, capsys):
+        huge = "1" + "0" * 400
+        code = main(["compare", "--axis", "k", "--values", huge, "--t", "2", "--v", "3",
+                     "--m", "3", "--formulas", "eq5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == f"axis,formula,real_bound,n_rows,feasible\n{huge},eq5,,,0\n"
+
+    def test_compare_epsilon_above_one_is_gap_row_for_every_formula(self, capsys):
+        # concat used to accept epsilon in (1, 2] and print feasible=1 rows
+        code = main(["compare", "--axis", "m", "--values", "3:5", "--t", "2", "--k", "10",
+                     "--v", "3", "--epsilon", "1.5", "--formulas", "concat,apca,cyclic"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 9
+        assert all(row.endswith(",,,0") for row in rows)
+
+    def test_verify_defects_csv_needs_m(self, tmp_path, capsys):
+        path, csv_path = tmp_path / "const.pca", tmp_path / "defects.csv"
+        write_array(constant_rows(4, 2), path)
+        code = main(["verify", "--in", str(path), "--t", "2", "--defects-csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --defects-csv needs --m\n"
+        assert not csv_path.exists()
+
     def test_generate_non_integer_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCAFORGE_SEED", "abc")
         code = main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
