@@ -1,17 +1,19 @@
-"""Watch the derandomized builder fix its cells one at a time.
+"""Watch the derandomized builder add its rows one at a time.
 
-The score is the exact expected number of missing (column pair, tuple) pairs
-when the cells not yet fixed are uniformly random.  Cells are fixed column by
-column, top row first; each takes the symbol that minimizes the score, ties
-going to the smallest symbol.  The old score is the average over the choices,
-so it can never rise, and once all cells are fixed it is the literal count of
-missing pairs, so the final array is guaranteed to satisfy the almost-coverage
-target.  Counts kept per column pair make each choice cost O(k v), so a build
-costs O(N k^2 v) here instead of scoring all v^N candidate columns; sizes
-whose counts would not fit the scan capacity are refused before allocating.
-The trace below is the score before any column, then after each column.  No
-randomness anywhere: two runs produce byte-identical arrays.
+A table holds the (column pair, tuple) pairs no row covers yet.  Each row is
+filled left to right: a cell takes the symbol that maximizes the expected
+number of pairs the row newly covers when the cells right of it are uniformly
+random, ties going to the smallest symbol.  That expectation is an exact
+integer count, and the finished row covers at least what a uniform row would
+on average, a 1/v^t share of the missing pairs.  Rows are added until at most
+floor(epsilon * C(k,t)) column pairs miss a tuple, which happens within the
+union-bound row count; sizes whose table would not fit the scan capacity are
+refused before allocating.  The trace below is the exact number of missing
+pairs before the first row, then after each row.  No randomness anywhere: two
+runs produce byte-identical arrays.
 """
+
+import math
 
 import pcaforge as pf
 from pcaforge.core import PcaParams
@@ -20,11 +22,13 @@ params = PcaParams(t=2, k=5, v=2, m=4, epsilon=0.5)
 first = pf.build_apca_derandomized(params)
 second = pf.build_apca_derandomized(params)
 
-print(f"rows sized by the almost-coverage bound: {first.bound_used.n_rows}")
-print(f"estimator trace (before any column, then after each):")
-for j, value in enumerate(first.detail["estimator_trace"]):
-    label = "start" if j == 0 else f"col {j - 1} fixed"
-    print(f"  {label:<12} {value:.6f}")
+print(f"rows: {first.n_rows} (the almost-coverage bound allows {first.bound_used.n_rows})")
+allowed = math.floor(params.epsilon * math.comb(params.k, params.t))
+print(f"stop once at most {allowed} column pairs miss a tuple")
+print("missing (pair, tuple) trace (before any row, then after each):")
+for r, value in enumerate(first.detail["missing_trace"]):
+    label = "start" if r == 0 else f"row {r - 1} added"
+    print(f"  {label:<12} {value}")
 
 print(f"\nruns identical: {first.array == second.array}")
 print(f"array:\n{first.array.cells}")

@@ -35,15 +35,16 @@ Builders:
   it and the v constant rows appended after developing cover it.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component and verify both guarantees.
-* :func:`build_apca_derandomized` — deterministic cell-by-cell choice (columns
-  left to right, rows top to bottom) by exact conditional expectation of the
-  number of missing (t-set, tuple) pairs: each cell takes the symbol that
-  minimizes the expectation over the cells still random, ties going to the
-  smallest symbol.  Counts kept per t-set through the current column make
-  each choice cost O(C(k-1,t-1) v), so a build costs O(N k C(k-1,t-1) v);
-  sizes whose counts would exceed ``coverage.PROFILE_CAPACITY`` raise
-  ``CapacityExceeded`` before allocating.  Supports full coverage targets
-  (m = v^t) only.
+* :func:`build_apca_derandomized` — deterministic rows, each filled cell by
+  cell left to right by exact conditional expectation (the density scheme of
+  Bryce & Colbourn): a cell takes the symbol that maximizes the expected
+  number of (t-set, tuple) pairs the row newly covers with its later cells
+  uniformly random, ties going to the smallest symbol.  Rows are added until
+  at most ``floor(epsilon * C(k,t))`` t-sets miss a tuple, which happens
+  within the union-bound row count.  Each choice costs O(C(k-1,t-1) v) and
+  each row one pass over the C(k,t) x v^t table of missing pairs; sizes whose
+  table would exceed ``coverage.PROFILE_CAPACITY`` raise ``CapacityExceeded``
+  before allocating.  Supports full coverage targets (m = v^t) only.
 """
 
 from __future__ import annotations
@@ -311,82 +312,79 @@ def build_concat(
 
 # -- derandomization -------------------------------------------------------------
 
-def derandomize_columns(t: int, k: int, v: int, n_rows: int) -> tuple[np.ndarray, list[float]]:
-    """Fix the cells column by column, top row first, by conditional expectation.
+def derandomize_rows(
+    t: int, k: int, v: int, allowed: int, max_rows: int
+) -> tuple[np.ndarray, list[int]]:
+    """Add rows, each fixed cell by cell, until at most ``allowed`` t-sets
+    miss a tuple.
 
-    While column j is being filled, columns left of j are fixed, rows above
-    the current one hold their column-j symbol, and every other cell is still
-    uniformly random.  For a t-set T through j with f fixed columns left of
-    j, let ``w = v^-(t-1-f)``, q a projection onto those f columns,
-    ``U[q]`` the rows projecting to q whose column-j cell is free and
-    ``A[q, a]`` those whose column-j cell is a.  The expected number of
-    missing (T, tuple) pairs is ``(1/w) sum_{q,a} (1 - w/v)^U[q] (1 - w)^A[q,a]``,
-    and this sum over all t-sets is the estimator.  Giving row i (projection
-    q_i) the symbol s changes it by a term proportional to
-    ``-sum_T (1 - w/v)^(U[q_i]-1) (1 - w)^A[q_i,s]``.  Row i gets the symbol
-    maximizing that sum, ties going to the smallest symbol; the old value is
-    the average over the v choices, so the estimator never increases.
-    t-sets that differ only right of j share f, q and the counts, so each
-    group of them is kept once with its multiplicity.
+    A boolean table holds the (t-set, tuple) pairs no row covers yet.  Each
+    row is filled left to right.  Cell j takes the symbol s that maximizes the
+    expected number of pairs the row newly covers, given the row's cells left
+    of j and with the cells right of j uniformly random; ties go to the
+    smallest symbol.  Scaled by v^(t-1) that expectation is an exact integer:
+    a t-set holding j at position p contributes the number of its missing
+    tuples that agree with the row on its first p columns and have s at
+    position p, times v^p.  Those tuples form one block of consecutive ranks,
+    so each count is a difference of prefix sums over the table.
 
-    Returns the cells and the estimator trace: the value before any column is
-    fixed, then after each column, read off the same counts.  Cost is
-    O(N k C(k-1,t-1) v) arithmetic; ``n_rows * k`` and
-    ``C(k-1,t-1) * max(v^t, n_rows)`` must stay within
+    The chosen row covers at least the expectation of a uniform row,
+    ``missing / v^t`` pairs, so after N rows at most ``C(k,t) v^t
+    (1 - v^-t)^N`` pairs are missing and the stop comes at or before the
+    union-bound row count; ``max_rows`` is that count, and reaching it
+    unstopped raises.  ``C(k,t) v^t`` and ``max_rows * k`` must stay within
     :data:`~pcaforge.coverage.PROFILE_CAPACITY`, checked before allocating.
+
+    Returns the cells and the trace of missing pairs: the count before the
+    first row, then after each row.
     """
-    width = math.comb(k - 1, t - 1)
-    if n_rows * k > PROFILE_CAPACITY or width * max(v**t, n_rows) > PROFILE_CAPACITY:
-        raise CapacityExceeded(
-            f"N*k = {n_rows}*{k} or C(k-1,t-1)*max(v^t, N) = {width}*{max(v**t, n_rows)} "
-            f"exceeds {PROFILE_CAPACITY}"
-        )
-    cells = np.zeros((n_rows, k), dtype=np.int64)
-    trace = [math.comb(k, t) * v**t * (1.0 - float(v) ** -t) ** n_rows]
-    for j in range(k):
-        # One group per set of fixed columns: f of the j earlier columns, with
-        # C(k-1-j, t-1-f) ways to pick the remaining columns right of j.
-        ranks, group_f, mult = [], [], []
-        for f in range(max(0, t - k + j), min(t - 1, j) + 1):
-            fixed = np.array(list(combinations(range(j), f)), dtype=np.int64)
-            ranks.append(cells[:, fixed] @ rank_weights(f, v))
-            group_f += [f] * len(fixed)
-            mult += [float(math.comb(k - 1 - j, t - 1 - f))] * len(fixed)
-        sizes = v ** np.array(group_f)
-        w = float(v) ** (np.array(group_f) - t + 1)
-        mult = np.array(mult)
-        b_free, b_fixed = 1.0 - w / v, 1.0 - w
-        idx = np.concatenate(ranks, axis=1) + (np.cumsum(sizes) - sizes)  # (N, groups) slots
-        free = np.bincount(idx.ravel(), minlength=sizes.sum())
-        fixed_to = np.zeros((len(free), v), dtype=np.int64)
-        weight = np.repeat(mult / w, sizes)
-        before = float(np.sum(weight * v * np.repeat(b_free, sizes) ** free))
-        for i in range(n_rows):
-            at = idx[i]
-            free[at] -= 1  # row i's own cell is no longer free
-            gain = (mult * b_free ** free[at])[:, None] * b_fixed[:, None] ** fixed_to[at]
-            s = int(np.argmax(gain.sum(axis=0)))
-            cells[i, j] = s
-            fixed_to[at, s] += 1
-        after = float(np.sum(weight[:, None] * np.repeat(b_fixed, sizes)[:, None] ** fixed_to))
-        trace.append(trace[-1] - before + after)
-    return cells, trace
+    n_tsets, vt = math.comb(k, t), v**t
+    if n_tsets * vt > PROFILE_CAPACITY or max_rows * k > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"C(k,t)*v^t = {n_tsets}*{vt} or N*k = {max_rows}*{k} "
+                               f"exceeds {PROFILE_CAPACITY}")
+    tsets = np.array(list(combinations(range(k), t)), dtype=np.int64)
+    place = rank_weights(t, v)
+    # Per column: the t-sets through it, at position p; its place value
+    # v^(t-1-p) times 0..v (the edges of the v blocks it splits); and v^p.
+    hits = [np.nonzero(tsets == j) for j in range(k)]
+    columns = [(i, place[p, None] * np.arange(v + 1), vt // v // place[p]) for i, p in hits]
+    missing = np.ones(n_tsets * vt, dtype=bool)  # pair (i, r) at i * v^t + r
+    short = np.full(n_tsets, vt)  # missing tuples per t-set
+    cells = np.zeros((max_rows, k), dtype=np.int64)
+    trace = [n_tsets * vt]
+    while np.count_nonzero(short) > allowed:
+        if len(trace) > max_rows:
+            raise PcaForgeError(f"internal: {max_rows} rows leave over {allowed} t-sets short")
+        row = cells[len(trace) - 1]
+        prefix = np.concatenate(([0], np.cumsum(missing)))
+        # Start of each t-set's block of tuples that agree with the row so far.
+        at = np.arange(0, n_tsets * vt, vt)
+        for j, (idx, edges, weight) in enumerate(columns):
+            row[j] = s = int(np.argmax(np.diff(weight @ prefix[at[idx, None] + edges])))
+            at[idx] += edges[:, s]
+        covered = missing[at]
+        missing[at] = False
+        short -= covered
+        trace.append(trace[-1] - int(np.count_nonzero(covered)))
+    return cells[:len(trace) - 1], trace
 
 
 def build_apca_derandomized(params: PcaParams) -> BuildReport:
     """Deterministic builder for epsilon-almost full coverage (m = v^t only).
 
-    Uses the union-bound row count, then fixes cells by exact conditional
-    expectation of the missing-pair estimator (:func:`derandomize_columns`).
-    The estimator decomposes per tuple only in the full-coverage case, which
-    is why smaller m is rejected.
+    Adds rows by :func:`derandomize_rows` until at most
+    ``floor(epsilon * C(k,t))`` t-sets miss a tuple, which happens within the
+    union-bound row count.  The expected-coverage score counts missing tuples
+    of every t-set alike, which fits the full-coverage target only; smaller m
+    is rejected.
     """
     params = _full_coverage(params, "derandomization supports m = v^t only")
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
     bound = bounds.bound_apca(t, v, v**t, epsilon)
-    cells, trace = derandomize_columns(t, k, v, bound.n_rows)
+    allowed = math.floor(epsilon * math.comb(k, t))
+    cells, trace = derandomize_rows(t, k, v, allowed, bound.n_rows)
     return _verified(
         params, Array(cells, v), bound, start, 0, apca_m=v**t,
-        detail={"estimator_trace": trace},
+        detail={"missing_trace": trace},
     )

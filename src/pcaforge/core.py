@@ -15,6 +15,7 @@ k), ``_check_m`` (1 <= m <= v^t), ``_check_fraction`` (epsilon or q in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,6 +25,7 @@ from .errors import (
     AlphabetTooSmall,
     ColumnOutOfRange,
     DimensionMismatch,
+    DomainError,
     EpsilonOutOfRange,
     EpsilonZero,
     MNotFull,
@@ -115,15 +117,32 @@ def validate(params: PcaParams) -> PcaParams:
 
 
 def _as_cells(cells: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The cells as a 2-D int64 grid.  Every cell must be an integer (a float
+    only when integral) within the 64-bit range."""
     try:
-        arr = np.asarray(cells, dtype=np.int64)
+        arr = np.asarray(cells)
     except ValueError:  # ragged rows
         raise DimensionMismatch("cells must form a rectangular grid") from None
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, 0)
     if arr.ndim != 2:
         raise DimensionMismatch(f"cells must be 2-dimensional, got shape {arr.shape}")
-    return arr
+    kind, big = arr.dtype.kind, []
+    if kind == "O":  # Python ints past 64 bits, or not numbers at all
+        if not all(isinstance(x, numbers.Integral) for x in arr.flat):
+            raise DomainError("cells must be integers")
+        big = [x for x in arr.flat if not -WIDE_INT_MAX - 1 <= x <= WIDE_INT_MAX]
+    elif kind == "f":
+        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+            raise DomainError("cells must be integers")
+        big = arr[np.abs(arr) >= 2.0**63]
+    elif kind == "u":
+        big = arr[arr > WIDE_INT_MAX]
+    elif kind not in "bi":
+        raise DomainError(f"cells must be integers, got {arr.dtype}")
+    if len(big):
+        raise SymbolOutOfRange(f"symbol {int(big[0])} beyond the 64-bit range")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,8 +79,8 @@ class MConditionViolated(PcaForgeError):
 class DomainError(PcaForgeError, ValueError):
     """Argument outside the domain a function accepts: an informational
     formula's mathematical domain, an unknown formula or axis label, a file
-    base other than 0 or 1, a malformed value list or a non-integer
-    ``PCAFORGE_SEED``."""
+    base other than 0 or 1, a malformed value list, a non-integer
+    ``PCAFORGE_SEED`` or a non-integer array cell."""
 
 
 class EmptyRange(PcaForgeError):

@@ -71,6 +71,28 @@ class TestLogBinomial:
                 log_binomial(n, n - r), rel=1e-10
             )
 
+    @pytest.mark.parametrize("n", [10**6, 10**12, 10**16, 2**63 - 1])
+    def test_huge_n_small_r(self, n):
+        # the log-gamma difference cancels here: from about n = 10^16 it gave 0
+        for r in (1, 2, 3):
+            for choose in (r, n - r):
+                assert log_binomial(n, choose) == pytest.approx(
+                    math.log(math.comb(n, choose)), rel=1e-12
+                )
+
+    def test_across_the_switch(self):
+        # below 2^16 the log-gamma difference stays, off by up to 2.3e-11 at r = 1
+        for n, rel in ((2**16 - 1, 3e-11), (2**16, 1e-14), (2**16 + 1, 1e-14)):
+            for r in (1, 5, 1000, n // 2):
+                assert log_binomial(n, r) == pytest.approx(math.log(math.comb(n, r)), rel=rel)
+
+    def test_union_and_lll_rows_nondecreasing_in_k(self):
+        ks = sorted({8, 100, 2**16 - 1, 2**16, 2**16 + 1, 2**63 - 1,
+                     *(10**e for e in range(3, 19))})
+        for bound in (bound_pca_union, bound_pca_lll):
+            rows = [bound(2, k, 3, 4).n_rows for k in ks]
+            assert rows == sorted(rows), bound.__name__
+
     def test_r_out_of_range(self):
         with pytest.raises(ROutOfRange):
             log_binomial(4, 5)

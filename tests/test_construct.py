@@ -14,7 +14,7 @@ from pcaforge.construct import (
     build_apca_randomized,
     build_concat,
     build_pca_moser_tardos,
-    derandomize_columns,
+    derandomize_rows,
 )
 from pcaforge.core import Array, PcaParams
 from pcaforge.coverage import is_apca, is_pca
@@ -191,72 +191,49 @@ class TestDerandomized:
 
     def test_trace_monotone_nonincreasing(self):
         report = build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=0.5))
-        trace = report.detail["estimator_trace"]
-        assert len(trace) == 5 + 1
+        trace = report.detail["missing_trace"]
+        assert len(trace) == report.n_rows + 1
         for a, b in zip(trace, trace[1:]):
-            assert b <= a + 1e-9
+            assert b * 4 <= a * 3
 
     def test_single_tset_full_factorial(self):
-        # k = t: with N = v^t rows the rows are the v^t tuples, each once
-        cells, trace = derandomize_columns(2, 2, 2, 4)
+        # k = t: each row covers one new tuple, so the v^t rows are the v^t
+        # tuples, each once
+        cells, trace = derandomize_rows(2, 2, 2, 0, 4)
         assert sorted(map(tuple, cells.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert trace[-1] == 0.0
+        assert trace == [4, 3, 2, 1, 0]
 
     def test_final_trace_counts_missing_pairs(self):
         from pcaforge.coverage import coverage_profile
 
         report = build_apca_derandomized(PcaParams(t=2, k=4, v=2, m=4, epsilon=0.8))
-        trace = report.detail["estimator_trace"]
-        # after all columns are fixed the estimator is the exact missing count
+        trace = report.detail["missing_trace"]
         missing = sum(4 - int(c) for c in coverage_profile(report.array, 2).counts)
-        assert trace[-1] == pytest.approx(missing, abs=1e-9)
-
-    def test_estimator_equals_true_conditional_expectation(self):
-        # for full-coverage targets the score is not just a bound: it equals
-        # the exact expected missing-pair count, verifiable by enumerating
-        # every completion of the unfixed columns
-        from itertools import product
-
-        from test_derandomize import _pessimistic_estimator
-        from pcaforge.coverage import coverage_profile
-
-        t, k, v, n = 2, 3, 2, 3
-        rng = np.random.default_rng(3)
-        cells = rng.integers(0, v, size=(n, k), dtype=np.int64)
-        for n_fixed in range(k + 1):
-            free = k - n_fixed
-            total, count = 0.0, 0
-            for completion in product(range(v), repeat=n * free):
-                trial = cells.copy()
-                if free:
-                    trial[:, n_fixed:] = np.array(completion).reshape(n, free)
-                counts = coverage_profile(Array(trial, v), t).counts
-                total += sum(v**t - int(c) for c in counts)
-                count += 1
-            expected = total / count
-            estimator = _pessimistic_estimator(cells, n_fixed, t, v)
-            assert estimator == pytest.approx(expected, rel=1e-12)
+        assert trace[-1] == missing
 
     def test_m_not_full(self):
         with pytest.raises(MNotFull):
             build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=3, epsilon=0.5))
 
     def test_capacity_guard(self):
-        # 37 rows: far past any v^N candidate enumeration, cheap cell by cell
+        # a union bound of 37 rows: far past any v^N candidate enumeration
         report = build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=1e-4))
-        assert report.n_rows == 37
+        assert report.n_rows <= report.bound_used.n_rows == 37
         assert is_apca(report.array, 2, 4, 1e-4).ok
 
     def test_oversize_refused_before_allocating(self):
-        # N = 1.26e9 rows: the cells alone would need 30 GB
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityExceeded):
-                build_apca_derandomized(PcaParams(t=2, k=3, v=8192, m=8192**2, epsilon=0.5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        for t, k, v in [
+            (2, 3, 8192),  # N = 1.26e9 rows: the cells alone would need 30 GB
+            (2, 6000, 2),  # 8 rows, but a missing table of C(k,t) v^t = 7.2e7 cells
+        ]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityExceeded):
+                    build_apca_derandomized(PcaParams(t=t, k=k, v=v, m=v**t, epsilon=0.5))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_epsilon_zero(self):
         with pytest.raises(EpsilonZero):

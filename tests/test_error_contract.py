@@ -59,13 +59,26 @@ def test_tuple_rank_unrank(x, r, t, v):
     _contained(tuple_unrank, r, t, v)
 
 
+# array cells: integers, floats, None, strings and the first values past int64
+cell_values = st.one_of(small, st.floats(), st.none(), st.text(max_size=2),
+                        st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63)]))
+
+
 @FUZZ
-@given(st.lists(st.lists(small, max_size=4), max_size=4), small, st.lists(small, max_size=4))
+@given(st.lists(st.lists(cell_values, max_size=4), max_size=4), small,
+       st.lists(small, max_size=4))
+@example([[0.5, 1.7]], 2, [0])
+@example([[1, None]], 2, [0])
+@example([["a", "b"]], 2, [0])
+@example([[0, 2**63]], 2, [0])
 def test_array_and_project(cells, v, columns):
     try:
         a = Array(cells, v)
     except PcaForgeError:
         return
+    # an accepted grid holds exactly the values it was given
+    assert len(a.cells) == len(cells)
+    assert all(list(row) == got for row, got in zip(cells, a.cells.tolist()))
     _contained(project, a, columns)
 
 

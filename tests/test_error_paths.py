@@ -18,6 +18,7 @@ from pcaforge.errors import (
     PcaForgeError,
     StrengthTooSmall,
     StructureMismatch,
+    SymbolOutOfRange,
 )
 from pcaforge.galois import constant_rows, cyclic_action, develop, orbits
 
@@ -75,6 +76,30 @@ class TestCoreEdges:
     def test_cells_shape_is_package_error(self, cells):
         with pytest.raises(DimensionMismatch):
             Array(cells, 2)
+
+    def test_fractional_cells_refused(self):
+        # were truncated to [[0, 1]]
+        with pytest.raises(DomainError, match="integers"):
+            Array([[0.5, 1.7]], 2)
+
+    def test_none_cell_refused(self):
+        # leaked TypeError
+        with pytest.raises(DomainError, match="integers"):
+            Array([[1, None]], 2)
+
+    def test_cell_past_int64_refused(self):
+        # leaked OverflowError
+        with pytest.raises(SymbolOutOfRange, match="64-bit"):
+            Array(np.array([[0, 2**63]], dtype=object), 2)
+
+    def test_string_cells_refused(self):
+        # were reported as a ragged grid
+        with pytest.raises(DomainError, match="integers"):
+            Array([["a", "b"]], 2)
+
+    def test_integral_float_and_unsigned_cells_accepted(self):
+        assert Array([[1.0, 0.0]], 2) == Array([[1, 0]], 2)
+        assert Array(np.array([[1, 0]], dtype=np.uint8), 2) == Array([[1, 0]], 2)
 
 
 class TestGaloisEdges:
