@@ -45,7 +45,7 @@ from .errors import (
     ROutOfRange,
     SOutOfRange,
 )
-from .galois import is_prime_power
+from .galois import _prime_power
 
 # Relative slack used to recognize an exact-integer boundary in a real bound.
 _BOUNDARY_RTOL = 1e-9
@@ -200,7 +200,7 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     ``((v^(t-1)-1)/(v-1)) (1 - (v-1)/v^(t-1))^n <= epsilon``.
     """
     _check_tkv(t, v)
-    is_prime_power(v, required=True)
+    _prime_power(v)
     _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
     full_orbits = (orbits - 1) // (v - 1)

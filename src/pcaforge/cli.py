@@ -21,12 +21,15 @@ from pathlib import Path
 
 from . import artifact_io, bounds, construct, coverage
 from .core import PcaParams, validate
-from .errors import DomainError, IterationCap, PcaForgeError
+from .errors import CapacityExceeded, DomainError, IterationCap, PcaForgeError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_ITERATION_CAP = 3
+
+# Most axis values one `compare --values` range may expand to.
+MAX_SWEEP_VALUES = 10**6
 
 _ALGORITHMS = {
     "mt": construct.build_pca_moser_tardos,
@@ -199,11 +202,14 @@ def _parse_values(text: str) -> list[int]:
         parts = [int(x) for x in text.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError
-        return list(range(parts[0], parts[1] + 1, *parts[2:]))  # a zero step raises too
+        values = range(parts[0], parts[1] + 1, *parts[2:])  # a zero step raises too
     except ValueError:
         raise DomainError(
             f"bad values {text!r}: expected start:stop[:step] or integers separated by commas"
         ) from None
+    if values[MAX_SWEEP_VALUES:]:  # len() overflows on ranges past sys.maxsize
+        raise CapacityExceeded(f"values {text!r} are more than {MAX_SWEEP_VALUES}")
+    return list(values)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -1,5 +1,6 @@
 """Constructive procedures: randomized builders and exact derandomization.
 
+Every builder takes a :class:`~pcaforge.core.PcaParams` and nothing else.
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit seed
 in the parameter bundle, so a fixed seed reproduces the output array and the
 iteration count bit for bit on any platform.  Every builder verifies its own
@@ -14,7 +15,8 @@ draw a fresh one.  At epsilon/2 the expected number of defective t-sets is at
 most half the allowance, so by Markov's inequality one attempt succeeds with
 probability >= 1/2 and the expected number of attempts is at most 2.  One
 private loop runs this for every such builder; attempts count from 1 and the
-``max_restarts``-th failure raises ``IterationCap``.
+failure of attempt :data:`RESTART_CAP` raises ``IterationCap``, as does a
+Moser-Tardos build needing more than :data:`RESAMPLE_CAP` resamples.
 
 Builders:
 
@@ -31,8 +33,9 @@ Builders:
   developed over the group.  The base size is the ``base_rows`` of
   :func:`~pcaforge.bounds.bound_apca_cyclic` or
   :func:`~pcaforge.bounds.bound_apca_frobenius` at epsilon/2.  The affine
-  group also has the short orbit of constant tuples: the accept test skips
-  it and the v constant rows appended after developing cover it.
+  group also has the short orbit of constant tuples, which the v constant
+  rows appended after developing cover; the accept test counts orbits on the
+  base with those rows appended.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component and verify both guarantees.
 * :func:`build_apca_derandomized` — deterministic rows, each filled cell by
@@ -67,8 +70,10 @@ from .core import (
 from .errors import CapacityExceeded, IterationCap, PcaForgeError
 from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action, orbits
 
-DEFAULT_RESAMPLE_CAP = 1_000_000
-DEFAULT_RESTART_CAP = 64
+# Iteration caps, read at call time: Moser-Tardos resamples per build and
+# restart-loop attempts per build.
+RESAMPLE_CAP = 1_000_000
+RESTART_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ class BuildReport:
         return self.array.rows
 
 
-def _rng_for(params: PcaParams, rng: np.random.Generator | None) -> np.random.Generator:
-    return rng if rng is not None else np.random.Generator(np.random.PCG64(params.seed))
+def _pcg64(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
@@ -97,8 +102,8 @@ def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
 
 
 def _restart(
-    params: PcaParams, rng: np.random.Generator | None, n_rows: int,
-    count_bad: Callable[[np.ndarray, int], int], max_restarts: int,
+    params: PcaParams, rng: np.random.Generator, n_rows: int,
+    count_bad: Callable[[np.ndarray, int], int],
 ) -> tuple[np.ndarray, int, int]:
     """Draw ``n_rows x k`` arrays until ``count_bad(cells, allowed) <= allowed``.
 
@@ -107,12 +112,11 @@ def _restart(
     (from 1) and ``allowed``.
     """
     allowed = math.floor(params.epsilon * math.comb(params.k, params.t))
-    rng = _rng_for(params, rng)
-    for attempt in range(1, max_restarts + 1):
+    for attempt in range(1, RESTART_CAP + 1):
         cells = _sample(rng, n_rows, params.k, params.v)
         if count_bad(cells, allowed) <= allowed:
             return cells, attempt, allowed
-    raise IterationCap(f"hit restart cap {max_restarts}")
+    raise IterationCap(f"hit restart cap {RESTART_CAP}")
 
 
 def _verified(
@@ -154,26 +158,24 @@ def _full_coverage(params: PcaParams, what: str) -> PcaParams:
     return params
 
 
-def build_pca_moser_tardos(
-    params: PcaParams,
-    *,
-    rng: np.random.Generator | None = None,
-    max_resamples: int = DEFAULT_RESAMPLE_CAP,
-) -> BuildReport:
-    """Resampling builder for partial m-coverage at the local-lemma row count."""
+def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
     params = validate(params)
     t, k, v, m = params.t, params.k, params.v, params.m
     start = time.perf_counter()
     bound = bounds.bound_pca_lll(t, k, v, m)
-    rng = _rng_for(params, rng)
     cells = _sample(rng, bound.n_rows, k, v)
     resamples = 0
     while (defect := first_defect(cells, v, t, m)) is not None:
-        if resamples >= max_resamples:
-            raise IterationCap(f"hit resample cap {max_resamples} at t-set {defect.tset}")
+        if resamples >= RESAMPLE_CAP:
+            raise IterationCap(f"hit resample cap {RESAMPLE_CAP} at t-set {defect.tset}")
         cells[:, defect.tset] = _sample(rng, bound.n_rows, t, v)
         resamples += 1
     return _verified(params, Array(cells, v), bound, start, resamples, pca_m=m)
+
+
+def build_pca_moser_tardos(params: PcaParams) -> BuildReport:
+    """Resampling builder for partial m-coverage at the local-lemma row count."""
+    return _moser_tardos(params, _pcg64(params.seed))
 
 
 def algorithm_rows_apca(t: int, v: int, m: int, epsilon: float) -> int:
@@ -182,12 +184,7 @@ def algorithm_rows_apca(t: int, v: int, m: int, epsilon: float) -> int:
     return bounds.bound_apca(t, v, m, epsilon / 2).n_rows
 
 
-def build_apca_randomized(
-    params: PcaParams,
-    *,
-    rng: np.random.Generator | None = None,
-    max_restarts: int = DEFAULT_RESTART_CAP,
-) -> BuildReport:
+def build_apca_randomized(params: PcaParams) -> BuildReport:
     """Sample-and-check builder for epsilon-almost partial m-coverage."""
     params = validate(params)
     t, v, m, epsilon = params.t, params.v, params.m, params.epsilon
@@ -195,8 +192,8 @@ def build_apca_randomized(
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
     bound = bounds.bound_apca(t, v, m, epsilon)
     cells, attempts, allowed = _restart(
-        params, rng, n_rows,
-        lambda cells, allowed: count_defects(cells, v, t, m, stop_above=allowed), max_restarts,
+        params, _pcg64(params.seed), n_rows,
+        lambda cells, allowed: count_defects(cells, v, t, m, stop_above=allowed),
     )
     return _verified(
         params, Array(cells, v), bound, start, attempts, apca_m=m, detail={"allowed": allowed}
@@ -205,43 +202,35 @@ def build_apca_randomized(
 
 def _build_developed(
     params: PcaParams, action: GroupAction, bound_fn: Callable[[int, int, float], BoundResult],
-    rng: np.random.Generator | None, max_restarts: int,
+    rng: np.random.Generator,
 ) -> BuildReport:
     """Restart on base arrays until enough t-sets cover every orbit of
-    ``action`` that the accept test counts, then develop over the group.
+    ``action``, then develop over the group.
 
-    The base size is ``bound_fn`` at epsilon/2.  A short orbit (the affine
-    group's constant tuples) is left out of the accept test and covered by
-    appending the v constant rows.
+    The base size is ``bound_fn`` at epsilon/2.  The affine group also has a
+    short orbit, its constant tuples, which the v constant rows appended after
+    developing cover in every t-set; the accept test counts orbits on the base
+    with those rows appended.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
     structure = orbits(t, v, action)
     n_base = bound_fn(t, v, epsilon / 2).detail["base_rows"]
     bound = bound_fn(t, v, epsilon)
-    short = structure.short_orbit_id
-    required = structure.n_orbits - (short is not None)
+    tail = constant_rows(k, v).cells[: v if structure.short_orbit_id is not None else 0]
     base, attempts, _ = _restart(
         params, rng, n_base,
         lambda cells, allowed: count_orbit_defects(
-            cells, v, t, structure, required, exclude_orbit=short, stop_above=allowed
+            np.vstack((cells, tail)), v, t, structure, structure.n_orbits, stop_above=allowed
         ),
-        max_restarts,
     )
-    array = develop(Array(base, v), action)
-    if short is not None:
-        array = array.stack(constant_rows(k, v))
+    array = develop(Array(base, v), action).stack(Array(tail, v))
     return _verified(
         params, array, bound, start, attempts, apca_m=v**t, detail={"base_rows": n_base}
     )
 
 
-def build_apca_cyclic(
-    params: PcaParams,
-    *,
-    rng: np.random.Generator | None = None,
-    max_restarts: int = DEFAULT_RESTART_CAP,
-) -> BuildReport:
+def build_apca_cyclic(params: PcaParams) -> BuildReport:
     """Cyclic-development builder for epsilon-almost full coverage (m = v^t).
 
     Samples base arrays until all but ``floor(epsilon * C(k,t))`` t-sets cover
@@ -251,37 +240,27 @@ def build_apca_cyclic(
     """
     params = _full_coverage(params, "cyclic development targets m = v^t")
     return _build_developed(
-        params, cyclic_action(params.v), bounds.bound_apca_cyclic, rng, max_restarts
+        params, cyclic_action(params.v), bounds.bound_apca_cyclic, _pcg64(params.seed)
     )
 
 
-def build_apca_frobenius(
-    params: PcaParams,
-    *,
-    rng: np.random.Generator | None = None,
-    max_restarts: int = DEFAULT_RESTART_CAP,
-) -> BuildReport:
+def build_apca_frobenius(params: PcaParams) -> BuildReport:
     """Affine-group builder for epsilon-almost full coverage (m = v^t).
 
-    The accept test looks at full orbits only; the appended constant rows
-    cover the short orbit in every t-set unconditionally.
+    The appended constant rows cover the short orbit in every t-set
+    unconditionally.
     """
     params = _full_coverage(params, "affine development targets m = v^t")
     action = frobenius_action(params.v)  # raises NotPrimePower for composite non-powers
-    return _build_developed(params, action, bounds.bound_apca_frobenius, rng, max_restarts)
+    return _build_developed(params, action, bounds.bound_apca_frobenius, _pcg64(params.seed))
 
 
-def build_concat(
-    params: PcaParams,
-    *,
-    max_resamples: int = DEFAULT_RESAMPLE_CAP,
-    max_restarts: int = DEFAULT_RESTART_CAP,
-) -> BuildReport:
+def build_concat(params: PcaParams) -> BuildReport:
     """Stack a partial m-coverage component on an almost-full-coverage one.
 
     The output satisfies both guarantees: every t-set covers at least m
     tuples, and all but an epsilon fraction of t-sets cover all v^t tuples.
-    Child builders get independent seeds derived from the bundle seed.
+    The components draw from independent streams spawned from the bundle seed.
     """
     params = validate(params)
     t, k, v, m, epsilon = params.t, params.k, params.v, params.m, params.epsilon
@@ -289,15 +268,10 @@ def build_concat(
     bound = bounds.bound_concat(t, k, v, m, epsilon)
     m1 = bound.detail["m1"]
     seq1, seq2 = np.random.SeedSequence(params.seed).spawn(2)
-    part1 = build_pca_moser_tardos(
-        PcaParams(t=t, k=k, v=v, m=m1, epsilon=0.0, seed=params.seed),
-        rng=np.random.Generator(np.random.PCG64(seq1)),
-        max_resamples=max_resamples,
-    )
-    part2 = build_apca_cyclic(
-        PcaParams(t=t, k=k, v=v, m=v**t, epsilon=epsilon, seed=params.seed),
-        rng=np.random.Generator(np.random.PCG64(seq2)),
-        max_restarts=max_restarts,
+    part1 = _moser_tardos(PcaParams(t, k, v, m1, 0.0, params.seed), _pcg64(seq1))
+    part2 = _build_developed(
+        PcaParams(t, k, v, v**t, epsilon, params.seed), cyclic_action(v),
+        bounds.bound_apca_cyclic, _pcg64(seq2),
     )
     detail = {
         "m1": m1,

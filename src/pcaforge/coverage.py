@@ -29,7 +29,7 @@ from .core import Array, _check_fraction, _check_m
 from .errors import CapacityExceeded, StrengthTooSmall, StructureMismatch
 from .galois import OrbitStructure
 
-# Guard on v^t for every exhaustive scan.
+# Guard on v^t and on C(k,t) for every exhaustive scan.
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
@@ -110,22 +110,24 @@ def _check_t(t: int, k: int) -> None:
 
 def _scan(
     cells: np.ndarray, v: int, t: int, class_of: np.ndarray | None = None,
-    n_classes: int | None = None, exclude: int | None = None,
+    n_classes: int | None = None,
 ) -> _Chunks:
     """Distinct classes covered per column t-set, in lexicographic chunks.
 
     ``class_of`` maps tuple ranks to class ids below ``n_classes`` (default:
-    each tuple is its own class); ``exclude`` is a class left out of every
-    count.  Each (t-1)-prefix is ranked once, then every later column against
-    it as one ``(B, N)`` slice of a column-major copy of the cells.  Classes
-    are counted by OR-reducing one-hot bits (at most 64 classes) or else by
-    sorting rows.
+    each tuple is its own class).  Both v^t and C(k,t) must stay within
+    :data:`PROFILE_CAPACITY`.  Each (t-1)-prefix is ranked once, then every
+    later column against it as one ``(B, N)`` slice of a column-major copy of
+    the cells.  Classes are counted by OR-reducing one-hot bits (at most 64
+    classes) or else by sorting rows.
     """
     n, k = cells.shape
     _check_t(t, k)
     vt = v**t
     if vt > PROFILE_CAPACITY:
         raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
+    if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
+        raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
     if class_of is None:
         n_classes = vt
     else:
@@ -149,8 +151,6 @@ def _scan(
                 cls = cls.astype(np.promote_types(cls.dtype, np.uint16), copy=False)
                 cls = np.sort(cls, axis=1)
                 counts = (n > 0) + np.count_nonzero(cls[:, 1:] != cls[:, :-1], axis=1)
-            if exclude is not None:
-                counts = counts - (cls == exclude).any(axis=1)
             yield prefix, lo, counts.astype(np.int64)
 
 
@@ -268,14 +268,11 @@ def count_orbit_defects(
     structure: OrbitStructure,
     required: int,
     *,
-    exclude_orbit: int | None = None,
     stop_above: int | None = None,
 ) -> int:
     """t-sets whose projection covers fewer than ``required`` orbits.
 
-    ``exclude_orbit`` drops one orbit id from the tally (used to ignore the
-    short orbit, which constant rows cover unconditionally).  Early exit past
-    ``stop_above`` mirrors the builders' accept/reject scan.
+    Early exit past ``stop_above`` mirrors the builders' accept/reject scan.
     """
-    chunks = _scan(cells, v, t, *_orbit_classes(structure, t, v), exclude_orbit)
+    chunks = _scan(cells, v, t, *_orbit_classes(structure, t, v))
     return _count_below(chunks, required, stop_above)

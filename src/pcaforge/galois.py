@@ -74,9 +74,9 @@ def _prime_power(v: int) -> tuple[int, int]:
     return pn
 
 
-def is_prime_power(v: int, *, required: bool = False) -> bool:
-    """Whether v = p^n; with ``required=True`` raise NotPrimePower instead."""
-    return (_prime_power(v) if required else _factor_prime_power(v)) is not None
+def is_prime_power(v: int) -> bool:
+    """Whether v = p^n for a prime p and n >= 1."""
+    return _factor_prime_power(v) is not None
 
 
 @dataclass(frozen=True, eq=False)

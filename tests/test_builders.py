@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from pcaforge import construct
 from pcaforge.construct import (
     build_apca_cyclic,
     build_apca_derandomized,
@@ -16,6 +17,7 @@ from pcaforge.construct import (
 )
 from pcaforge.core import PcaParams
 from pcaforge.coverage import naive_oracle
+from pcaforge.errors import IterationCap
 
 CLAIM = re.compile(r"(a?pca)\(t=(\d+), m=(\d+)(?:, epsilon=([0-9.e-]+))?\)")
 
@@ -65,12 +67,22 @@ def test_builder_meets_reported_claims(build, params):
     assert n_claims == (2 if build is build_concat else 1)
 
 
-@pytest.mark.parametrize("build,params", [
+RESTARTING = pytest.mark.parametrize("build,params", [
     (build_apca_randomized, PcaParams(2, 10, 3, 9, 0.05, 0)),
     (build_apca_cyclic, PcaParams(2, 10, 4, 16, 0.05, 0)),
     (build_apca_frobenius, PcaParams(2, 10, 5, 25, 0.05, 7)),
 ], ids=["apca", "cyclic", "frobenius"])
+
+
+@RESTARTING
 def test_restarting_seed_meets_reported_claims(build, params):
     report = build(params)
     assert report.iterations == 2
     assert _check_claims(report, params.t) == 1
+
+
+@RESTARTING
+def test_restarting_seed_hits_restart_cap(monkeypatch, build, params):
+    monkeypatch.setattr(construct, "RESTART_CAP", 1)
+    with pytest.raises(IterationCap, match="hit restart cap 1"):
+        build(params)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcaforge import bounds, coverage
+from pcaforge import bounds, construct, coverage
 from pcaforge.artifact_io import read_array, write_array
 from pcaforge.cli import main
 from pcaforge.core import Array
@@ -117,6 +117,16 @@ class TestGenerateCommand:
                      "--out", str(tmp_path / "x.pca")])
         assert code == 2
         assert "NotPrimePower" in capsys.readouterr().err
+
+    def test_iteration_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # frobenius seed 7 needs a second attempt, which a cap of one forbids
+        monkeypatch.setattr(construct, "RESTART_CAP", 1)
+        out = tmp_path / "x.pca"
+        code = main(["generate", "--alg", "frobenius", "--t", "2", "--k", "10", "--v", "5",
+                     "--epsilon", "0.05", "--seed", "7", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: IterationCap: hit restart cap 1\n"
+        assert not out.exists()
 
     def test_same_seed_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.pca", tmp_path / "b.pca"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcaforge import construct
 from pcaforge.bounds import bound_concat, bound_pca_lll
 from pcaforge.construct import (
     build_apca_cyclic,
@@ -67,15 +68,11 @@ class TestMoserTardos:
             report = build_pca_moser_tardos(PcaParams(t=t, k=k, v=v, m=m, seed=7))
             assert is_pca(report.array, t, m).ok
 
-    def test_iteration_cap_raises(self):
-        # cap of zero: the first defect (if any) must raise, never return bad output
-        try:
-            report = build_pca_moser_tardos(
-                PcaParams(t=2, k=12, v=2, m=4, seed=3), max_resamples=0
-            )
-        except IterationCap:
-            return
-        assert is_pca(report.array, 2, 4).ok  # got lucky: sampled clean
+    def test_iteration_cap_raises(self, monkeypatch):
+        # seed 0 samples one defective t-set, so a cap of zero must raise
+        monkeypatch.setattr(construct, "RESAMPLE_CAP", 0)
+        with pytest.raises(IterationCap, match="hit resample cap 0 at t-set"):
+            build_pca_moser_tardos(PcaParams(t=2, k=12, v=2, m=4, seed=0))
 
 
 class TestApcaRandomized:

@@ -62,6 +62,11 @@ class TestCoverageProfile:
         with pytest.raises(CapacityExceeded):
             coverage_profile(a, 30)
 
+    def test_tset_capacity_guard(self):
+        a = Array(np.zeros((0, 100000), dtype=np.int64), 2)
+        with pytest.raises(CapacityExceeded, match=r"C\(k,t\)"):
+            coverage_profile(a, 3)
+
     def test_counts_within_range(self):
         rng = np.random.default_rng(10)
         for _ in range(30):

@@ -24,7 +24,9 @@ from pcaforge.coverage import (
     naive_oracle,
     orbit_coverage,
 )
-from pcaforge.galois import OrbitStructure, cyclic_action, frobenius_action, orbits
+from pcaforge.galois import (
+    OrbitStructure, constant_rows, cyclic_action, frobenius_action, orbits,
+)
 
 
 # -- reference: the loops the kernel replaced --------------------------------------
@@ -136,10 +138,13 @@ def synthetic_structure(t, v, n_classes, seed):
     return OrbitStructure(t, v, "synthetic", index, reps, lengths, None)
 
 
-STRUCTURES = [
-    pytest.param(lambda: orbits(2, 3, cyclic_action(3)), id="cyclic-t2-v3"),
+FROBENIUS = [
     pytest.param(lambda: orbits(2, 4, frobenius_action(4)), id="frobenius-t2-v4"),
     pytest.param(lambda: orbits(3, 3, frobenius_action(3)), id="frobenius-t3-v3"),
+]
+STRUCTURES = [
+    pytest.param(lambda: orbits(2, 3, cyclic_action(3)), id="cyclic-t2-v3"),
+    *FROBENIUS,
     pytest.param(lambda: synthetic_structure(2, 9, 64, 1), id="synthetic-64-classes"),
     pytest.param(lambda: synthetic_structure(2, 9, 65, 2), id="synthetic-65-classes"),
     pytest.param(lambda: synthetic_structure(1, 70, 70, 3), id="synthetic-t1-70-classes"),
@@ -181,15 +186,31 @@ class TestClassScans:
         structure = make()
         t, v, n = structure.t, structure.v, structure.n_orbits
         for a in arrays(t, v, seed=v + 1):
-            for exclude in (None, 0, n - 1):
-                for required in sorted({1, n - 1, n}):
-                    for stop_above in (None, 0, 3):
-                        kwargs = dict(exclude_orbit=exclude, stop_above=stop_above)
-                        got = count_orbit_defects(a.cells, v, t, structure, required, **kwargs)
-                        want = _ref_count_orbit_defects(
-                            a.cells, v, t, structure, required, **kwargs
-                        )
-                        assert got == want
+            for required in sorted({1, n - 1, n}):
+                for stop_above in (None, 0, 3):
+                    got = count_orbit_defects(
+                        a.cells, v, t, structure, required, stop_above=stop_above
+                    )
+                    want = _ref_count_orbit_defects(
+                        a.cells, v, t, structure, required, stop_above=stop_above
+                    )
+                    assert got == want
+
+    @pytest.mark.parametrize("make", FROBENIUS)
+    def test_constant_rows_stand_in_for_the_short_orbit(self, budget, make):
+        # The affine builders count every orbit on the base with the v constant
+        # rows appended; that verdict is the base's with the short orbit left out.
+        structure = make()
+        t, v, n = structure.t, structure.v, structure.n_orbits
+        for a in arrays(t, v, seed=v + 2):
+            stacked = a.stack(constant_rows(a.cols, v)).cells
+            for stop_above in (None, 0, 3):
+                got = count_orbit_defects(stacked, v, t, structure, n, stop_above=stop_above)
+                want = _ref_count_orbit_defects(
+                    a.cells, v, t, structure, n - 1,
+                    exclude_orbit=structure.short_orbit_id, stop_above=stop_above,
+                )
+                assert got == want
 
 
 # -- generated arrays are the same as before the kernel ------------------------------

@@ -1,5 +1,7 @@
 """Edge and error-path checks that don't fit a single module's test file."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,22 @@ class TestCliEdges:
                      "--v", "2", "--formulas", "eq5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: DomainError: bad values")
+
+    @pytest.mark.parametrize("stop", ["100000000000000", "1" + "0" * 30])
+    def test_compare_huge_range_exit_2(self, capsys, stop):
+        code = main(["compare", "--axis", "k", "--values", f"10:{stop}", "--t", "2",
+                     "--v", "2", "--m", "3", "--formulas", "eq5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: CapacityExceeded: values")
+
+    def test_verify_zero_rows_many_columns_exit_2(self, tmp_path, capsys):
+        # N = 0 passes the reader's size guard; C(100000, 3) t-sets must not be walked
+        path = tmp_path / "wide.pca"
+        path.write_bytes(b"pca-forge v1\n0 100000 2 0\n")
+        start = time.perf_counter()
+        assert main(["verify", "--in", str(path), "--t", "3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: CapacityExceeded: C(k,t)")
 
     def test_compare_vt_beyond_double_range_is_gap_row(self, capsys):
         code = main(["compare", "--axis", "m", "--values", "3", "--t", "2", "--k", "4",

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcaforge.bounds import bound_apca_frobenius
 from pcaforge.core import Array, tuple_rank, tuple_unrank
 from pcaforge.coverage import coverage_profile, orbit_coverage
 from pcaforge.errors import CapacityExceeded, NotPrimePower, OrderTooLarge
@@ -31,9 +32,11 @@ class TestPrimePower:
         for v in range(2, 65):
             assert is_prime_power(v) == (v in PRIME_POWERS_TO_64)
 
-    def test_required_raises(self):
+    def test_checked_callers_raise(self):
         with pytest.raises(NotPrimePower):
-            is_prime_power(12, required=True)
+            field_make(12)
+        with pytest.raises(NotPrimePower):
+            bound_apca_frobenius(2, 12, 0.1)
 
 
 class TestField:
