@@ -3,48 +3,52 @@
 Every builder takes a :class:`~pcaforge.core.PcaParams` and nothing else.
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit seed
 in the parameter bundle, so a fixed seed reproduces the output array and the
-iteration count bit for bit on any platform.  Every builder verifies its own
-output with the coverage predicates before returning, in one shared tail that
-also assembles the :class:`BuildReport`; hitting an iteration cap raises
-instead of returning a partial result.
+iteration count bit for bit on any platform.  Every claim a
+:class:`BuildReport` states was established by one full scan of the rows the
+builder returns: the scan that accepted them, not a second pass afterwards.
+Hitting an iteration cap raises instead of returning a partial result, and a
+build whose output would exceed ``coverage.PROFILE_CAPACITY`` cells raises
+``CapacityExceeded`` before anything is drawn.
 
 The epsilon-almost builders are one Las Vegas restart algorithm: sample a
-uniform array at the row count whose union bound holds for epsilon/2, accept
-it when at most ``floor(epsilon * C(k,t))`` t-sets are defective, otherwise
-draw a fresh one.  At epsilon/2 the expected number of defective t-sets is at
-most half the allowance, so by Markov's inequality one attempt succeeds with
-probability >= 1/2 and the expected number of attempts is at most 2.  One
-private loop runs this for every such builder; attempts count from 1 and the
-failure of attempt :data:`RESTART_CAP` raises ``IterationCap``, as does a
-Moser-Tardos build needing more than :data:`RESAMPLE_CAP` resamples.
+uniform array at the row count whose union bound holds for epsilon/2, turn it
+into the rows the builder returns, accept them when at most
+``floor(epsilon * C(k,t))`` t-sets are defective, otherwise draw afresh.  At
+epsilon/2 the expected number of defective t-sets is at most half the
+allowance, so by Markov's inequality one attempt succeeds with probability
+>= 1/2 and the expected number of attempts is at most 2.  One private loop
+runs this for every such builder; attempts count from 1 and the failure of
+attempt :data:`RESTART_CAP` raises ``IterationCap``, as does a Moser-Tardos
+build needing more than :data:`RESAMPLE_CAP` resamples.
 
 Builders:
 
 * :func:`build_pca_moser_tardos` — start from a uniform random array at the
   local-lemma row count, then repeatedly rescan column t-sets in lexicographic
   order and, at the first t-set covering fewer than m tuples, redraw all N*t
-  entries of those t columns.  (The classic resampling scheme redraws only the
-  violating event's variables; redrawing whole columns is what this variant
-  prescribes.)
+  entries of those t columns; the scan that finds no such t-set is the proof.
+  (The classic resampling scheme redraws only the violating event's
+  variables; redrawing whole columns is what this variant prescribes.)
 * :func:`build_apca_randomized` — the restart loop on whole arrays, sized by
   :func:`pcaforge.bounds.bound_apca` at epsilon/2.
 * :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — the restart loop
-  on a small base array, accepted when enough t-sets cover every orbit, then
-  developed over the group.  The base size is the ``base_rows`` of
+  on a small base array, developed over the group before the accept scan.
+  The base size is the ``base_rows`` of
   :func:`~pcaforge.bounds.bound_apca_cyclic` or
   :func:`~pcaforge.bounds.bound_apca_frobenius` at epsilon/2.  The affine
   group also has the short orbit of constant tuples, which the v constant
-  rows appended after developing cover; the accept test counts orbits on the
-  base with those rows appended.
+  rows appended after developing cover in every t-set.
 * :func:`build_concat` — stack a partial-coverage component on a
-  cyclic-development component and verify both guarantees.
+  cyclic-development component.  Each component's scan proves its claim, and
+  the stack keeps both: m <= m1, and added rows never lower a t-set's count.
 * :func:`build_apca_derandomized` — deterministic rows, each filled cell by
   cell left to right by exact conditional expectation (the density scheme of
   Bryce & Colbourn): a cell takes the symbol that maximizes the expected
   number of (t-set, tuple) pairs the row newly covers with its later cells
   uniformly random, ties going to the smallest symbol.  Rows are added until
   at most ``floor(epsilon * C(k,t))`` t-sets miss a tuple, which happens
-  within the union-bound row count.  Each choice costs O(C(k-1,t-1) v) and
+  within the union-bound row count; one scan of the rows then proves the
+  claim.  Each choice costs O(C(k-1,t-1) v) and
   each row one pass over the C(k,t) x v^t table of missing pairs; sizes whose
   table would exceed ``coverage.PROFILE_CAPACITY`` raise ``CapacityExceeded``
   before allocating.  Supports full coverage targets (m = v^t) only.
@@ -61,14 +65,12 @@ from typing import Callable
 import numpy as np
 
 from . import bounds
-from .coverage import (
-    PROFILE_CAPACITY, count_defects, count_orbit_defects, first_defect, is_apca, is_pca,
-)
+from .coverage import PROFILE_CAPACITY, _allowed, count_defects, first_defect
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, rank_weights, validate,
 )
 from .errors import CapacityExceeded, IterationCap, PcaForgeError
-from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action, orbits
+from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action
 
 # Iteration caps, read at call time: Moser-Tardos resamples per build and
 # restart-loop attempts per build.
@@ -97,25 +99,33 @@ def _pcg64(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _check_cells(n_rows: int, k: int) -> None:
+    if n_rows * k > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"N*k = {n_rows}*{k} exceeds {PROFILE_CAPACITY}")
+
+
 def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
+    _check_cells(n, k)
     return rng.integers(0, v, size=(n, k), dtype=np.int64)
 
 
 def _restart(
     params: PcaParams, rng: np.random.Generator, n_rows: int,
-    count_bad: Callable[[np.ndarray, int], int],
+    make: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, int, int]:
-    """Draw ``n_rows x k`` arrays until ``count_bad(cells, allowed) <= allowed``.
+    """Draw ``n_rows x k`` arrays until ``make`` turns one into rows in which
+    at most ``floor(epsilon * C(k,t))`` t-sets cover fewer than m tuples.
 
-    ``allowed = floor(epsilon * C(k,t))``; ``count_bad`` may stop counting
-    once it passes ``allowed``.  Returns the accepted cells, the attempt count
-    (from 1) and ``allowed``.
+    That count of the returned rows proves their apca claim.  Returns the
+    rows, the attempt count (from 1) and their exact defective t-set count.
     """
-    allowed = math.floor(params.epsilon * math.comb(params.k, params.t))
+    t, k, v, m = params.t, params.k, params.v, params.m
+    allowed = _allowed(params.epsilon, k, t)
     for attempt in range(1, RESTART_CAP + 1):
-        cells = _sample(rng, n_rows, params.k, params.v)
-        if count_bad(cells, allowed) <= allowed:
-            return cells, attempt, allowed
+        cells = make(_sample(rng, n_rows, k, v))
+        defective = count_defects(cells, v, t, m, stop_above=allowed)
+        if defective <= allowed:
+            return cells, attempt, defective
     raise IterationCap(f"hit restart cap {RESTART_CAP}")
 
 
@@ -123,30 +133,18 @@ def _verified(
     params: PcaParams, array: Array, bound: BoundResult, start: float, iterations: int, *,
     pca_m: int | None = None, apca_m: int | None = None, detail: dict | None = None,
 ) -> BuildReport:
-    """Check ``array`` against the builder's claims and wrap it in a report.
+    """Wrap ``array`` in a report stating the claims its builder has proved.
 
     ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
-    but ``floor(epsilon * C(k,t))`` do; a build with the apca claim alone also
-    reports its defective t-set count.  Raises if a claim fails.
+    but ``floor(epsilon * C(k,t))`` do.
     """
     t, epsilon = params.t, params.epsilon
-    detail = dict(detail or {})
-    claims, ok = [], True
-    if pca_m is not None:
-        claims.append(f"pca(t={t}, m={pca_m})")
-        ok = is_pca(array, t, pca_m).ok
+    claims = [] if pca_m is None else [f"pca(t={t}, m={pca_m})"]
     if apca_m is not None:
         claims.append(f"apca(t={t}, m={apca_m}, epsilon={epsilon})")
-        check = is_apca(array, t, apca_m, epsilon)
-        ok = ok and check.ok
-        if pca_m is None:
-            detail["defective_tsets"] = len(check.defects)
-    verifier = " + ".join(claims)
-    if not ok:
-        raise PcaForgeError(f"internal: unverified output for {verifier}")
     return BuildReport(
         array=array, iterations=iterations, rng_seed=params.seed, bound_used=bound,
-        elapsed=time.perf_counter() - start, verifier=verifier, detail=detail,
+        elapsed=time.perf_counter() - start, verifier=" + ".join(claims), detail=detail or {},
     )
 
 
@@ -191,52 +189,47 @@ def build_apca_randomized(params: PcaParams) -> BuildReport:
     start = time.perf_counter()
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
     bound = bounds.bound_apca(t, v, m, epsilon)
-    cells, attempts, allowed = _restart(
-        params, _pcg64(params.seed), n_rows,
-        lambda cells, allowed: count_defects(cells, v, t, m, stop_above=allowed),
-    )
-    return _verified(
-        params, Array(cells, v), bound, start, attempts, apca_m=m, detail={"allowed": allowed}
-    )
+    cells, attempts, defective = _restart(params, _pcg64(params.seed), n_rows, lambda c: c)
+    detail = {"allowed": _allowed(epsilon, params.k, t), "defective_tsets": defective}
+    return _verified(params, Array(cells, v), bound, start, attempts, apca_m=m, detail=detail)
 
 
 def _build_developed(
     params: PcaParams, action: GroupAction, bound_fn: Callable[[int, int, float], BoundResult],
     rng: np.random.Generator,
 ) -> BuildReport:
-    """Restart on base arrays until enough t-sets cover every orbit of
-    ``action``, then develop over the group.
+    """Restart on base arrays until their development over ``action`` covers
+    all v^t tuples in enough t-sets.
 
-    The base size is ``bound_fn`` at epsilon/2.  The affine group also has a
-    short orbit, its constant tuples, which the v constant rows appended after
-    developing cover in every t-set; the accept test counts orbits on the base
-    with those rows appended.
+    ``bound_fn`` at epsilon/2 gives the base size and the developed row
+    count, which is checked against the cell cap before the first draw.  The
+    affine group also has a short orbit, its constant tuples, which the v
+    constant rows appended after developing cover in every t-set.  A developed
+    t-set covers all tuples exactly when the base with those rows covers every
+    orbit, so the accept scan of the developed rows decides as an orbit count
+    on the base would.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
-    structure = orbits(t, v, action)
-    n_base = bound_fn(t, v, epsilon / 2).detail["base_rows"]
-    bound = bound_fn(t, v, epsilon)
-    tail = constant_rows(k, v).cells[: v if structure.short_orbit_id is not None else 0]
-    base, attempts, _ = _restart(
+    half = bound_fn(t, v, epsilon / 2)
+    _check_cells(half.n_rows, k)
+    n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
+    tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
+    cells, attempts, defective = _restart(
         params, rng, n_base,
-        lambda cells, allowed: count_orbit_defects(
-            np.vstack((cells, tail)), v, t, structure, structure.n_orbits, stop_above=allowed
-        ),
+        lambda base: np.vstack((develop(Array(base, v), action).cells, tail)),
     )
-    array = develop(Array(base, v), action).stack(Array(tail, v))
-    return _verified(
-        params, array, bound, start, attempts, apca_m=v**t, detail={"base_rows": n_base}
-    )
+    detail = {"base_rows": n_base, "defective_tsets": defective}
+    return _verified(params, Array(cells, v), bound, start, attempts, apca_m=v**t, detail=detail)
 
 
 def build_apca_cyclic(params: PcaParams) -> BuildReport:
     """Cyclic-development builder for epsilon-almost full coverage (m = v^t).
 
-    Samples base arrays until all but ``floor(epsilon * C(k,t))`` t-sets cover
-    every orbit, then develops over the cyclic group.  The base row count uses
-    the halved-epsilon inequality so each sample succeeds with probability
-    >= 1/2.
+    Samples base arrays and develops each over the cyclic group until all but
+    ``floor(epsilon * C(k,t))`` t-sets of the developed array cover every
+    tuple.  The base row count uses the halved-epsilon inequality so each
+    sample succeeds with probability >= 1/2.
     """
     params = _full_coverage(params, "cyclic development targets m = v^t")
     return _build_developed(
@@ -260,12 +253,14 @@ def build_concat(params: PcaParams) -> BuildReport:
 
     The output satisfies both guarantees: every t-set covers at least m
     tuples, and all but an epsilon fraction of t-sets cover all v^t tuples.
-    The components draw from independent streams spawned from the bundle seed.
+    Each holds for one component already, and stacking keeps it.  The
+    components draw from independent streams spawned from the bundle seed.
     """
     params = validate(params)
     t, k, v, m, epsilon = params.t, params.k, params.v, params.m, params.epsilon
     start = time.perf_counter()
     bound = bounds.bound_concat(t, k, v, m, epsilon)
+    _check_cells(bound.n_rows, k)
     m1 = bound.detail["m1"]
     seq1, seq2 = np.random.SeedSequence(params.seed).spawn(2)
     part1 = _moser_tardos(PcaParams(t, k, v, m1, 0.0, params.seed), _pcg64(seq1))
@@ -356,9 +351,11 @@ def build_apca_derandomized(params: PcaParams) -> BuildReport:
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
     bound = bounds.bound_apca(t, v, v**t, epsilon)
-    allowed = math.floor(epsilon * math.comb(k, t))
+    allowed = _allowed(epsilon, k, t)
     cells, trace = derandomize_rows(t, k, v, allowed, bound.n_rows)
-    return _verified(
-        params, Array(cells, v), bound, start, 0, apca_m=v**t,
-        detail={"missing_trace": trace},
-    )
+    # the stop rule read the table of missing pairs; the kernel proves the claim
+    defective = count_defects(cells, v, t, v**t)
+    if defective > allowed:
+        raise PcaForgeError(f"internal: {defective} t-sets short, {allowed} allowed")
+    detail = {"missing_trace": trace, "defective_tsets": defective}
+    return _verified(params, Array(cells, v), bound, start, 0, apca_m=v**t, detail=detail)

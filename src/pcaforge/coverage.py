@@ -85,7 +85,7 @@ class CoverageProfile:
     def allowed(self, epsilon: float) -> int:
         """Defective t-sets an epsilon-almost array may have."""
         _check_fraction(epsilon)
-        return math.floor(epsilon * math.comb(self.k, self.t))
+        return _allowed(epsilon, self.k, self.t)
 
     def completeness(self, q: float) -> float:
         """The :func:`completeness` fraction."""
@@ -221,6 +221,11 @@ def is_pca(a: Array, t: int, m: int) -> PcaCheck:
     return PcaCheck(ok=defect is None, witness=defect)
 
 
+def _allowed(epsilon: float, k: int, t: int) -> int:
+    """``floor(epsilon * C(k,t))``: the defective t-sets epsilon allows."""
+    return math.floor(epsilon * math.comb(k, t))
+
+
 def is_apca(a: Array, t: int, m: int, epsilon: float) -> ApcaCheck:
     """Do all but ``floor(epsilon * C(k,t))`` t-sets cover at least m tuples?
 
@@ -240,15 +245,6 @@ def completeness(a: Array, q: float, t: int) -> float:
     return coverage_profile(a, t).completeness(q)
 
 
-def _orbit_classes(structure: OrbitStructure, t: int, v: int) -> tuple[np.ndarray, int]:
-    """The structure's class map and class count, once it is checked to fit (t, v)."""
-    if (structure.t, structure.v) != (t, v):
-        raise StructureMismatch(
-            f"orbit structure for t={structure.t}, v={structure.v} used with t={t}, v={v}"
-        )
-    return structure.orbit_index, structure.n_orbits
-
-
 def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
     """Covered-orbit count per t-set for an undeveloped base array.
 
@@ -257,22 +253,9 @@ def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
     its members, so the developed distinct-tuple count per t-set equals the
     sum of covered orbit lengths.
     """
-    chunks = _scan(a.cells, a.v, t, *_orbit_classes(structure, t, a.v))
+    if (structure.t, structure.v) != (t, a.v):
+        raise StructureMismatch(
+            f"orbit structure for t={structure.t}, v={structure.v} used with t={t}, v={a.v}"
+        )
+    chunks = _scan(a.cells, a.v, t, structure.orbit_index, structure.n_orbits)
     return np.concatenate([c for _, _, c in chunks])
-
-
-def count_orbit_defects(
-    cells: np.ndarray,
-    v: int,
-    t: int,
-    structure: OrbitStructure,
-    required: int,
-    *,
-    stop_above: int | None = None,
-) -> int:
-    """t-sets whose projection covers fewer than ``required`` orbits.
-
-    Early exit past ``stop_above`` mirrors the builders' accept/reject scan.
-    """
-    chunks = _scan(cells, v, t, *_orbit_classes(structure, t, v))
-    return _count_below(chunks, required, stop_above)

@@ -1,12 +1,14 @@
 """Every builder's output checked by the independent oracle against the claim
-its report states, on a small grid that includes seeds needing a restart."""
+its report states, on a small grid that includes seeds needing a restart, and
+each claim proved by one kernel scan of the rows the builder returns."""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
-from pcaforge import construct
+from pcaforge import construct, coverage
 from pcaforge.construct import (
     build_apca_cyclic,
     build_apca_derandomized,
@@ -86,3 +88,43 @@ def test_restarting_seed_hits_restart_cap(monkeypatch, build, params):
     monkeypatch.setattr(construct, "RESTART_CAP", 1)
     with pytest.raises(IterationCap, match="hit restart cap 1"):
         build(params)
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_pca_moser_tardos, PcaParams(2, 8, 3, 9, 0.0, 0)),
+    (build_pca_moser_tardos, PcaParams(2, 8, 2, 4, 0.0, 0)),  # 2 resamples
+    (build_apca_randomized, PcaParams(2, 7, 3, 8, 0.1, 0)),
+    (build_apca_randomized, PcaParams(2, 10, 3, 9, 0.05, 0)),  # restarts
+    (build_apca_cyclic, PcaParams(2, 7, 3, 9, 0.1, 0)),
+    (build_apca_cyclic, PcaParams(2, 10, 4, 16, 0.05, 0)),  # restarts
+    (build_apca_frobenius, PcaParams(2, 7, 4, 16, 0.1, 0)),
+    (build_apca_frobenius, PcaParams(2, 10, 5, 25, 0.05, 7)),  # restarts
+    (build_apca_derandomized, PcaParams(2, 10, 3, 9, 0.5, 0)),
+    (build_concat, PcaParams(2, 8, 3, 8, 0.1, 2)),  # component 1 resamples twice
+], ids=["mt", "mt-resampling", "apca", "apca-restarting", "cyclic", "cyclic-restarting",
+        "frobenius", "frobenius-restarting", "derand", "concat"])
+def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
+    scanned = []
+    scan = coverage._scan
+
+    def recording_scan(cells, *args, **kwargs):
+        scanned.append(np.array(cells))  # a copy: resampling redraws cells in place
+        return scan(cells, *args, **kwargs)
+
+    monkeypatch.setattr(coverage, "_scan", recording_scan)
+    report = build(params)
+    cells = report.array.cells
+    if build is build_concat:
+        mt_scans = report.detail["component_iterations"][0] + 1
+        rows = report.detail["component_rows"][0]
+        assert len(scanned) == sum(report.detail["component_iterations"]) + 1
+        np.testing.assert_array_equal(scanned[mt_scans - 1], cells[:rows])
+        np.testing.assert_array_equal(scanned[-1], cells[rows:])
+        return
+    if build is build_pca_moser_tardos:
+        assert len(scanned) == report.iterations + 1
+    elif build is build_apca_derandomized:
+        assert len(scanned) == 1
+    else:
+        assert len(scanned) == report.iterations
+    np.testing.assert_array_equal(scanned[-1], cells)

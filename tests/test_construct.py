@@ -26,6 +26,7 @@ from pcaforge.errors import (
     KTooSmallForLLL,
     MNotFull,
     NotPrimePower,
+    PcaForgeError,
 )
 
 
@@ -208,6 +209,15 @@ class TestDerandomized:
         missing = sum(4 - int(c) for c in coverage_profile(report.array, 2).counts)
         assert trace[-1] == missing
 
+    def test_rows_failing_the_scan_raise(self, monkeypatch):
+        # the stop rule reads derandomize_rows' own table; the kernel has the last word
+        def one_constant_row(t, k, v, allowed, max_rows):
+            return np.zeros((1, k), dtype=np.int64), [0]
+
+        monkeypatch.setattr(construct, "derandomize_rows", one_constant_row)
+        with pytest.raises(PcaForgeError, match="internal: 10 t-sets short, 5 allowed"):
+            build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=4, epsilon=0.5))
+
     def test_m_not_full(self):
         with pytest.raises(MNotFull):
             build_apca_derandomized(PcaParams(t=2, k=5, v=2, m=3, epsilon=0.5))
@@ -248,6 +258,25 @@ class TestCapacityGuard:
         try:
             with pytest.raises(CapacityExceeded):
                 build(PcaParams(t=2, k=4, v=200000, m=2, epsilon=epsilon))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("build,params", [
+        (build_pca_moser_tardos, PcaParams(t=2, k=4, v=3000, m=9_000_000)),
+        (build_apca_randomized, PcaParams(t=2, k=4, v=3000, m=9_000_000, epsilon=0.5)),
+        (build_apca_cyclic, PcaParams(t=4, k=6, v=64, m=64**4, epsilon=0.05)),
+        (build_concat, PcaParams(t=3, k=10, v=60, m=2, epsilon=0.01)),
+    ], ids=["mt", "apca", "cyclic", "concat"])
+    def test_oversize_output_refused_before_allocating(self, build, params):
+        # v^t fits the scan guard, but N*k does not: the mt array alone is
+        # 171,829,581 x 4 cells, the cyclic one 271,212,096 developed x 6;
+        # each concat component fits, their 6,841,486 x 10 stack does not
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match=r"N\*k"):
+                build(params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

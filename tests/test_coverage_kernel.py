@@ -18,14 +18,13 @@ from pcaforge.cli import main
 from pcaforge.core import Array, rank_weights
 from pcaforge.coverage import (
     count_defects,
-    count_orbit_defects,
     coverage_profile,
     first_defect,
     naive_oracle,
     orbit_coverage,
 )
 from pcaforge.galois import (
-    OrbitStructure, constant_rows, cyclic_action, frobenius_action, orbits,
+    OrbitStructure, constant_rows, cyclic_action, develop, frobenius_action, orbits,
 )
 
 
@@ -85,9 +84,7 @@ def _ref_orbit_coverage(a, t, structure):
     return counts
 
 
-def _ref_count_orbit_defects(
-    cells, v, t, structure, required, *, exclude_orbit=None, stop_above=None
-):
+def _ref_count_orbit_defects(cells, v, t, structure, required, *, stop_above=None):
     weights = rank_weights(t, v)
     present = np.zeros(structure.n_orbits, dtype=bool)
     defects = 0
@@ -95,8 +92,6 @@ def _ref_count_orbit_defects(
         oids = structure.orbit_index[cells[:, tset] @ weights]
         present[oids] = True
         covered = int(np.count_nonzero(present))
-        if exclude_orbit is not None and present[exclude_orbit]:
-            covered -= 1
         present[oids] = False
         if covered < required:
             defects += 1
@@ -138,13 +133,10 @@ def synthetic_structure(t, v, n_classes, seed):
     return OrbitStructure(t, v, "synthetic", index, reps, lengths, None)
 
 
-FROBENIUS = [
-    pytest.param(lambda: orbits(2, 4, frobenius_action(4)), id="frobenius-t2-v4"),
-    pytest.param(lambda: orbits(3, 3, frobenius_action(3)), id="frobenius-t3-v3"),
-]
 STRUCTURES = [
     pytest.param(lambda: orbits(2, 3, cyclic_action(3)), id="cyclic-t2-v3"),
-    *FROBENIUS,
+    pytest.param(lambda: orbits(2, 4, frobenius_action(4)), id="frobenius-t2-v4"),
+    pytest.param(lambda: orbits(3, 3, frobenius_action(3)), id="frobenius-t3-v3"),
     pytest.param(lambda: synthetic_structure(2, 9, 64, 1), id="synthetic-64-classes"),
     pytest.param(lambda: synthetic_structure(2, 9, 65, 2), id="synthetic-65-classes"),
     pytest.param(lambda: synthetic_structure(1, 70, 70, 3), id="synthetic-t1-70-classes"),
@@ -181,35 +173,27 @@ class TestClassScans:
                 orbit_coverage(a, t, structure), _ref_orbit_coverage(a, t, structure)
             )
 
-    @pytest.mark.parametrize("make", STRUCTURES)
-    def test_orbit_defects_match_reference(self, budget, make):
-        structure = make()
-        t, v, n = structure.t, structure.v, structure.n_orbits
+    @pytest.mark.parametrize("t,v,make_action", [
+        pytest.param(2, 3, cyclic_action, id="cyclic-t2-v3"),
+        pytest.param(2, 4, frobenius_action, id="frobenius-t2-v4"),
+        pytest.param(3, 3, frobenius_action, id="frobenius-t3-v3"),
+    ])
+    def test_developed_scan_matches_orbit_count_on_base(self, budget, t, v, make_action):
+        # The developed builders accept on the tuple count of the rows they
+        # return.  Counting every orbit on the base, with the v constant rows
+        # appended for the affine group, must give the same count, so both
+        # accept tests take the same draws.
+        action = make_action(v)
+        structure = orbits(t, v, action)
         for a in arrays(t, v, seed=v + 1):
-            for required in sorted({1, n - 1, n}):
-                for stop_above in (None, 0, 3):
-                    got = count_orbit_defects(
-                        a.cells, v, t, structure, required, stop_above=stop_above
-                    )
-                    want = _ref_count_orbit_defects(
-                        a.cells, v, t, structure, required, stop_above=stop_above
-                    )
-                    assert got == want
-
-    @pytest.mark.parametrize("make", FROBENIUS)
-    def test_constant_rows_stand_in_for_the_short_orbit(self, budget, make):
-        # The affine builders count every orbit on the base with the v constant
-        # rows appended; that verdict is the base's with the short orbit left out.
-        structure = make()
-        t, v, n = structure.t, structure.v, structure.n_orbits
-        for a in arrays(t, v, seed=v + 2):
-            stacked = a.stack(constant_rows(a.cols, v)).cells
+            tail = constant_rows(a.cols, v).cells[: v if action.kind == "frobenius" else 0]
+            base = np.vstack((a.cells, tail))
+            developed = np.vstack((develop(a, action).cells, tail))
             for stop_above in (None, 0, 3):
-                got = count_orbit_defects(stacked, v, t, structure, n, stop_above=stop_above)
                 want = _ref_count_orbit_defects(
-                    a.cells, v, t, structure, n - 1,
-                    exclude_orbit=structure.short_orbit_id, stop_above=stop_above,
+                    base, v, t, structure, structure.n_orbits, stop_above=stop_above
                 )
+                got = count_defects(developed, v, t, v**t, stop_above=stop_above)
                 assert got == want
 
 

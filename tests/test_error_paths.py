@@ -9,7 +9,7 @@ from pcaforge.artifact_io import read_array, write_array
 from pcaforge.bounds import FORMULAS, bound_apca, bound_apca_cyclic, evaluate_formula, sweep
 from pcaforge.cli import main
 from pcaforge.core import Array
-from pcaforge.coverage import completeness, count_orbit_defects, naive_oracle, orbit_coverage
+from pcaforge.coverage import completeness, naive_oracle, orbit_coverage
 from pcaforge.errors import (
     DimensionMismatch,
     DomainError,
@@ -136,13 +136,6 @@ class TestCoverageEdges:
         with pytest.raises(PcaForgeError):
             orbit_coverage(constant_rows(4, v), t, orbits(2, 2, cyclic_action(2)))
 
-    @pytest.mark.parametrize("t,v", [(2, 3), (3, 2)])
-    def test_orbit_defects_rejects_mismatched_structure(self, t, v):
-        # the v=3 case used to index past the v=2 structure's orbit table
-        cells = np.full((2, 4), v - 1, dtype=np.int64)
-        with pytest.raises(PcaForgeError):
-            count_orbit_defects(cells, v, t, orbits(2, 2, cyclic_action(2)), 1)
-
 
 class TestArtifactIoEdges:
     def test_write_bad_base(self, tmp_path):
@@ -217,6 +210,19 @@ class TestCliEdges:
         code = main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
                      "--m", "4", "--seed", "-3", "--out", str(tmp_path / "x.pca")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--alg", "mt", "--t", "2", "--k", "4", "--v", "3000", "--m", "9000000"],
+        ["--alg", "apca", "--t", "2", "--k", "4", "--v", "3000", "--m", "9000000",
+         "--epsilon", "0.5"],
+        ["--alg", "cyclic", "--t", "4", "--k", "6", "--v", "64", "--epsilon", "0.05"],
+    ], ids=["mt", "apca", "cyclic"])
+    def test_generate_oversize_exit_2(self, tmp_path, capsys, flags):
+        # each output would hold more than PROFILE_CAPACITY cells
+        out = tmp_path / "o.pca"
+        assert main(["generate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: CapacityExceeded: N*k")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--m", "3", "--epsilon", "1.5"],
