@@ -13,6 +13,16 @@ optional ``claims t=.. m=.. epsilon=..`` line may sit between the count line
 and the body to record what the array is supposed to satisfy; nothing checks
 the claims on load.
 
+A body is *canonical* when it has N >= 1 rows of k >= 1 symbols, each token
+is one ASCII digit, tokens are separated by single spaces and every row ends
+with LF: exactly N*2k bytes.  The writer produces canonical bodies whenever
+every symbol it prints is below 10 (v <= 10 in base 0, v <= 9 in base 1).
+:func:`read_array` reads a canonical body as one N x 2k byte grid, with
+vectorized checks of its separators and digit range; every other body is
+parsed row by row with ``int()``.  Both paths accept the same files with
+the same cells and raise the same errors.  The writer looks every cell up
+in a per-symbol byte table instead of formatting it on its own.
+
 CSV outputs are deterministic: same input, same bytes.  Real values print
 with 6 significant digits.  OS-level failures raise the builtin ``OSError``.
 """
@@ -27,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundSweep, lookup_formula
 from .construct import BuildReport
-from .core import WIDE_INT_MAX, Array, PcaParams
+from .core import WIDE_INT_MAX, Array, PcaParams, _check_v
 from .coverage import Defect
 from .errors import DimensionMismatch, DomainError, ParseError, SymbolOutOfRange
 
@@ -53,6 +63,37 @@ def _format_claims(claims: dict) -> str:
     return "claims " + " ".join(parts)
 
 
+def _body_bytes(cells: np.ndarray, v: int, base: int) -> np.ndarray:
+    """The body of an array file as a uint8 array.
+
+    Each cell is looked up in a table holding every symbol's decimal token
+    (shifted by ``base``), left-padded with zero bytes to a common width and
+    followed by a space; the last column's space becomes an LF and the
+    padding is dropped.  The table is indexed by symbol when v <= N*k and
+    otherwise by the cell's rank among the distinct symbols, so it never has
+    more than N*k entries.
+    """
+    n, k = cells.shape
+    if n * k == 0:
+        return np.full(n, ord("\n"), dtype=np.uint8)
+    if v <= n * k:
+        symbols, index = np.arange(v), cells
+    else:
+        symbols, inverse = np.unique(cells, return_inverse=True)
+        index = inverse.reshape(n, k)
+    rest = symbols + base
+    table = np.zeros((len(rest), len(str(int(rest[-1]))) + 1), dtype=np.uint8)
+    table[:, -1] = ord(" ")
+    units = table.shape[1] - 2
+    for place in range(units, -1, -1):
+        shown = (rest > 0) | (place == units)  # left of the first digit: padding
+        rest, digit = np.divmod(rest, 10)
+        table[:, place] = np.where(shown, digit + ord("0"), 0)
+    body = table[index]
+    body[:, -1, -1] = ord("\n")
+    return body[body != 0]
+
+
 def write_array(
     a: Array, path: str | Path, *, base: int = 0, claims: dict | None = None
 ) -> None:
@@ -62,8 +103,9 @@ def write_array(
     lines = [MAGIC, f"{a.rows} {a.cols} {a.v} {base}"]
     if claims:
         lines.append(_format_claims(claims))
-    lines.extend(" ".join(map(str, row.tolist())) for row in a.cells + base)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    with open(path, "wb") as out:
+        out.write(("\n".join(lines) + "\n").encode("ascii"))
+        out.write(_body_bytes(a.cells, a.v, base))
 
 
 def _parse_claims(text: str, lineno: int) -> dict:
@@ -79,27 +121,9 @@ def _parse_claims(text: str, lineno: int) -> dict:
     return claims
 
 
-def _row_fault(line: str, lineno: int, lo: int, hi: int) -> Exception:
-    """The error for a row of the declared width that is known to be bad: its
-    first non-integer token, else its first symbol outside [lo, hi]."""
-    try:
-        values = [int(p) for p in line.split()]
-    except ValueError:
-        return ParseError(lineno, f"non-integer symbol in {line!r}")
-    value = next(x for x in values if not lo <= x <= hi)
-    return SymbolOutOfRange(f"line {lineno}: symbol {value} outside [{lo}, {hi}]")
-
-
-def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
-    """Parse and validate an array file; base-1 content is normalized to base 0."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "non-ASCII byte") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+def _parse_header(lines: list[str]) -> ArrayFileHeader:
+    """The header from a file's lines: the magic line, the count line and, if
+    the third line starts with ``claims``, the claims line."""
     if not lines or lines[0] != MAGIC:
         raise ParseError(1, f"expected magic line {MAGIC!r}")
     if len(lines) < 2:
@@ -115,11 +139,68 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
         raise ParseError(2, f"base must be 0 or 1, got {base}")
     if v > WIDE_INT_MAX:  # symbols up to v - 1 must fit the int64 cells
         raise ParseError(2, f"v={v} exceeds the 64-bit range")
-    body_start = 2
     claims = None
     if len(lines) > 2 and lines[2].startswith("claims"):
         claims = _parse_claims(lines[2], 3)
-        body_start = 3
+    return ArrayFileHeader(rows=n, cols=k, v=v, base=base, claims=claims)
+
+
+def _canonical_cells(data: bytes) -> tuple[np.ndarray, ArrayFileHeader] | None:
+    """The 0-based cells and header of a valid file with a canonical body, or
+    None for any other file.
+
+    The body is taken as an N x 2k byte grid: digit, space, ..., digit, LF.
+    It is accepted only when :func:`_parsed_cells` would accept it too, with
+    the same cells, so the caller can fall back to that parser for every
+    file this returns None for.
+    """
+    end = data.find(b"\n", data.find(b"\n") + 1) + 1  # past the count line
+    if end and data.startswith(b"claims", end):
+        end = data.find(b"\n", end) + 1
+    if not end:
+        return None
+    try:
+        header = _parse_header(data[:end].decode("ascii").split("\n")[:-1])
+    except (UnicodeDecodeError, ParseError):
+        return None
+    n, k = header.rows, header.cols
+    if n < 1 or k < 1 or len(data) - end != 2 * n * k:
+        return None
+    grid = np.frombuffer(data, dtype=np.uint8, offset=end).reshape(n, 2 * k)
+    if not ((grid[:, 1:-1:2] == ord(" ")).all() and (grid[:, -1] == ord("\n")).all()):
+        return None
+    lo, hi = header.base, header.v - 1 + header.base
+    digits = grid[:, ::2]
+    if not ord("0") + lo <= digits.min() <= digits.max() <= ord("0") + min(hi, 9):
+        return None
+    cells = digits.astype(np.int64)
+    cells -= ord("0") + header.base
+    return cells, header
+
+
+def _row_fault(line: str, lineno: int, lo: int, hi: int) -> Exception:
+    """The error for a row of the declared width that is known to be bad: its
+    first non-integer token, else its first symbol outside [lo, hi]."""
+    try:
+        values = [int(p) for p in line.split()]
+    except ValueError:
+        return ParseError(lineno, f"non-integer symbol in {line!r}")
+    value = next(x for x in values if not lo <= x <= hi)
+    return SymbolOutOfRange(f"line {lineno}: symbol {value} outside [{lo}, {hi}]")
+
+
+def _parsed_cells(data: bytes) -> tuple[np.ndarray, ArrayFileHeader]:
+    """The 0-based cells and header of any file, parsed row by row."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "non-ASCII byte") from None
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    header = _parse_header(lines)
+    n, k = header.rows, header.cols
+    body_start = 2 if header.claims is None else 3
     body = lines[body_start:]
     if len(body) != n:
         raise DimensionMismatch(f"declared {n} rows, file has {len(body)}")
@@ -129,7 +210,7 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
         cells = np.zeros((n, k), dtype=np.int64)
     except ValueError:  # a negative or unrepresentable column count
         raise ParseError(2, f"no array has {n} rows and {k} columns") from None
-    lo, hi = (1, v) if base == 1 else (0, v - 1)
+    lo, hi = header.base, header.v - 1 + header.base
     for lineno, (row, line) in enumerate(zip(cells, body), body_start + 1):
         parts = line.split()
         if len(parts) != k:
@@ -141,8 +222,16 @@ def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
     bad = np.flatnonzero(((cells < lo) | (cells > hi)).any(axis=1))
     if bad.size:
         raise _row_fault(body[bad[0]], body_start + bad[0] + 1, lo, hi)
-    cells -= base
-    return Array(cells, v), ArrayFileHeader(rows=n, cols=k, v=v, base=base, claims=claims)
+    cells -= header.base
+    return cells, header
+
+
+def read_array(path: str | Path) -> tuple[Array, ArrayFileHeader]:
+    """Parse and validate an array file; base-1 content is normalized to base 0."""
+    data = Path(path).read_bytes()
+    cells, header = _canonical_cells(data) or _parsed_cells(data)
+    _check_v(header.v)
+    return Array._wrap(cells, header.v), header
 
 
 def _fmt_real(x: float) -> str:

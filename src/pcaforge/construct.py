@@ -70,7 +70,7 @@ from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, rank_weights, validate,
 )
 from .errors import CapacityExceeded, IterationCap, PcaForgeError
-from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action
+from .galois import GroupAction, _develop_into, constant_rows, cyclic_action, frobenius_action
 
 # Iteration caps, read at call time: Moser-Tardos resamples per build and
 # restart-loop attempts per build.
@@ -207,7 +207,8 @@ def _build_developed(
     constant rows appended after developing cover in every t-set.  A developed
     t-set covers all tuples exactly when the base with those rows covers every
     orbit, so the accept scan of the developed rows decides as an orbit count
-    on the base would.
+    on the base would.  Every draw is developed into one buffer whose last
+    rows hold those constant rows, and the accepted buffer is returned as is.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     start = time.perf_counter()
@@ -215,12 +216,15 @@ def _build_developed(
     _check_cells(half.n_rows, k)
     n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
     tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
+    rows = np.empty((n_base * action.order + len(tail), k), dtype=np.int64)
+    rows[n_base * action.order:] = tail
     cells, attempts, defective = _restart(
-        params, rng, n_base,
-        lambda base: np.vstack((develop(Array(base, v), action).cells, tail)),
+        params, rng, n_base, lambda base: _develop_into(base, action.perms, rows)
     )
     detail = {"base_rows": n_base, "defective_tsets": defective}
-    return _verified(params, Array(cells, v), bound, start, attempts, apca_m=v**t, detail=detail)
+    return _verified(
+        params, Array._wrap(cells, v), bound, start, attempts, apca_m=v**t, detail=detail
+    )
 
 
 def build_apca_cyclic(params: PcaParams) -> BuildReport:

@@ -117,8 +117,9 @@ def validate(params: PcaParams) -> PcaParams:
 
 
 def _as_cells(cells: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    """The cells as a 2-D int64 grid.  Every cell must be an integer (a float
-    only when integral) within the 64-bit range."""
+    """The cells as a new 2-D int64 grid, converted and copied in one step.
+    Every cell must be an integer (a float only when integral) within the
+    64-bit range."""
     try:
         arr = np.asarray(cells)
     except ValueError:  # ragged rows
@@ -142,15 +143,15 @@ def _as_cells(cells: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
         raise DomainError(f"cells must be integers, got {arr.dtype}")
     if len(big):
         raise SymbolOutOfRange(f"symbol {int(big[0])} beyond the 64-bit range")
-    return arr.astype(np.int64, copy=False)
+    return np.array(arr, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class Array:
     """An N x k symbol grid over ``{0, ..., v-1}``.
 
-    The cell matrix is made read-only on construction; operations that
-    change contents return new arrays.
+    The cell matrix is a private copy, made read-only on construction;
+    operations that change contents return new arrays.
     """
 
     cells: np.ndarray
@@ -162,10 +163,20 @@ class Array:
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             bad = arr[(arr < 0) | (arr >= v)].flat[0]
             raise SymbolOutOfRange(f"symbol {int(bad)} outside [0, {v})")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
         object.__setattr__(self, "v", v)
+
+    @classmethod
+    def _wrap(cls, cells: np.ndarray, v: int) -> "Array":
+        """The trusted constructor: an array over ``cells``, an int64 grid with
+        every symbol in [0, v) that no one else holds.  The grid is made
+        read-only, neither copied nor scanned."""
+        cells.setflags(write=False)
+        array = object.__new__(cls)
+        object.__setattr__(array, "cells", cells)
+        object.__setattr__(array, "v", v)
+        return array
 
     @property
     def rows(self) -> int:
@@ -191,7 +202,7 @@ class Array:
         """Vertical concatenation; both arrays must share cols and v."""
         if self.v != other.v or self.cols != other.cols:
             raise DimensionMismatch("stacked arrays must share column count and alphabet")
-        return Array(np.vstack([self.cells, other.cells]), self.v)
+        return Array._wrap(np.vstack([self.cells, other.cells]), self.v)
 
 
 @dataclass(frozen=True)
@@ -250,4 +261,4 @@ def project(a: Array, columns: Sequence[int]) -> Array:
             raise ColumnOutOfRange(f"column {c} outside [0, {a.cols})")
     if any(b <= a_ for a_, b in zip(cols, cols[1:])):
         raise UnsortedColumnSet(f"columns {cols} not strictly increasing")
-    return Array(a.cells[:, cols], a.v)
+    return Array._wrap(a.cells.take(cols, axis=1), a.v)

@@ -233,13 +233,21 @@ def develop(a: Array, action: GroupAction) -> Array:
     """
     if action.v != a.v:
         raise StructureMismatch(f"action is over v={action.v}, array over v={a.v}")
-    stacked = action.perms[:, a.cells]          # (g, N, k)
-    out = stacked.transpose(1, 0, 2).reshape(-1, a.cols)
-    return Array(out, a.v)
+    out = np.empty((a.rows * action.order, a.cols), dtype=np.int64)
+    return Array._wrap(_develop_into(a.cells, action.perms, out), a.v)
+
+
+def _develop_into(cells: np.ndarray, perms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the development of ``cells`` under ``perms`` over the first
+    ``len(cells) * len(perms)`` rows of ``out`` and return ``out``; rows
+    past those keep their contents."""
+    blocks = out[: len(cells) * len(perms)].reshape(len(cells), len(perms), out.shape[1])
+    for block, row in zip(blocks, cells):
+        block[...] = perms[:, row]
+    return out
 
 
 def constant_rows(k: int, v: int) -> Array:
     """The v rows (i, i, ..., i); they cover the constant tuple of every t-set."""
     _check_v(v)
-    cells = np.repeat(np.arange(v, dtype=np.int64), k).reshape(v, k)
-    return Array(cells, v)
+    return Array._wrap(np.repeat(np.arange(v, dtype=np.int64), k).reshape(v, k), v)

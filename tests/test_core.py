@@ -1,5 +1,7 @@
 """Tests for domain types, validation, tuple ranking, and projection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,30 @@ class TestArray:
         a = Array([[0, 1]], 2)
         with pytest.raises(ValueError):
             a.cells[0, 0] = 1
+
+    def test_cells_are_a_private_copy(self):
+        cells = np.array([[0, 1]], dtype=np.int64)
+        a = Array(cells, 2)
+        cells[0, 0] = 1
+        assert a.cells.tolist() == [[0, 1]] and cells.flags.writeable
+
+    def test_narrow_cells_copied_once(self):
+        # uint8 cells become one int64 grid, not a converted grid and its copy
+        cells = np.random.default_rng(0).integers(0, 3, size=(500, 200), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            a = Array(cells, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.cells.dtype == np.int64 and np.array_equal(a.cells, cells)
+        assert peak < 1.5 * 8 * cells.size
+
+    def test_derived_arrays_are_read_only_copies(self):
+        a = Array([[0, 1, 2], [2, 1, 0]], 3)
+        for derived in (a.stack(a), project(a, (0, 2))):
+            assert derived.cells.flags.c_contiguous and not derived.cells.flags.writeable
+            assert not np.shares_memory(derived.cells, a.cells)
 
     def test_equality(self):
         assert Array([[0, 1]], 2) == Array([[0, 1]], 2)

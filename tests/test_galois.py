@@ -314,6 +314,12 @@ class TestDevelop:
         base = Array([[0, 1, 2, 0]], 3)
         assert develop(base, cyclic_action(3)).cols == 4
 
+    def test_empty_base_and_read_only_output(self):
+        assert develop(Array(np.zeros((0, 3), dtype=np.int64), 3), cyclic_action(3)).rows == 0
+        assert develop(Array(np.zeros((2, 0), dtype=np.int64), 3), cyclic_action(3)).rows == 6
+        out = develop(Array([[0, 1]], 2), cyclic_action(2))
+        assert not out.cells.flags.writeable
+
     def test_row_order_deterministic(self):
         base = Array([[0, 1], [1, 2]], 3)
         action = cyclic_action(3)
