@@ -43,7 +43,6 @@ from .coverage import (
     is_apca,
     is_pca,
     naive_oracle,
-    orbit_coverage,
 )
 from .galois import (
     Field,
@@ -103,7 +102,6 @@ __all__ = [
     "is_prime_power",
     "log_binomial",
     "naive_oracle",
-    "orbit_coverage",
     "orbits",
     "project",
     "sweep",

@@ -15,6 +15,7 @@ default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,7 @@ def _default_seed() -> int:
         raise DomainError(f"PCAFORGE_SEED={raw!r} is not an integer") from None
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcaforge",

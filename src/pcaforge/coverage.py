@@ -1,10 +1,12 @@
 """Exhaustive coverage verification.
 
 Every scan runs through one counting kernel, :func:`_scan`, which counts the
-distinct tuples (or orbits) of all t-sets sharing a (t-1)-prefix in one
-batch, in lexicographic order.  Its scratch memory per chunk stays within
-``_CHUNK_BUDGET`` elements, or one t-set's N ranks if that is more, whatever
-N and v^t are.  Early-exit callers stop taking chunks.
+distinct tuples of column t-sets in batches and yields them in lexicographic
+order.  Each batch (a chunk) is a run of consecutive t-sets described by
+``(prefix, first, length)`` pieces: either part of one long (t-1)-prefix's
+t-sets, or the whole t-set runs of several short prefixes.  Its scratch
+memory stays within ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
+more, whatever N and v^t are.  Early-exit callers stop taking chunks.
 
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
@@ -26,8 +28,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Array, _check_fraction, _check_m
-from .errors import CapacityExceeded, StrengthTooSmall, StructureMismatch
-from .galois import OrbitStructure
+from .errors import CapacityExceeded, StrengthTooSmall
 
 # Guard on v^t and on C(k,t) for every exhaustive scan.
 PROFILE_CAPACITY = 2**26
@@ -35,9 +36,17 @@ PROFILE_CAPACITY = 2**26
 ORACLE_CAPACITY = 10**8
 # Scratch elements per kernel chunk: B*N ranks.
 _CHUNK_BUDGET = 2**20
+# Prefixes whose t-sets span fewer ranks than this are packed into shared
+# chunks; longer ones are ranked against a broadcast base without gathers.
+_SHORT_SLICE = 2**15
+# Ranks per packed chunk.  A quarter of the budget scans the t=3 k=60 v=3
+# N=201 shape as fast as the whole budget, without raising the peak RSS.
+_PACK_BUDGET = 2**18
 
-# (prefix, first, counts): counts[i] is for the t-set prefix + (first + i,).
-_Chunks = Iterator[tuple[tuple[int, ...], int, np.ndarray]]
+# (prefix, first, length): the t-sets prefix + (first + i,) for i < length.
+_Piece = tuple[tuple[int, ...], int, int]
+# (pieces, counts): counts holds the pieces' t-sets in order.
+_Chunks = Iterator[tuple[list[_Piece], np.ndarray]]
 
 
 class Defect(NamedTuple):
@@ -108,18 +117,37 @@ def _check_t(t: int, k: int) -> None:
         raise StrengthTooSmall(f"t={t} outside [1, k={k}]")
 
 
-def _scan(
-    cells: np.ndarray, v: int, t: int, class_of: np.ndarray | None = None,
-    n_classes: int | None = None,
-) -> _Chunks:
-    """Distinct classes covered per column t-set, in lexicographic chunks.
+def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
+    """Tuple ranks of several short prefixes' t-sets as one ``(B, N)`` block.
 
-    ``class_of`` maps tuple ranks to class ids below ``n_classes`` (default:
-    each tuple is its own class).  Both v^t and C(k,t) must stay within
-    :data:`PROFILE_CAPACITY`.  Each (t-1)-prefix is ranked once, then every
-    later column against it as one ``(B, N)`` slice of a column-major copy of
-    the cells.  Classes are counted by OR-reducing one-hot bits (at most 64
-    classes) or else by sorting rows.
+    One row gather per prefix column builds the prefix bases, each base is
+    repeated once per later column, and one more gather adds the later columns.
+    """
+    prefixes, firsts, lengths = zip(*pieces)
+    lengths = np.array(lengths)
+    # The j-th t-set of piece i ends in column firsts[i] + j.
+    offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
+    ranks = cols[np.arange(lengths.sum()) + np.repeat(offsets, lengths)]
+    if prefixes[0]:  # t > 1
+        base = 0
+        for c in np.array(prefixes).T:
+            base = (base + cols[c]) * v
+        ranks += np.repeat(base, lengths, axis=0)
+    return ranks
+
+
+def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
+    """Distinct tuples covered per column t-set, in lexicographic chunks.
+
+    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  A
+    (t-1)-prefix whose t-sets span at least ``_SHORT_SLICE`` ranks is ranked
+    once, then every later column against it as one ``(B, N)`` slice of a
+    column-major copy of the cells, within ``_CHUNK_BUDGET`` ranks per chunk.
+    Consecutive prefixes with fewer ranks share chunks of up to
+    ``_PACK_BUDGET`` ranks built by :func:`_packed_ranks`, so that narrow or
+    short arrays pay the per-chunk cost once per packed chunk, not per
+    prefix.  Tuples are counted by OR-reducing one-hot bits (v^t at most 64)
+    or else by sorting rows.
     """
     n, k = cells.shape
     _check_t(t, k)
@@ -128,36 +156,52 @@ def _scan(
         raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
     if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
         raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
-    if class_of is None:
-        n_classes = vt
-    else:
-        class_of = class_of.astype(np.min_scalar_type(n_classes - 1))
     cols = np.ascontiguousarray(cells.T, dtype=np.min_scalar_type(vt - 1))
-    if n_classes <= 64:
-        bit = np.dtype(f"uint{max(8, 1 << (n_classes - 1).bit_length())}").type(1)
+    if vt <= 64:
+        bit = np.dtype(f"uint{max(8, 1 << (vt - 1).bit_length())}").type(1)
+
+    def count(ranks: np.ndarray) -> np.ndarray:
+        if vt <= 64:
+            bits = np.left_shift(bit, ranks, dtype=bit.dtype)
+            counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
+        else:
+            # numpy sorts 16-bit rows far faster than 8-bit ones
+            ranks = ranks.astype(np.promote_types(ranks.dtype, np.uint16), copy=False)
+            ranks = np.sort(ranks, axis=1)
+            counts = (n > 0) + np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
+        return counts.astype(np.int64)
+
     step = max(1, min(k, _CHUNK_BUDGET // max(n, 1)))
+    # A short prefix's t-sets always fit one packed chunk, so pieces never split.
+    pack = min(_PACK_BUDGET, _CHUNK_BUDGET)
+    short = min(_SHORT_SLICE, pack)
+    per_pack = max(1, pack // max(n, 1))  # t-sets
+    pieces: list[_Piece] = []
+    held = 0
     for prefix in combinations(range(k - 1), t - 1):
+        first = prefix[-1] + 1 if prefix else 0
+        packs = n * (k - first) < short
+        if pieces and (not packs or held + k - first > per_pack):
+            yield pieces, count(_packed_ranks(cols, v, pieces))
+            pieces, held = [], 0
+        if packs:
+            pieces.append((prefix, first, k - first))
+            held += k - first
+            continue
         base = 0
         for c in prefix:
             base = (base + cols[c]) * v
-        for lo in range(prefix[-1] + 1 if prefix else 0, k, step):
+        for lo in range(first, k, step):
             ranks = base + cols[lo : lo + step]
-            cls = ranks if class_of is None else class_of.take(ranks)
-            if n_classes <= 64:
-                bits = np.left_shift(bit, cls, dtype=bit.dtype)
-                counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
-            else:
-                # numpy sorts 16-bit rows far faster than 8-bit ones
-                cls = cls.astype(np.promote_types(cls.dtype, np.uint16), copy=False)
-                cls = np.sort(cls, axis=1)
-                counts = (n > 0) + np.count_nonzero(cls[:, 1:] != cls[:, :-1], axis=1)
-            yield prefix, lo, counts.astype(np.int64)
+            yield [(prefix, lo, len(ranks))], count(ranks)
+    if pieces:
+        yield pieces, count(_packed_ranks(cols, v, pieces))
 
 
 def _count_below(chunks: _Chunks, required: int, stop_above: int | None) -> int:
     """t-sets counting below ``required``; ``stop_above + 1`` once past it."""
     defects = 0
-    for _, _, counts in chunks:
+    for _, counts in chunks:
         defects += int(np.count_nonzero(counts < required))
         if stop_above is not None and defects > stop_above:
             return stop_above + 1
@@ -166,7 +210,7 @@ def _count_below(chunks: _Chunks, required: int, stop_above: int | None) -> int:
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
     """Count the distinct tuples each column t-set covers."""
-    counts = np.concatenate([c for _, _, c in _scan(a.cells, a.v, t)])
+    counts = np.concatenate([c for _, c in _scan(a.cells, a.v, t)])
     return CoverageProfile(t=t, v=a.v, k=a.cols, counts=counts)
 
 
@@ -195,11 +239,15 @@ def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
 
     Early-exit scan used by the resampling builder.
     """
-    for prefix, first, counts in _scan(cells, v, t):
+    for pieces, counts in _scan(cells, v, t):
         below = np.flatnonzero(counts < m)
         if len(below):
             i = int(below[0])
-            return Defect((*prefix, first + i), int(counts[i]))
+            count = int(counts[i])
+            for prefix, first, length in pieces:
+                if i < length:
+                    return Defect((*prefix, first + i), count)
+                i -= length
     return None
 
 
@@ -243,19 +291,3 @@ def completeness(a: Array, q: float, t: int) -> float:
     rounded up (a count meeting the product exactly qualifies).
     """
     return coverage_profile(a, t).completeness(q)
-
-
-def orbit_coverage(a: Array, t: int, structure: OrbitStructure) -> np.ndarray:
-    """Covered-orbit count per t-set for an undeveloped base array.
-
-    An orbit is covered in a t-set when at least one of its tuples appears in
-    the projection.  Developing the base replaces each covered orbit by all
-    its members, so the developed distinct-tuple count per t-set equals the
-    sum of covered orbit lengths.
-    """
-    if (structure.t, structure.v) != (t, a.v):
-        raise StructureMismatch(
-            f"orbit structure for t={structure.t}, v={structure.v} used with t={t}, v={a.v}"
-        )
-    chunks = _scan(a.cells, a.v, t, structure.orbit_index, structure.n_orbits)
-    return np.concatenate([c for _, _, c in chunks])

@@ -1,11 +1,16 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcaforge import bounds, construct, coverage
 from pcaforge.artifact_io import read_array, write_array
-from pcaforge.cli import main
+from pcaforge.cli import _build_parser, main
 from pcaforge.core import Array
 from pcaforge.coverage import is_pca
 from pcaforge.galois import constant_rows
@@ -47,6 +52,43 @@ class TestBoundsCommand:
               "--formula", "union"])
         out = capsys.readouterr().out
         assert "union" in out and "lll" not in out
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_formula_flags_do_not_accumulate(self, capsys):
+        argv = ["bounds", "--t", "2", "--k", "4", "--v", "2", "--m", "4",
+                "--formula", "union", "--formula", "lll"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 3  # header, union, lll
+        assert main(argv[:-2]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_generate_then_verify_print_what_fresh_processes_print(self, tmp_path, capsys):
+        generate = ["generate", "--alg", "mt", "--t", "2", "--k", "8", "--v", "2",
+                    "--m", "4", "--seed", "3", "--out", str(tmp_path / "a.pca")]
+        verify = ["verify", "--in", str(tmp_path / "a.pca"), "--t", "2", "--m", "4",
+                  "--q", "0.5"]
+        in_process = []
+        for argv in (generate, verify):
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        fresh = [
+            subprocess.run([sys.executable, "-m", "pcaforge.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for argv in (generate, verify)
+        ]
+        assert in_process == fresh
 
 
 # `bounds --all` stdout recorded before the formula names moved into one table;

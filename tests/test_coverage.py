@@ -17,10 +17,9 @@ from pcaforge.coverage import (
     is_apca,
     is_pca,
     naive_oracle,
-    orbit_coverage,
 )
 from pcaforge.errors import CapacityExceeded, MOutOfRange, StrengthTooSmall
-from pcaforge.galois import constant_rows, cyclic_action, orbits
+from pcaforge.galois import constant_rows
 
 
 def full_factorial(t: int, v: int) -> Array:
@@ -216,23 +215,6 @@ class TestProperties:
             [[0, 0, 0, 0], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], 2
         )
         assert not is_pca(bad, 2, 4).ok
-
-
-class TestOrbitCoverage:
-    def test_zero_rows(self):
-        st_ = orbits(2, 3, cyclic_action(3))
-        base = Array(np.zeros((0, 4), dtype=np.int64), 3)
-        assert np.all(orbit_coverage(base, 2, st_) == 0)
-
-    def test_constant_row_covers_constant_orbit(self):
-        st_ = orbits(2, 2, cyclic_action(2))
-        base = Array([[0, 0, 0]], 2)
-        assert np.all(orbit_coverage(base, 2, st_) == 1)
-
-    def test_mismatched_structure(self):
-        st_ = orbits(2, 3, cyclic_action(3))
-        with pytest.raises(ValueError):
-            orbit_coverage(Array([[0, 1]], 2), 2, st_)
 
 
 class TestScanHelpers:

@@ -1,11 +1,14 @@
 """The coverage counting kernel against the loops it replaced and the oracle.
 
-The ``_ref_*`` functions are the per-t-set loops ``pcaforge.coverage`` used
-before its single batched kernel, kept unchanged as the reference.  Every
-case runs under the default chunk budget and under tiny ones, which split
-chunks inside one prefix.  Classes above 64 take the kernel's sort path.
+The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
+``pcaforge.coverage`` used before its single batched kernel, and the orbit
+table of an undeveloped base that the development identity is checked
+against.  Every case runs under the default chunk budget and under tiny ones,
+which split chunks inside one prefix, and with short prefixes packed into
+shared chunks at the default slice size, whenever they fit, and never.
 """
 
+import functools
 import hashlib
 import math
 from itertools import combinations
@@ -16,16 +19,8 @@ import pytest
 from pcaforge import coverage
 from pcaforge.cli import main
 from pcaforge.core import Array, rank_weights
-from pcaforge.coverage import (
-    count_defects,
-    coverage_profile,
-    first_defect,
-    naive_oracle,
-    orbit_coverage,
-)
-from pcaforge.galois import (
-    OrbitStructure, constant_rows, cyclic_action, develop, frobenius_action, orbits,
-)
+from pcaforge.coverage import count_defects, coverage_profile, first_defect, naive_oracle
+from pcaforge.galois import constant_rows, cyclic_action, develop, frobenius_action, orbits
 
 
 # -- reference: the loops the kernel replaced --------------------------------------
@@ -73,15 +68,16 @@ def _ref_count_defects(cells, v, t, m, *, stop_above=None):
 
 
 def _ref_orbit_coverage(a, t, structure):
+    """``covered[i, o]``: does the i-th t-set of base ``a`` touch orbit o?
+
+    Developing the base replaces each covered orbit by all its members, so
+    the developed distinct-tuple count per t-set is ``covered @ lengths``.
+    """
     weights = rank_weights(t, a.v)
-    present = np.zeros(structure.n_orbits, dtype=bool)
-    counts = np.empty(math.comb(a.cols, t), dtype=np.int64)
+    covered = np.zeros((math.comb(a.cols, t), structure.n_orbits), dtype=bool)
     for i, tset in enumerate(combinations(range(a.cols), t)):
-        oids = structure.orbit_index[a.cells[:, tset] @ weights]
-        present[oids] = True
-        counts[i] = np.count_nonzero(present)
-        present[oids] = False
-    return counts
+        covered[i, structure.orbit_index[a.cells[:, tset] @ weights]] = True
+    return covered
 
 
 def _ref_count_orbit_defects(cells, v, t, structure, required, *, stop_above=None):
@@ -115,70 +111,130 @@ def budget(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[None, 2**62, 0], ids=["default-packing", "pack-all", "pack-none"])
+def packing(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(coverage, "_SHORT_SLICE", request.param)
+    return request.param
+
+
+# On arrays of at most 40 rows the default slice size already packs every
+# prefix that fits a chunk, as pack-all does, so reference checks skip pack-all.
+SMALL_ARRAY_PACKING = pytest.mark.parametrize(
+    "packing", [None, 0], ids=["default-packing", "pack-none"], indirect=True
+)
+
+
 def arrays(t, v, seed):
-    """Random arrays with k = t and k = t + 3, over every row count in ROWS."""
+    """Random arrays with k = t, t + 3 and t + 9, over every row count in ROWS."""
     rng = np.random.default_rng(seed)
-    for k in (t, t + 3):
+    for k in (t, t + 3, t + 9):
         for n in ROWS:
             yield Array(rng.integers(0, v, size=(n, k)), v)
 
 
-def synthetic_structure(t, v, n_classes, seed):
-    """A rank -> class map using every class id, dressed as an orbit structure."""
-    rng = np.random.default_rng(seed)
-    index = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, v**t - n_classes)])
-    rng.shuffle(index)
-    reps = np.array([np.flatnonzero(index == c)[0] for c in range(n_classes)])
-    lengths = np.bincount(index, minlength=n_classes)
-    return OrbitStructure(t, v, "synthetic", index, reps, lengths, None)
+@functools.cache
+def profile_cases(t, v, seed):
+    """``arrays(t, v, seed)`` with their reference profiles."""
+    return [(a, _ref_distinct_counts(a.cells, v, t)) for a in arrays(t, v, seed)]
 
 
-STRUCTURES = [
-    pytest.param(lambda: orbits(2, 3, cyclic_action(3)), id="cyclic-t2-v3"),
-    pytest.param(lambda: orbits(2, 4, frobenius_action(4)), id="frobenius-t2-v4"),
-    pytest.param(lambda: orbits(3, 3, frobenius_action(3)), id="frobenius-t3-v3"),
-    pytest.param(lambda: synthetic_structure(2, 9, 64, 1), id="synthetic-64-classes"),
-    pytest.param(lambda: synthetic_structure(2, 9, 65, 2), id="synthetic-65-classes"),
-    pytest.param(lambda: synthetic_structure(1, 70, 70, 3), id="synthetic-t1-70-classes"),
+@functools.cache
+def early_exit_cases(t, v, seed):
+    """``(a, m, first defect, {stop_above: defect count})`` from the reference loops."""
+    cases = []
+    for a in arrays(t, v, seed):
+        for m in sorted({1, 2, min(a.rows, v**t), v**t}):
+            counts = {stop_above: _ref_count_defects(a.cells, v, t, m, stop_above=stop_above)
+                      for stop_above in (None, 0, 2)}
+            cases.append((a, m, _ref_first_defect(a.cells, v, t, m), counts))
+    return cases
+
+
+@SMALL_ARRAY_PACKING
+class TestTupleScans:
+    @pytest.mark.parametrize("t,v", SHAPES)
+    def test_profile_matches_reference_and_oracle(self, budget, packing, t, v):
+        for a, want in profile_cases(t, v, seed=t * 100 + v):
+            counts = coverage_profile(a, t).counts
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, want)
+        if budget is None and packing is None:  # the oracle is slow and blind to chunking
+            for a, want in profile_cases(t, v, seed=t * 100 + v):
+                np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
+
+    @pytest.mark.parametrize("t,v", SHAPES)
+    def test_early_exit_scans_match_reference(self, budget, packing, t, v):
+        for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
+            assert first_defect(a.cells, v, t, m) == defect
+            for stop_above, want in defects.items():
+                assert count_defects(a.cells, v, t, m, stop_above=stop_above) == want
+
+
+class TestChunks:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 40, 3000])
+    def test_chunks_tile_tsets_in_lex_order_within_budget(self, budget, packing, t, n):
+        k = t + 12
+        cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
+        chunks = list(coverage._scan(cells, 2, t))
+        tsets = [(*prefix, first + i)
+                 for pieces, _ in chunks for prefix, first, length in pieces for i in range(length)]
+        assert tsets == list(combinations(range(k), t))
+        for pieces, counts in chunks:
+            assert len(counts) == sum(length for _, _, length in pieces)
+            assert len(counts) * n <= max(coverage._CHUNK_BUDGET, n)
+            if len(pieces) > 1:
+                assert len(counts) * n <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
+        if packing == 0:
+            assert all(len(pieces) == 1 for pieces, _ in chunks)
+        elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
+            assert len(chunks) == 1
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, packing, t):
+        # Two equal columns j1 < j2 leave every t-set holding both with at
+        # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
+        k, j1, j2 = t + 12, t + 2, t + 6
+        cells = np.random.default_rng(t).integers(0, 2, size=(64, k))
+        cells[:, j2] = cells[:, j1]
+        m = 2 ** (t - 1) + 1
+        tset = (*range(t - 2), j1, j2)  # the lex-first t-set holding both
+        defect = first_defect(cells, 2, t, m)
+        assert defect == _ref_first_defect(cells, 2, t, m)
+        assert defect.tset == tset
+        assert count_defects(cells, 2, t, m) == math.comb(k - 2, t - 2)
+        if budget is None and packing != 0:
+            [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
+                        if any(p == tset[:-1] for p, _, _ in pieces)]
+            assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
+
+
+ACTIONS = [
+    pytest.param(2, 3, cyclic_action, id="cyclic-t2-v3"),
+    pytest.param(2, 4, frobenius_action, id="frobenius-t2-v4"),
+    pytest.param(3, 3, frobenius_action, id="frobenius-t3-v3"),
+    pytest.param(2, 9, cyclic_action, id="cyclic-t2-v9"),
 ]
 
 
-class TestTupleScans:
-    @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, t, v):
-        for a in arrays(t, v, seed=t * 100 + v):
-            counts = coverage_profile(a, t).counts
-            assert counts.dtype == np.int64
-            np.testing.assert_array_equal(counts, _ref_distinct_counts(a.cells, v, t))
-            np.testing.assert_array_equal(counts, naive_oracle(a, t).counts)
-
-    @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, t, v):
-        for a in arrays(t, v, seed=t * 100 + v + 1):
-            for m in sorted({1, 2, min(a.rows, v**t), v**t}):
-                assert first_defect(a.cells, v, t, m) == _ref_first_defect(a.cells, v, t, m)
-                for stop_above in (None, 0, 2):
-                    got = count_defects(a.cells, v, t, m, stop_above=stop_above)
-                    want = _ref_count_defects(a.cells, v, t, m, stop_above=stop_above)
-                    assert got == want
-
-
+@SMALL_ARRAY_PACKING
 class TestClassScans:
-    @pytest.mark.parametrize("make", STRUCTURES)
-    def test_orbit_coverage_matches_reference(self, budget, make):
-        structure = make()
-        t, v = structure.t, structure.v
+    @pytest.mark.parametrize("t,v,make_action", ACTIONS)
+    def test_developed_profile_sums_covered_orbit_lengths(
+        self, budget, packing, t, v, make_action
+    ):
+        action = make_action(v)
+        structure = orbits(t, v, action)
         for a in arrays(t, v, seed=v):
-            np.testing.assert_array_equal(
-                orbit_coverage(a, t, structure), _ref_orbit_coverage(a, t, structure)
-            )
+            covered = _ref_orbit_coverage(a, t, structure)
+            counts = coverage_profile(develop(a, action), t).counts
+            np.testing.assert_array_equal(counts, covered @ structure.lengths)
 
-    @pytest.mark.parametrize("t,v,make_action", [
-        pytest.param(2, 3, cyclic_action, id="cyclic-t2-v3"),
-        pytest.param(2, 4, frobenius_action, id="frobenius-t2-v4"),
-        pytest.param(3, 3, frobenius_action, id="frobenius-t3-v3"),
-    ])
-    def test_developed_scan_matches_orbit_count_on_base(self, budget, t, v, make_action):
+    @pytest.mark.parametrize("t,v,make_action", ACTIONS)
+    def test_developed_scan_matches_orbit_count_on_base(
+        self, budget, packing, t, v, make_action
+    ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
         # appended for the affine group, must give the same count, so both

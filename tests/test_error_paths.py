@@ -9,7 +9,7 @@ from pcaforge.artifact_io import read_array, write_array
 from pcaforge.bounds import FORMULAS, bound_apca, bound_apca_cyclic, evaluate_formula, sweep
 from pcaforge.cli import main
 from pcaforge.core import Array
-from pcaforge.coverage import completeness, naive_oracle, orbit_coverage
+from pcaforge.coverage import completeness, naive_oracle
 from pcaforge.errors import (
     DimensionMismatch,
     DomainError,
@@ -130,11 +130,6 @@ class TestCoverageEdges:
     def test_completeness_q_range(self):
         with pytest.raises(EpsilonOutOfRange):
             completeness(constant_rows(3, 2), 1.5, 2)
-
-    @pytest.mark.parametrize("t,v", [(2, 3), (3, 2)])
-    def test_orbit_coverage_rejects_mismatched_structure(self, t, v):
-        with pytest.raises(PcaForgeError):
-            orbit_coverage(constant_rows(4, v), t, orbits(2, 2, cyclic_action(2)))
 
 
 class TestArtifactIoEdges:
