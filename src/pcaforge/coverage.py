@@ -8,6 +8,13 @@ t-sets, or the whole t-set runs of several short prefixes.  Its scratch
 memory stays within ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
 more, whatever N and v^t are.  Early-exit callers stop taking chunks.
 
+On tall arrays (N above ``_HEAD_PER_TUPLE * v^t`` rows) the kernel counts
+every t-set on that many leading rows first, the head, where nearly all of
+them already cover every tuple.  Only the t-sets short of v^t in the head are
+recounted on all N rows before their chunk is yielded.  A t-set that covers
+all v^t tuples in the head covers them in the whole array, so every count
+the kernel yields is exact, as if all N rows had been counted.
+
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
 cross-validation and never used by the builders.
@@ -22,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
-from typing import Iterator, NamedTuple
+from itertools import combinations
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,12 @@ _SHORT_SLICE = 2**15
 # Ranks per packed chunk.  A quarter of the budget scans the t=3 k=60 v=3
 # N=201 shape as fast as the whole budget, without raising the peak RSS.
 _PACK_BUDGET = 2**18
+# Head rows per tuple.  With N above _HEAD_PER_TUPLE * v^t rows, every t-set is
+# counted on that many leading rows first, and only those short of v^t there
+# are recounted on all N.  Smaller heads leave more t-sets short: the profile
+# of a random 20000x100 v=3 t=2 array took 37-47 ms at 1 to 4, 14 ms at 6 and
+# 8 ms at 8, against 46 ms unsplit (2 cores, best of 9).
+_HEAD_PER_TUPLE = 8
 
 # (prefix, first, length): the t-sets prefix + (first + i,) for i < length.
 _Piece = tuple[tuple[int, ...], int, int]
@@ -87,9 +100,9 @@ class CoverageProfile:
     def defective(self, m: int) -> list[Defect]:
         """All t-sets covering fewer than m distinct tuples, in lex order."""
         _check_m(m, self.v**self.t)
-        below = self.counts < m
-        tsets = compress(self.tsets, below.tolist())
-        return [Defect(tset, c) for tset, c in zip(tsets, self.counts[below].tolist())]
+        below = np.flatnonzero(self.counts < m)
+        tsets = _unrank_tsets(below, self.k, self.t).tolist()
+        return [Defect(tuple(tset), c) for tset, c in zip(tsets, self.counts[below].tolist())]
 
     def allowed(self, epsilon: float) -> int:
         """Defective t-sets an epsilon-almost array may have."""
@@ -112,9 +125,58 @@ class CoverageProfile:
         )
 
 
+def _unrank_tsets(indices: np.ndarray, k: int, t: int) -> np.ndarray:
+    """The t-sets of ``range(k)`` at the given lex-order indices, one per row.
+
+    The t-set c_0 < ... < c_{t-1} at index i satisfies
+    ``C(k,t) - 1 - i = sum_p C(k-1-c_p, t-p)`` (the combinatorial number system
+    of the reversed columns), so position p is one ``searchsorted`` over the
+    table of C(d, t-p).
+    """
+    total = math.comb(k, t)
+    rest = total - 1 - indices.astype(np.int64)
+    # tables[r][d] = min(C(d, r), total) for d < k, by Pascal's rule from C(d, 0) = 1.
+    # Every rest is below total, so a clipped entry still exceeds it.
+    tables = [np.ones(k, dtype=np.int64)]
+    for _ in range(t):
+        tables.append(np.minimum(np.concatenate(([0], np.cumsum(tables[-1])[:-1])), total))
+    tsets = np.empty((len(rest), t), dtype=np.int64)
+    for p in range(t):
+        table = tables[t - p]
+        d = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[d]
+        tsets[:, p] = k - 1 - d
+    return tsets
+
+
 def _check_t(t: int, k: int) -> None:
     if t < 1 or t > k:
         raise StrengthTooSmall(f"t={t} outside [1, k={k}]")
+
+
+def _prefix_base(cols: np.ndarray, v: int, prefix) -> np.ndarray | int:
+    """Rank of the prefix columns' tuples, times v: the base a last column adds to.
+
+    ``prefix`` holds column numbers, or index arrays to build several bases at once.
+    """
+    base = 0
+    for c in prefix:
+        base = (base + cols[c]) * v
+    return base
+
+
+def _slices(
+    cols: np.ndarray, v: int, prefix: tuple[int, ...], first: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(lo, ranks)`` blocks of the t-sets ``prefix + (j,)`` for first <= j < stop.
+
+    Each block broadcasts the prefix base against ``cols[lo : lo + B]`` and
+    holds at most ``_CHUNK_BUDGET`` ranks, or one row of ``cols`` if that is more.
+    """
+    base = _prefix_base(cols, v, prefix)
+    step = max(1, _CHUNK_BUDGET // max(cols.shape[1], 1))
+    for lo in range(first, stop, step):
+        yield lo, base + cols[lo : min(lo + step, stop)]
 
 
 def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
@@ -129,49 +191,20 @@ def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
     ranks = cols[np.arange(lengths.sum()) + np.repeat(offsets, lengths)]
     if prefixes[0]:  # t > 1
-        base = 0
-        for c in np.array(prefixes).T:
-            base = (base + cols[c]) * v
+        base = _prefix_base(cols, v, np.array(prefixes).T)
         ranks += np.repeat(base, lengths, axis=0)
     return ranks
 
 
-def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
-    """Distinct tuples covered per column t-set, in lexicographic chunks.
+def _chunks(
+    cols: np.ndarray, v: int, t: int, count: Callable[[np.ndarray], np.ndarray]
+) -> _Chunks:
+    """Every t-set counted on the rows of the column-major ``cols``, in lex chunks.
 
-    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  A
-    (t-1)-prefix whose t-sets span at least ``_SHORT_SLICE`` ranks is ranked
-    once, then every later column against it as one ``(B, N)`` slice of a
-    column-major copy of the cells, within ``_CHUNK_BUDGET`` ranks per chunk.
-    Consecutive prefixes with fewer ranks share chunks of up to
-    ``_PACK_BUDGET`` ranks built by :func:`_packed_ranks`, so that narrow or
-    short arrays pay the per-chunk cost once per packed chunk, not per
-    prefix.  Tuples are counted by OR-reducing one-hot bits (v^t at most 64)
-    or else by sorting rows.
+    Chunks are sized on the row count of ``cols``: packed chunks within
+    ``_PACK_BUDGET`` ranks, broadcast slices within ``_CHUNK_BUDGET``.
     """
-    n, k = cells.shape
-    _check_t(t, k)
-    vt = v**t
-    if vt > PROFILE_CAPACITY:
-        raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
-    if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
-        raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
-    cols = np.ascontiguousarray(cells.T, dtype=np.min_scalar_type(vt - 1))
-    if vt <= 64:
-        bit = np.dtype(f"uint{max(8, 1 << (vt - 1).bit_length())}").type(1)
-
-    def count(ranks: np.ndarray) -> np.ndarray:
-        if vt <= 64:
-            bits = np.left_shift(bit, ranks, dtype=bit.dtype)
-            counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
-        else:
-            # numpy sorts 16-bit rows far faster than 8-bit ones
-            ranks = ranks.astype(np.promote_types(ranks.dtype, np.uint16), copy=False)
-            ranks = np.sort(ranks, axis=1)
-            counts = (n > 0) + np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
-        return counts.astype(np.int64)
-
-    step = max(1, min(k, _CHUNK_BUDGET // max(n, 1)))
+    k, n = cols.shape
     # A short prefix's t-sets always fit one packed chunk, so pieces never split.
     pack = min(_PACK_BUDGET, _CHUNK_BUDGET)
     short = min(_SHORT_SLICE, pack)
@@ -188,14 +221,71 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
             pieces.append((prefix, first, k - first))
             held += k - first
             continue
-        base = 0
-        for c in prefix:
-            base = (base + cols[c]) * v
-        for lo in range(first, k, step):
-            ranks = base + cols[lo : lo + step]
+        for lo, ranks in _slices(cols, v, prefix, first, k):
             yield [(prefix, lo, len(ranks))], count(ranks)
     if pieces:
         yield pieces, count(_packed_ranks(cols, v, pieces))
+
+
+def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
+    """Distinct tuples covered per column t-set, in lexicographic chunks.
+
+    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  A
+    (t-1)-prefix whose t-sets span at least ``_SHORT_SLICE`` ranks is ranked
+    once, then every later column against it as one ``(B, N)`` slice of a
+    column-major copy of the cells, within ``_CHUNK_BUDGET`` ranks per chunk.
+    Consecutive prefixes with fewer ranks share chunks of up to
+    ``_PACK_BUDGET`` ranks built by :func:`_packed_ranks`, so that narrow or
+    short arrays pay the per-chunk cost once per packed chunk, not per
+    prefix.  Tuples are counted by OR-reducing one-hot bits (v^t at most 64)
+    or else by sorting rows.
+
+    With N above ``head = _HEAD_PER_TUPLE * v^t`` rows, the chunks are first
+    counted, and sized, on the first ``head`` rows only.  Before a chunk is
+    yielded, each piece recounts over all N rows the run of its t-sets from
+    the first to the last that covered fewer than v^t tuples in the head,
+    through the broadcast slices.  A t-set that covers all v^t tuples in the
+    head covers them in the whole array, so every yielded count is exact.
+    """
+    n, k = cells.shape
+    _check_t(t, k)
+    vt = v**t
+    if vt > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
+    if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
+        raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
+    dtype = np.min_scalar_type(vt - 1)
+    if vt <= 64:
+        bit = np.dtype(f"uint{max(8, 1 << (vt - 1).bit_length())}").type(1)
+
+    def count(ranks: np.ndarray) -> np.ndarray:
+        if vt <= 64:
+            bits = np.left_shift(bit, ranks, dtype=bit.dtype)
+            counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
+        else:
+            # numpy sorts 16-bit rows far faster than 8-bit ones
+            ranks = ranks.astype(np.promote_types(ranks.dtype, np.uint16), copy=False)
+            ranks = np.sort(ranks, axis=1)
+            distinct = np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
+            counts = (ranks.shape[1] > 0) + distinct
+        return counts.astype(np.int64)
+
+    cols = np.ascontiguousarray(cells.T, dtype)
+    head = min(n, _HEAD_PER_TUPLE * vt)
+    for pieces, counts in _chunks(np.ascontiguousarray(cols[:, :head]), v, t, count):
+        short = np.flatnonzero(counts < vt) if head < n else ()
+        if len(short):
+            starts = np.cumsum([0] + [length for _, _, length in pieces])
+            ends = np.searchsorted(short, starts)  # piece i holds short[ends[i] : ends[i + 1]]
+            for i in np.flatnonzero(ends[1:] > ends[:-1]).tolist():
+                # Recount the piece's t-sets from its first short one to its last.
+                prefix, first, _ = pieces[i]
+                lo = first + int(short[ends[i]] - starts[i])
+                stop = first + int(short[ends[i + 1] - 1] - starts[i]) + 1
+                for j, ranks in _slices(cols, v, prefix, lo, stop):
+                    at = int(starts[i]) + j - first
+                    counts[at : at + len(ranks)] = count(ranks)
+        yield pieces, counts
 
 
 def _count_below(chunks: _Chunks, required: int, stop_above: int | None) -> int:

@@ -4,8 +4,10 @@ The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
 table of an undeveloped base that the development identity is checked
 against.  Every case runs under the default chunk budget and under tiny ones,
-which split chunks inside one prefix, and with short prefixes packed into
-shared chunks at the default slice size, whenever they fit, and never.
+which split chunks inside one prefix, with short prefixes packed into shared
+chunks at the default slice size, whenever they fit, and never, and with the
+head stage at its default size, at one row per tuple, which recounts nearly
+every t-set, and above every row count, which never splits the rows.
 """
 
 import functools
@@ -15,6 +17,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcaforge import coverage
 from pcaforge.cli import main
@@ -118,11 +122,37 @@ def packing(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[None, 1, 2**40], ids=["default-head", "head-1", "head-none"])
+def head(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(coverage, "_HEAD_PER_TUPLE", request.param)
+    return request.param
+
+
 # On arrays of at most 40 rows the default slice size already packs every
 # prefix that fits a chunk, as pack-all does, so reference checks skip pack-all.
 SMALL_ARRAY_PACKING = pytest.mark.parametrize(
     "packing", [None, 0], ids=["default-packing", "pack-none"], indirect=True
 )
+# Likewise the default head splits arrays of at most 40 rows only at v^t = 2,
+# so the tuple scans skip head-none; developed arrays are taller and keep it.
+SMALL_ARRAY_HEAD = pytest.mark.parametrize(
+    "head", [None, 1], ids=["default-head", "head-1"], indirect=True
+)
+
+
+def spy_slices(monkeypatch):
+    """Record ``(prefix, B, width)`` for each broadcast block ``_scan`` counts."""
+    blocks = []
+    slices = coverage._slices
+
+    def spy(cols, v, prefix, first, stop):
+        for lo, ranks in slices(cols, v, prefix, first, stop):
+            blocks.append((prefix, *ranks.shape))
+            yield lo, ranks
+
+    monkeypatch.setattr(coverage, "_slices", spy)
+    return blocks
 
 
 def arrays(t, v, seed):
@@ -152,19 +182,21 @@ def early_exit_cases(t, v, seed):
 
 
 @SMALL_ARRAY_PACKING
+@SMALL_ARRAY_HEAD
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, packing, t, v):
+    def test_profile_matches_reference_and_oracle(self, budget, packing, head, t, v):
         for a, want in profile_cases(t, v, seed=t * 100 + v):
             counts = coverage_profile(a, t).counts
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, want)
-        if budget is None and packing is None:  # the oracle is slow and blind to chunking
+        # the oracle is slow and blind to chunking
+        if budget is None and packing is None and head is None:
             for a, want in profile_cases(t, v, seed=t * 100 + v):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, packing, t, v):
+    def test_early_exit_scans_match_reference(self, budget, packing, head, t, v):
         for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
             assert first_defect(a.cells, v, t, m) == defect
             for stop_above, want in defects.items():
@@ -174,18 +206,28 @@ class TestTupleScans:
 class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
-    def test_chunks_tile_tsets_in_lex_order_within_budget(self, budget, packing, t, n):
+    def test_chunks_tile_tsets_in_lex_order_within_budget(
+        self, budget, packing, head, monkeypatch, t, n
+    ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
+        blocks = spy_slices(monkeypatch)
         chunks = list(coverage._scan(cells, 2, t))
         tsets = [(*prefix, first + i)
                  for pieces, _ in chunks for prefix, first, length in pieces for i in range(length)]
         assert tsets == list(combinations(range(k), t))
+        # Chunks are counted on the head rows, every recount on all n rows.
+        rows = min(n, coverage._HEAD_PER_TUPLE * 2**t)
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
-            assert len(counts) * n <= max(coverage._CHUNK_BUDGET, n)
+            assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
             if len(pieces) > 1:
-                assert len(counts) * n <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
+                assert len(counts) * rows <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
+        for _, b, width in blocks:
+            assert width in (rows, n)
+            assert b * width <= max(coverage._CHUNK_BUDGET, width)
+        if head == 1 and n > 2**t:  # two rows per tuple leave some t-set short
+            assert any(width == n for _, _, width in blocks)
         if packing == 0:
             assert all(len(pieces) == 1 for pieces, _ in chunks)
         elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
@@ -210,6 +252,110 @@ class TestChunks:
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
 
 
+class TestHeadStage:
+    """Counts at the head's edge, at t = 2, v = 3: the head is 72 rows."""
+
+    V, T, VT = 3, 2, 9
+    HEAD = 8 * 9
+
+    def cells(self, n, k=6, seed=0):
+        return np.random.default_rng(seed).integers(0, self.V, size=(n, k))
+
+    def assert_scans_match_reference(self, cells):
+        v, t = self.V, self.T
+        np.testing.assert_array_equal(
+            coverage_profile(Array(cells, v), t).counts, _ref_distinct_counts(cells, v, t)
+        )
+        for m in range(1, self.VT + 1):
+            assert first_defect(cells, v, t, m) == _ref_first_defect(cells, v, t, m)
+            for stop_above in (None, 0, 1, 2):
+                assert (count_defects(cells, v, t, m, stop_above=stop_above)
+                        == _ref_count_defects(cells, v, t, m, stop_above=stop_above))
+
+    def test_default_head_is_eight_rows_per_tuple(self):
+        assert coverage._HEAD_PER_TUPLE * self.VT == self.HEAD
+
+    def test_last_tuple_right_after_the_head(self, monkeypatch):
+        # Columns 0 and 1 cycle through eight tuples in the head; the ninth,
+        # (2, 2), first appears in the row just after it.
+        cells = self.cells(self.HEAD + 10)
+        eight = np.array([(a, b) for a in range(3) for b in range(3)][:8])
+        cells[: self.HEAD, :2] = np.tile(eight, (self.HEAD // 8, 1))
+        cells[self.HEAD, :2] = (2, 2)
+        blocks = spy_slices(monkeypatch)
+        assert coverage_profile(Array(cells, self.V), self.T).counts[0] == self.VT
+        assert any(prefix == (0,) and width == len(cells) for prefix, _, width in blocks)
+        self.assert_scans_match_reference(cells)
+
+    def test_tset_complete_in_the_head_is_not_recounted(self, monkeypatch):
+        # Nine rows (a, b, a + b, a + 2b) mod 3 cover every pair of columns.
+        a, b = np.divmod(np.arange(9), 3)
+        cells = self.cells(self.HEAD + 50, k=4)
+        cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
+        blocks = spy_slices(monkeypatch)
+        counts = coverage_profile(Array(cells, self.V), self.T).counts
+        np.testing.assert_array_equal(counts, np.full(6, self.VT))
+        assert not any(width == len(cells) for _, _, width in blocks)
+
+    def test_witness_count_found_by_a_recount(self):
+        # (0, 1) covers one tuple in the head and five in the whole array.
+        cells = self.cells(self.HEAD + 40)
+        cells[: self.HEAD, :2] = 0
+        cells[self.HEAD :, :2] = [(0, 1), (0, 2), (1, 0), (1, 1)] * 10
+        defect = first_defect(cells, self.V, self.T, self.VT)
+        assert defect == coverage.Defect((0, 1), 5)
+        self.assert_scans_match_reference(cells)
+
+    def test_stop_above_counts_recounted_defects(self):
+        # Two copied column pairs cover three tuples; the constant head of
+        # column 0 sends its five pairs to a recount, where they are complete.
+        cells = self.cells(self.HEAD * 3, seed=1)
+        cells[:, 3], cells[:, 5] = cells[:, 2], cells[:, 4]
+        cells[: self.HEAD, 0] = 1
+        assert count_defects(cells, self.V, self.T, self.VT) == 2
+        assert count_defects(cells, self.V, self.T, self.VT, stop_above=0) == 1
+        assert count_defects(cells, self.V, self.T, self.VT, stop_above=1) == 2
+        self.assert_scans_match_reference(cells)
+
+    def test_sorted_counts_after_the_head(self):
+        # v^t = 65 counts by sorting rows; column 0 repeats one symbol in the head.
+        v = 65
+        cells = np.random.default_rng(2).integers(0, v, size=(8 * v + 100, 3))
+        cells[: 8 * v, 0] = 0
+        np.testing.assert_array_equal(
+            coverage_profile(Array(cells, v), 1).counts, _ref_distinct_counts(cells, v, 1)
+        )
+
+    @pytest.mark.parametrize("n", [0, HEAD, HEAD + 1])
+    def test_row_counts_at_the_head(self, n):
+        cells = self.cells(n, seed=n)
+        cells[: self.HEAD, 0] = 0
+        self.assert_scans_match_reference(cells)
+
+
+@given(
+    shape=st.sampled_from([(t, v) for t in (1, 2, 3) for v in (2, 3, 4)]),
+    data=st.data(),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_head_stage_matches_reference_loops(shape, data):
+    t, v = shape
+    k = data.draw(st.integers(t, t + 3), label="k")
+    n = data.draw(st.integers(0, 40 * v**t), label="n")
+    cells = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, v, (n, k))
+    lead = data.draw(st.sampled_from(["random", "constant", "sorted"]), label="lead")
+    if lead == "constant":
+        cells[: data.draw(st.integers(0, n), label="block")] = data.draw(st.integers(0, v - 1))
+    elif lead == "sorted":
+        cells = cells[np.lexsort(cells.T[::-1])]
+    np.testing.assert_array_equal(
+        coverage_profile(Array(cells, v), t).counts, _ref_distinct_counts(cells, v, t)
+    )
+    for m in range(1, v**t + 1):
+        assert first_defect(cells, v, t, m) == _ref_first_defect(cells, v, t, m)
+        assert count_defects(cells, v, t, m) == _ref_count_defects(cells, v, t, m)
+
+
 ACTIONS = [
     pytest.param(2, 3, cyclic_action, id="cyclic-t2-v3"),
     pytest.param(2, 4, frobenius_action, id="frobenius-t2-v4"),
@@ -222,7 +368,7 @@ ACTIONS = [
 class TestClassScans:
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, packing, t, v, make_action
+        self, budget, packing, head, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
@@ -233,7 +379,7 @@ class TestClassScans:
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, packing, t, v, make_action
+        self, budget, packing, head, t, v, make_action
     ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
