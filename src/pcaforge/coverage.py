@@ -8,12 +8,12 @@ t-sets, or the whole t-set runs of several short prefixes.  Its scratch
 memory stays within ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
 more, whatever N and v^t are.  Early-exit callers stop taking chunks.
 
-On tall arrays (N above ``_HEAD_PER_TUPLE * v^t`` rows) the kernel counts
-every t-set on that many leading rows first, the head, where nearly all of
-them already cover every tuple.  Only the t-sets short of v^t in the head are
-recounted on all N rows before their chunk is yielded.  A t-set that covers
-all v^t tuples in the head covers them in the whole array, so every count
-the kernel yields is exact, as if all N rows had been counted.
+On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
+kernel counts every t-set on that many leading rows first, the head, where
+nearly all of them already cover every tuple.  Only the t-sets short of v^t
+in the head are recounted on all N rows before their chunk is yielded.  A
+t-set that covers all v^t tuples in the head covers them in the whole array,
+so every count the kernel yields is exact, as if all N rows had been counted.
 
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterator, NamedTuple
+from itertools import combinations, compress
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,18 +43,24 @@ PROFILE_CAPACITY = 2**26
 ORACLE_CAPACITY = 10**8
 # Scratch elements per kernel chunk: B*N ranks.
 _CHUNK_BUDGET = 2**20
-# Prefixes whose t-sets span fewer ranks than this are packed into shared
-# chunks; longer ones are ranked against a broadcast base without gathers.
+# Runs of t-sets (a prefix's, or a recount's) spanning fewer ranks than this
+# are packed into shared chunks; longer ones are ranked against a broadcast
+# base without gathers.
 _SHORT_SLICE = 2**15
 # Ranks per packed chunk.  A quarter of the budget scans the t=3 k=60 v=3
 # N=201 shape as fast as the whole budget, without raising the peak RSS.
 _PACK_BUDGET = 2**18
-# Head rows per tuple.  With N above _HEAD_PER_TUPLE * v^t rows, every t-set is
-# counted on that many leading rows first, and only those short of v^t there
-# are recounted on all N.  Smaller heads leave more t-sets short: the profile
-# of a random 20000x100 v=3 t=2 array took 37-47 ms at 1 to 4, 14 ms at 6 and
-# 8 ms at 8, against 46 ms unsplit (2 cores, best of 9).
-_HEAD_PER_TUPLE = 8
+# Head rows beyond the coupon-collector mean.  With N above
+# head = v^t * (ln v^t + _HEAD_SLACK) rows, every t-set is counted on the head
+# first, and only those short of v^t there are recounted on all N.  After h
+# uniform rows a t-set misses v^t * exp(-h / v^t) tuples on average, so about
+# exp(-_HEAD_SLACK) = 0.25% of t-sets are short at any v^t; a head of a fixed
+# multiple of v^t leaves most of them short once v^t is in the thousands.  At
+# v^t = 9 the head is 74 rows, near the 8 rows per tuple that did best there:
+# the profile of a random 20000x100 v=3 t=2 array took 37-47 ms at heads of 1
+# to 4 rows per tuple, 14 ms at 6 and 8 ms at 8, against 46 ms unsplit (2 cores,
+# best of 9).
+_HEAD_SLACK = 6
 
 # (prefix, first, length): the t-sets prefix + (first + i,) for i < length.
 _Piece = tuple[tuple[int, ...], int, int]
@@ -100,9 +106,9 @@ class CoverageProfile:
     def defective(self, m: int) -> list[Defect]:
         """All t-sets covering fewer than m distinct tuples, in lex order."""
         _check_m(m, self.v**self.t)
-        below = np.flatnonzero(self.counts < m)
-        tsets = _unrank_tsets(below, self.k, self.t).tolist()
-        return [Defect(tuple(tset), c) for tset, c in zip(tsets, self.counts[below].tolist())]
+        below = self.counts < m
+        tsets = compress(self.tsets, below.tolist())
+        return [Defect(tset, c) for tset, c in zip(tsets, self.counts[below].tolist())]
 
     def allowed(self, epsilon: float) -> int:
         """Defective t-sets an epsilon-almost array may have."""
@@ -125,33 +131,14 @@ class CoverageProfile:
         )
 
 
-def _unrank_tsets(indices: np.ndarray, k: int, t: int) -> np.ndarray:
-    """The t-sets of ``range(k)`` at the given lex-order indices, one per row.
-
-    The t-set c_0 < ... < c_{t-1} at index i satisfies
-    ``C(k,t) - 1 - i = sum_p C(k-1-c_p, t-p)`` (the combinatorial number system
-    of the reversed columns), so position p is one ``searchsorted`` over the
-    table of C(d, t-p).
-    """
-    total = math.comb(k, t)
-    rest = total - 1 - indices.astype(np.int64)
-    # tables[r][d] = min(C(d, r), total) for d < k, by Pascal's rule from C(d, 0) = 1.
-    # Every rest is below total, so a clipped entry still exceeds it.
-    tables = [np.ones(k, dtype=np.int64)]
-    for _ in range(t):
-        tables.append(np.minimum(np.concatenate(([0], np.cumsum(tables[-1])[:-1])), total))
-    tsets = np.empty((len(rest), t), dtype=np.int64)
-    for p in range(t):
-        table = tables[t - p]
-        d = np.searchsorted(table, rest, side="right") - 1
-        rest -= table[d]
-        tsets[:, p] = k - 1 - d
-    return tsets
-
-
 def _check_t(t: int, k: int) -> None:
     if t < 1 or t > k:
         raise StrengthTooSmall(f"t={t} outside [1, k={k}]")
+
+
+def _head_rows(vt: int) -> int:
+    """Leading rows every t-set is counted on before the short ones are recounted."""
+    return math.ceil(vt * (math.log(vt) + _HEAD_SLACK))
 
 
 def _prefix_base(cols: np.ndarray, v: int, prefix) -> np.ndarray | int:
@@ -196,32 +183,39 @@ def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     return ranks
 
 
-def _chunks(
-    cols: np.ndarray, v: int, t: int, count: Callable[[np.ndarray], np.ndarray]
-) -> _Chunks:
-    """Every t-set counted on the rows of the column-major ``cols``, in lex chunks.
+def _prefix_runs(k: int, t: int) -> Iterator[_Piece]:
+    """Every t-set of ``range(k)`` in lex order, one run per (t-1)-prefix."""
+    for prefix in combinations(range(k - 1), t - 1):
+        first = prefix[-1] + 1 if prefix else 0
+        yield prefix, first, k - first
 
-    Chunks are sized on the row count of ``cols``: packed chunks within
-    ``_PACK_BUDGET`` ranks, broadcast slices within ``_CHUNK_BUDGET``.
+
+def _chunks(
+    cols: np.ndarray, v: int, runs: Iterable[_Piece], count: Callable[[np.ndarray], np.ndarray]
+) -> _Chunks:
+    """The runs' t-sets counted on the rows of the column-major ``cols``, in order.
+
+    Runs spanning fewer than ``_SHORT_SLICE`` ranks share packed chunks within
+    ``_PACK_BUDGET`` ranks; longer ones are counted in broadcast slices within
+    ``_CHUNK_BUDGET``.  Both are sized on the row count of ``cols``.
     """
-    k, n = cols.shape
-    # A short prefix's t-sets always fit one packed chunk, so pieces never split.
+    n = cols.shape[1]
+    # A short run always fits one packed chunk, so pieces never split.
     pack = min(_PACK_BUDGET, _CHUNK_BUDGET)
     short = min(_SHORT_SLICE, pack)
     per_pack = max(1, pack // max(n, 1))  # t-sets
     pieces: list[_Piece] = []
     held = 0
-    for prefix in combinations(range(k - 1), t - 1):
-        first = prefix[-1] + 1 if prefix else 0
-        packs = n * (k - first) < short
-        if pieces and (not packs or held + k - first > per_pack):
+    for prefix, first, length in runs:
+        packs = n * length < short
+        if pieces and (not packs or held + length > per_pack):
             yield pieces, count(_packed_ranks(cols, v, pieces))
             pieces, held = [], 0
         if packs:
-            pieces.append((prefix, first, k - first))
-            held += k - first
+            pieces.append((prefix, first, length))
+            held += length
             continue
-        for lo, ranks in _slices(cols, v, prefix, first, k):
+        for lo, ranks in _slices(cols, v, prefix, first, first + length):
             yield [(prefix, lo, len(ranks))], count(ranks)
     if pieces:
         yield pieces, count(_packed_ranks(cols, v, pieces))
@@ -240,12 +234,13 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     prefix.  Tuples are counted by OR-reducing one-hot bits (v^t at most 64)
     or else by sorting rows.
 
-    With N above ``head = _HEAD_PER_TUPLE * v^t`` rows, the chunks are first
-    counted, and sized, on the first ``head`` rows only.  Before a chunk is
-    yielded, each piece recounts over all N rows the run of its t-sets from
-    the first to the last that covered fewer than v^t tuples in the head,
-    through the broadcast slices.  A t-set that covers all v^t tuples in the
-    head covers them in the whole array, so every yielded count is exact.
+    With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
+    first counted, and sized, on the first ``head`` rows only.  Before a chunk
+    is yielded, its t-sets that covered fewer than v^t tuples in the head are
+    recounted over all N rows, as runs of consecutive t-sets that are packed
+    or sliced by the same rule as the prefixes.  A t-set that covers all v^t
+    tuples in the head covers them in the whole array, so every yielded count
+    is exact.
     """
     n, k = cells.shape
     _check_t(t, k)
@@ -271,20 +266,22 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
         return counts.astype(np.int64)
 
     cols = np.ascontiguousarray(cells.T, dtype)
-    head = min(n, _HEAD_PER_TUPLE * vt)
-    for pieces, counts in _chunks(np.ascontiguousarray(cols[:, :head]), v, t, count):
+    head = min(n, _head_rows(vt))
+    head_cols = np.ascontiguousarray(cols[:, :head])
+    for pieces, counts in _chunks(head_cols, v, _prefix_runs(k, t), count):
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
+            # Recount the short t-sets as runs of consecutive ones within a piece.
             starts = np.cumsum([0] + [length for _, _, length in pieces])
-            ends = np.searchsorted(short, starts)  # piece i holds short[ends[i] : ends[i + 1]]
-            for i in np.flatnonzero(ends[1:] > ends[:-1]).tolist():
-                # Recount the piece's t-sets from its first short one to its last.
+            piece = np.searchsorted(starts, short, side="right") - 1
+            cuts = np.flatnonzero((np.diff(short) > 1) | (np.diff(piece) > 0)) + 1
+            bounds = [0, *cuts.tolist(), len(short)]
+            runs = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):  # short[lo:hi] is one run
+                i = int(piece[lo])
                 prefix, first, _ = pieces[i]
-                lo = first + int(short[ends[i]] - starts[i])
-                stop = first + int(short[ends[i + 1] - 1] - starts[i]) + 1
-                for j, ranks in _slices(cols, v, prefix, lo, stop):
-                    at = int(starts[i]) + j - first
-                    counts[at : at + len(ranks)] = count(ranks)
+                runs.append((prefix, first + int(short[lo] - starts[i]), hi - lo))
+            counts[short] = np.concatenate([c for _, c in _chunks(cols, v, runs, count)])
         yield pieces, counts
 
 

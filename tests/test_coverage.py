@@ -1,7 +1,7 @@
 """Tests for coverage profiles, predicates, and the naive cross-check oracle."""
 
 import math
-from itertools import combinations, compress, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from pcaforge.core import Array
 from pcaforge.coverage import (
-    CoverageProfile,
-    Defect,
     completeness,
     count_defects,
     coverage_profile,
@@ -67,16 +65,6 @@ class TestCoverageProfile:
         a = Array(np.zeros((0, 100000), dtype=np.int64), 2)
         with pytest.raises(CapacityExceeded, match=r"C\(k,t\)"):
             coverage_profile(a, 3)
-
-    @pytest.mark.parametrize("k,t", [(1, 1), (5, 1), (6, 2), (9, 3), (8, 8), (12, 5), (40, 2)])
-    @pytest.mark.parametrize("m,defects", [(2, "none"), (3, "some"), (5, "all")])
-    def test_defective_matches_lex_enumeration(self, k, t, m, defects):
-        counts = np.random.default_rng(k * 10 + t).integers(2, 5, size=math.comb(k, t))
-        below = counts < m
-        assert {"none": not below.any(), "some": True, "all": below.all()}[defects]
-        want = [Defect(tset, int(c)) for tset, c in
-                zip(compress(combinations(range(k), t), below.tolist()), counts[below])]
-        assert CoverageProfile(t=t, v=5, k=k, counts=counts).defective(m) == want
 
     def test_counts_within_range(self):
         rng = np.random.default_rng(10)

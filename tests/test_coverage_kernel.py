@@ -6,8 +6,9 @@ table of an undeveloped base that the development identity is checked
 against.  Every case runs under the default chunk budget and under tiny ones,
 which split chunks inside one prefix, with short prefixes packed into shared
 chunks at the default slice size, whenever they fit, and never, and with the
-head stage at its default size, at one row per tuple, which recounts nearly
-every t-set, and above every row count, which never splits the rows.
+head stage at its default size, at the coupon-collector mean with no slack,
+which recounts most t-sets, and above every row count, which never splits the
+rows.
 """
 
 import functools
@@ -122,10 +123,10 @@ def packing(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[None, 1, 2**40], ids=["default-head", "head-1", "head-none"])
+@pytest.fixture(params=[None, 0, 2**40], ids=["default-head", "short-head", "head-none"])
 def head(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(coverage, "_HEAD_PER_TUPLE", request.param)
+        monkeypatch.setattr(coverage, "_HEAD_SLACK", request.param)
     return request.param
 
 
@@ -137,21 +138,27 @@ SMALL_ARRAY_PACKING = pytest.mark.parametrize(
 # Likewise the default head splits arrays of at most 40 rows only at v^t = 2,
 # so the tuple scans skip head-none; developed arrays are taller and keep it.
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
-    "head", [None, 1], ids=["default-head", "head-1"], indirect=True
+    "head", [None, 0], ids=["default-head", "short-head"], indirect=True
 )
 
 
-def spy_slices(monkeypatch):
-    """Record ``(prefix, B, width)`` for each broadcast block ``_scan`` counts."""
+def spy_blocks(monkeypatch):
+    """Record ``(packed, prefixes, B, width)`` for each block of ranks ``_scan`` counts."""
     blocks = []
-    slices = coverage._slices
+    slices, packed_ranks = coverage._slices, coverage._packed_ranks
 
-    def spy(cols, v, prefix, first, stop):
+    def spy_slices(cols, v, prefix, first, stop):
         for lo, ranks in slices(cols, v, prefix, first, stop):
-            blocks.append((prefix, *ranks.shape))
+            blocks.append((False, [prefix], *ranks.shape))
             yield lo, ranks
 
-    monkeypatch.setattr(coverage, "_slices", spy)
+    def spy_packed_ranks(cols, v, pieces):
+        ranks = packed_ranks(cols, v, pieces)
+        blocks.append((True, [prefix for prefix, _, _ in pieces], *ranks.shape))
+        return ranks
+
+    monkeypatch.setattr(coverage, "_slices", spy_slices)
+    monkeypatch.setattr(coverage, "_packed_ranks", spy_packed_ranks)
     return blocks
 
 
@@ -211,23 +218,25 @@ class TestChunks:
     ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
-        blocks = spy_slices(monkeypatch)
+        blocks = spy_blocks(monkeypatch)
         chunks = list(coverage._scan(cells, 2, t))
         tsets = [(*prefix, first + i)
                  for pieces, _ in chunks for prefix, first, length in pieces for i in range(length)]
         assert tsets == list(combinations(range(k), t))
         # Chunks are counted on the head rows, every recount on all n rows.
-        rows = min(n, coverage._HEAD_PER_TUPLE * 2**t)
+        rows = min(n, coverage._head_rows(2**t))
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
             if len(pieces) > 1:
                 assert len(counts) * rows <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
-        for _, b, width in blocks:
+        for packed, _, b, width in blocks:
             assert width in (rows, n)
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
-        if head == 1 and n > 2**t:  # two rows per tuple leave some t-set short
-            assert any(width == n for _, _, width in blocks)
+            if packed:
+                assert b * width <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
+        if head == 0 and n > rows:  # a head with no slack leaves some t-set short
+            assert any(width == n for *_, width in blocks)
         if packing == 0:
             assert all(len(pieces) == 1 for pieces, _ in chunks)
         elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
@@ -253,10 +262,10 @@ class TestChunks:
 
 
 class TestHeadStage:
-    """Counts at the head's edge, at t = 2, v = 3: the head is 72 rows."""
+    """Counts at the head's edge, at t = 2, v = 3: the head is 74 rows."""
 
     V, T, VT = 3, 2, 9
-    HEAD = 8 * 9
+    HEAD = 74
 
     def cells(self, n, k=6, seed=0):
         return np.random.default_rng(seed).integers(0, self.V, size=(n, k))
@@ -272,19 +281,20 @@ class TestHeadStage:
                 assert (count_defects(cells, v, t, m, stop_above=stop_above)
                         == _ref_count_defects(cells, v, t, m, stop_above=stop_above))
 
-    def test_default_head_is_eight_rows_per_tuple(self):
-        assert coverage._HEAD_PER_TUPLE * self.VT == self.HEAD
+    def test_default_head_rows(self):
+        # ceil(9 * (ln 9 + 6)) = ceil(73.77)
+        assert coverage._head_rows(self.VT) == self.HEAD
 
     def test_last_tuple_right_after_the_head(self, monkeypatch):
         # Columns 0 and 1 cycle through eight tuples in the head; the ninth,
         # (2, 2), first appears in the row just after it.
         cells = self.cells(self.HEAD + 10)
         eight = np.array([(a, b) for a in range(3) for b in range(3)][:8])
-        cells[: self.HEAD, :2] = np.tile(eight, (self.HEAD // 8, 1))
+        cells[: self.HEAD, :2] = np.resize(eight, (self.HEAD, 2))
         cells[self.HEAD, :2] = (2, 2)
-        blocks = spy_slices(monkeypatch)
+        blocks = spy_blocks(monkeypatch)
         assert coverage_profile(Array(cells, self.V), self.T).counts[0] == self.VT
-        assert any(prefix == (0,) and width == len(cells) for prefix, _, width in blocks)
+        assert any((0,) in prefixes and width == len(cells) for _, prefixes, _, width in blocks)
         self.assert_scans_match_reference(cells)
 
     def test_tset_complete_in_the_head_is_not_recounted(self, monkeypatch):
@@ -292,10 +302,10 @@ class TestHeadStage:
         a, b = np.divmod(np.arange(9), 3)
         cells = self.cells(self.HEAD + 50, k=4)
         cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
-        blocks = spy_slices(monkeypatch)
+        blocks = spy_blocks(monkeypatch)
         counts = coverage_profile(Array(cells, self.V), self.T).counts
         np.testing.assert_array_equal(counts, np.full(6, self.VT))
-        assert not any(width == len(cells) for _, _, width in blocks)
+        assert not any(width == len(cells) for *_, width in blocks)
 
     def test_witness_count_found_by_a_recount(self):
         # (0, 1) covers one tuple in the head and five in the whole array.
@@ -320,8 +330,9 @@ class TestHeadStage:
     def test_sorted_counts_after_the_head(self):
         # v^t = 65 counts by sorting rows; column 0 repeats one symbol in the head.
         v = 65
-        cells = np.random.default_rng(2).integers(0, v, size=(8 * v + 100, 3))
-        cells[: 8 * v, 0] = 0
+        head = coverage._head_rows(v)
+        cells = np.random.default_rng(2).integers(0, v, size=(head + 100, 3))
+        cells[:head, 0] = 0
         np.testing.assert_array_equal(
             coverage_profile(Array(cells, v), 1).counts, _ref_distinct_counts(cells, v, 1)
         )
