@@ -273,11 +273,9 @@ def write_defects_csv(defects: list[Defect], v: int, t: int, path: str | Path) -
     Path(path).write_text(defects_csv_text(defects, v, t), encoding="ascii", newline="\n")
 
 
-def report_json_text(
-    report: BuildReport, params: PcaParams, *, include_elapsed: bool = False
-) -> str:
-    """Structured build record.  Timing is omitted by default so that a fixed
-    seed produces byte-identical report files run over run."""
+def report_json_text(report: BuildReport, params: PcaParams) -> str:
+    """Structured build record.  Timing is left out (``elapsed_ms`` is null) so
+    that a fixed seed produces byte-identical report files run over run."""
     record = {
         "params": {
             "t": params.t,
@@ -295,20 +293,10 @@ def report_json_text(
             "real_bound": report.bound_used.real_bound,
             "n_rows": report.bound_used.n_rows,
         },
-        "elapsed_ms": round(report.elapsed * 1000, 3) if include_elapsed else None,
+        "elapsed_ms": None,
     }
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def write_report_json(
-    report: BuildReport,
-    params: PcaParams,
-    path: str | Path,
-    *,
-    include_elapsed: bool = False,
-) -> None:
-    Path(path).write_text(
-        report_json_text(report, params, include_elapsed=include_elapsed),
-        encoding="ascii",
-        newline="\n",
-    )
+def write_report_json(report: BuildReport, params: PcaParams, path: str | Path) -> None:
+    Path(path).write_text(report_json_text(report, params), encoding="ascii", newline="\n")

@@ -241,11 +241,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             m=args.m,
             epsilon=args.epsilon,
         )
-    text = artifact_io.sweep_csv_text(result)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(artifact_io.sweep_csv_text(result))
     else:
-        Path(args.out).write_text(text, encoding="ascii", newline="\n")
+        artifact_io.write_sweep_csv(result, args.out)
     return EXIT_OK
 
 

@@ -4,9 +4,10 @@ Every scan runs through one counting kernel, :func:`_scan`, which counts the
 distinct tuples of column t-sets in batches and yields them in lexicographic
 order.  Each batch (a chunk) is a run of consecutive t-sets described by
 ``(prefix, first, length)`` pieces: either part of one long (t-1)-prefix's
-t-sets, or the whole t-set runs of several short prefixes.  Its scratch
-memory stays within ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
-more, whatever N and v^t are.  Early-exit callers stop taking chunks.
+t-sets, or the whole t-set runs of several short prefixes, those spanning
+fewer than ``_CHUNK_BUDGET // 8`` ranks.  Its scratch memory stays within the
+one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is more,
+whatever N and v^t are.  Early-exit callers stop taking chunks.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
@@ -41,15 +42,13 @@ from .errors import CapacityExceeded, StrengthTooSmall
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
-# Scratch elements per kernel chunk: B*N ranks.
-_CHUNK_BUDGET = 2**20
-# Runs of t-sets (a prefix's, or a recount's) spanning fewer ranks than this
-# are packed into shared chunks; longer ones are ranked against a broadcast
-# base without gathers.
-_SHORT_SLICE = 2**15
-# Ranks per packed chunk.  A quarter of the budget scans the t=3 k=60 v=3
-# N=201 shape as fast as the whole budget, without raising the peak RSS.
-_PACK_BUDGET = 2**18
+# Scratch elements per kernel chunk, packed or broadcast: B*N ranks.  Runs of
+# t-sets (a prefix's, or a recount's) spanning fewer than an eighth of it are
+# packed into shared chunks; longer ones are ranked against a broadcast base
+# without gathers.  At 2^18, packed chunks scan the t=3 k=60 v=3 N=201 shape as
+# fast as at 2^20 without raising the peak RSS, and broadcast slices of tall,
+# wide arrays run no slower than at 2^20.
+_CHUNK_BUDGET = 2**18
 # Head rows beyond the coupon-collector mean.  With N above
 # head = v^t * (ln v^t + _HEAD_SLACK) rows, every t-set is counted on the head
 # first, and only those short of v^t there are recounted on all N.  After h
@@ -183,6 +182,23 @@ def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     return ranks
 
 
+def _runs_at(pieces: list[_Piece], positions: np.ndarray) -> list[_Piece]:
+    """The t-sets at the ascending ``positions`` of a chunk made of ``pieces``.
+
+    They come back as runs of consecutive t-sets within one piece each.
+    """
+    starts = np.cumsum([0] + [length for _, _, length in pieces])
+    piece = np.searchsorted(starts, positions, side="right") - 1
+    cuts = np.flatnonzero((np.diff(positions) > 1) | (np.diff(piece) > 0)) + 1
+    bounds = [0, *cuts.tolist(), len(positions)]
+    runs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):  # positions[lo:hi] is one run
+        i = int(piece[lo])
+        prefix, first, _ = pieces[i]
+        runs.append((prefix, first + int(positions[lo] - starts[i]), hi - lo))
+    return runs
+
+
 def _prefix_runs(k: int, t: int) -> Iterator[_Piece]:
     """Every t-set of ``range(k)`` in lex order, one run per (t-1)-prefix."""
     for prefix in combinations(range(k - 1), t - 1):
@@ -195,15 +211,14 @@ def _chunks(
 ) -> _Chunks:
     """The runs' t-sets counted on the rows of the column-major ``cols``, in order.
 
-    Runs spanning fewer than ``_SHORT_SLICE`` ranks share packed chunks within
-    ``_PACK_BUDGET`` ranks; longer ones are counted in broadcast slices within
-    ``_CHUNK_BUDGET``.  Both are sized on the row count of ``cols``.
+    Runs spanning fewer than ``_CHUNK_BUDGET // 8`` ranks share packed chunks;
+    longer ones are counted in broadcast slices.  Both stay within
+    ``_CHUNK_BUDGET`` ranks, sized on the row count of ``cols``.
     """
     n = cols.shape[1]
     # A short run always fits one packed chunk, so pieces never split.
-    pack = min(_PACK_BUDGET, _CHUNK_BUDGET)
-    short = min(_SHORT_SLICE, pack)
-    per_pack = max(1, pack // max(n, 1))  # t-sets
+    short = _CHUNK_BUDGET // 8
+    per_pack = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets
     pieces: list[_Piece] = []
     held = 0
     for prefix, first, length in runs:
@@ -224,15 +239,14 @@ def _chunks(
 def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
-    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  A
-    (t-1)-prefix whose t-sets span at least ``_SHORT_SLICE`` ranks is ranked
-    once, then every later column against it as one ``(B, N)`` slice of a
-    column-major copy of the cells, within ``_CHUNK_BUDGET`` ranks per chunk.
-    Consecutive prefixes with fewer ranks share chunks of up to
-    ``_PACK_BUDGET`` ranks built by :func:`_packed_ranks`, so that narrow or
-    short arrays pay the per-chunk cost once per packed chunk, not per
-    prefix.  Tuples are counted by OR-reducing one-hot bits (v^t at most 64)
-    or else by sorting rows.
+    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  Every
+    chunk holds at most ``_CHUNK_BUDGET`` ranks.  A (t-1)-prefix whose t-sets
+    span at least ``_CHUNK_BUDGET // 8`` ranks is ranked once, then every
+    later column against it as one ``(B, N)`` slice of a column-major copy of
+    the cells.  Consecutive prefixes with fewer ranks share chunks built by
+    :func:`_packed_ranks`, so that narrow or short arrays pay the per-chunk
+    cost once per packed chunk, not per prefix.  Tuples are counted by
+    OR-reducing one-hot bits (v^t at most 64) or else by sorting rows.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
@@ -271,28 +285,9 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     for pieces, counts in _chunks(head_cols, v, _prefix_runs(k, t), count):
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
-            # Recount the short t-sets as runs of consecutive ones within a piece.
-            starts = np.cumsum([0] + [length for _, _, length in pieces])
-            piece = np.searchsorted(starts, short, side="right") - 1
-            cuts = np.flatnonzero((np.diff(short) > 1) | (np.diff(piece) > 0)) + 1
-            bounds = [0, *cuts.tolist(), len(short)]
-            runs = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):  # short[lo:hi] is one run
-                i = int(piece[lo])
-                prefix, first, _ = pieces[i]
-                runs.append((prefix, first + int(short[lo] - starts[i]), hi - lo))
+            runs = _runs_at(pieces, short)
             counts[short] = np.concatenate([c for _, c in _chunks(cols, v, runs, count)])
         yield pieces, counts
-
-
-def _count_below(chunks: _Chunks, required: int, stop_above: int | None) -> int:
-    """t-sets counting below ``required``; ``stop_above + 1`` once past it."""
-    defects = 0
-    for _, counts in chunks:
-        defects += int(np.count_nonzero(counts < required))
-        if stop_above is not None and defects > stop_above:
-            return stop_above + 1
-    return defects
 
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
@@ -329,20 +324,21 @@ def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
     for pieces, counts in _scan(cells, v, t):
         below = np.flatnonzero(counts < m)
         if len(below):
-            i = int(below[0])
-            count = int(counts[i])
-            for prefix, first, length in pieces:
-                if i < length:
-                    return Defect((*prefix, first + i), count)
-                i -= length
+            [(prefix, first, _)] = _runs_at(pieces, below[:1])
+            return Defect((*prefix, first), int(counts[below[0]]))
     return None
 
 
 def count_defects(
     cells: np.ndarray, v: int, t: int, m: int, *, stop_above: int | None = None
 ) -> int:
-    """Number of t-sets covering < m tuples; stops early past ``stop_above``."""
-    return _count_below(_scan(cells, v, t), m, stop_above)
+    """Number of t-sets covering < m tuples; ``stop_above + 1`` once past ``stop_above``."""
+    defects = 0
+    for _, counts in _scan(cells, v, t):
+        defects += int(np.count_nonzero(counts < m))
+        if stop_above is not None and defects > stop_above:
+            return stop_above + 1
+    return defects
 
 
 def is_pca(a: Array, t: int, m: int) -> PcaCheck:

@@ -485,10 +485,3 @@ class TestReportJson:
         assert record["n_rows"] == 16
         assert record["elapsed_ms"] is None
         assert record["verifier"].startswith("pca")
-
-    def test_elapsed_opt_in(self):
-        p = PcaParams(t=2, k=4, v=2, m=4, seed=11)
-        record = json.loads(
-            report_json_text(build_pca_moser_tardos(p), p, include_elapsed=True)
-        )
-        assert record["elapsed_ms"] >= 0

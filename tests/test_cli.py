@@ -330,6 +330,14 @@ class TestCompareCommand:
         main(["compare", "--figure", "1b", "--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        assert main(["compare", "--figure", "1b"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["compare", "--figure", "1b", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == printed.encode("ascii")
+
     def test_custom_needs_axis(self, capsys):
         assert main(["compare", "--t", "2", "--v", "2"]) == 2
 

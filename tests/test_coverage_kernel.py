@@ -3,12 +3,13 @@
 The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
 table of an undeveloped base that the development identity is checked
-against.  Every case runs under the default chunk budget and under tiny ones,
-which split chunks inside one prefix, with short prefixes packed into shared
-chunks at the default slice size, whenever they fit, and never, and with the
-head stage at its default size, at the coupon-collector mean with no slack,
-which recounts most t-sets, and above every row count, which never splits the
-rows.
+against.  Every case runs under the default chunk budget and under tiny ones.
+The default budget packs every prefix of the small arrays into shared chunks;
+the tiny ones split chunks inside one prefix and send most prefixes down the
+broadcast path, since a run packs only below an eighth of the budget.  Each
+budget runs with the head stage at its default size, at the coupon-collector
+mean with no slack, which recounts most t-sets, and above every row count,
+which never splits the rows.
 """
 
 import functools
@@ -116,13 +117,6 @@ def budget(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[None, 2**62, 0], ids=["default-packing", "pack-all", "pack-none"])
-def packing(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(coverage, "_SHORT_SLICE", request.param)
-    return request.param
-
-
 @pytest.fixture(params=[None, 0, 2**40], ids=["default-head", "short-head", "head-none"])
 def head(request, monkeypatch):
     if request.param is not None:
@@ -130,12 +124,7 @@ def head(request, monkeypatch):
     return request.param
 
 
-# On arrays of at most 40 rows the default slice size already packs every
-# prefix that fits a chunk, as pack-all does, so reference checks skip pack-all.
-SMALL_ARRAY_PACKING = pytest.mark.parametrize(
-    "packing", [None, 0], ids=["default-packing", "pack-none"], indirect=True
-)
-# Likewise the default head splits arrays of at most 40 rows only at v^t = 2,
+# The default head splits arrays of at most 40 rows only at v^t = 2,
 # so the tuple scans skip head-none; developed arrays are taller and keep it.
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
     "head", [None, 0], ids=["default-head", "short-head"], indirect=True
@@ -188,22 +177,21 @@ def early_exit_cases(t, v, seed):
     return cases
 
 
-@SMALL_ARRAY_PACKING
 @SMALL_ARRAY_HEAD
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, packing, head, t, v):
+    def test_profile_matches_reference_and_oracle(self, budget, head, t, v):
         for a, want in profile_cases(t, v, seed=t * 100 + v):
             counts = coverage_profile(a, t).counts
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, want)
         # the oracle is slow and blind to chunking
-        if budget is None and packing is None and head is None:
+        if budget is None and head is None:
             for a, want in profile_cases(t, v, seed=t * 100 + v):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, packing, head, t, v):
+    def test_early_exit_scans_match_reference(self, budget, head, t, v):
         for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
             assert first_defect(a.cells, v, t, m) == defect
             for stop_above, want in defects.items():
@@ -213,9 +201,7 @@ class TestTupleScans:
 class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
-    def test_chunks_tile_tsets_in_lex_order_within_budget(
-        self, budget, packing, head, monkeypatch, t, n
-    ):
+    def test_chunks_tile_tsets_in_lex_order_within_budget(self, budget, head, monkeypatch, t, n):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
         blocks = spy_blocks(monkeypatch)
@@ -228,22 +214,36 @@ class TestChunks:
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
-            if len(pieces) > 1:
-                assert len(counts) * rows <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
-        for packed, _, b, width in blocks:
+        for _, _, b, width in blocks:
             assert width in (rows, n)
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
-            if packed:
-                assert b * width <= min(coverage._PACK_BUDGET, coverage._CHUNK_BUDGET)
         if head == 0 and n > rows:  # a head with no slack leaves some t-set short
             assert any(width == n for *_, width in blocks)
-        if packing == 0:
-            assert all(len(pieces) == 1 for pieces, _ in chunks)
-        elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
+        if budget is None and n < 3000:  # every prefix is short and all fit one chunk
             assert len(chunks) == 1
 
+    def test_budget_grid_runs_packed_and_broadcast_blocks(self, budget, monkeypatch):
+        # The default budget packs every run of the small arrays; the tiny
+        # ones pack only the runs of 0 or 1 rows, or a few short t-sets.
+        blocks = spy_blocks(monkeypatch)
+        for t, v in SHAPES:
+            for a, _ in profile_cases(t, v, seed=t * 100 + v):
+                coverage_profile(a, t)
+        assert {packed for packed, *_ in blocks} == ({True} if budget is None else {True, False})
+
+    @pytest.mark.parametrize("k,packed", [(63, True), (64, False)])
+    def test_runs_pack_below_an_eighth_of_the_budget(self, monkeypatch, k, packed):
+        # At t = 1 the one run spans 512 * k ranks, against 2^15 = 512 * 64;
+        # the v = 64 head (651 rows) holds all 512 rows, so nothing is recounted.
+        assert coverage._CHUNK_BUDGET // 8 == 2**15
+        cells = np.random.default_rng(k).integers(0, 64, size=(512, k))
+        blocks = spy_blocks(monkeypatch)
+        [(_, counts)] = coverage._scan(cells, 64, 1)
+        np.testing.assert_array_equal(counts, _ref_distinct_counts(cells, 64, 1))
+        assert [(p, b, width) for p, _, b, width in blocks] == [(packed, k, 512)]
+
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, packing, t):
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, t):
         # Two equal columns j1 < j2 leave every t-set holding both with at
         # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
         k, j1, j2 = t + 12, t + 2, t + 6
@@ -255,7 +255,7 @@ class TestChunks:
         assert defect == _ref_first_defect(cells, 2, t, m)
         assert defect.tset == tset
         assert count_defects(cells, 2, t, m) == math.comb(k - 2, t - 2)
-        if budget is None and packing != 0:
+        if budget is None:
             [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
                         if any(p == tset[:-1] for p, _, _ in pieces)]
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
@@ -375,11 +375,10 @@ ACTIONS = [
 ]
 
 
-@SMALL_ARRAY_PACKING
 class TestClassScans:
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, packing, head, t, v, make_action
+        self, budget, head, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
@@ -390,7 +389,7 @@ class TestClassScans:
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, packing, head, t, v, make_action
+        self, budget, head, t, v, make_action
     ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
