@@ -206,6 +206,14 @@ def _prefix_runs(k: int, t: int) -> Iterator[_Piece]:
         yield prefix, first, k - first
 
 
+def _packs(n: int, length: int) -> bool:
+    """Does a run of ``length`` t-sets on ``n`` rows share packed chunks?
+
+    It does when it spans fewer than ``_CHUNK_BUDGET // 8`` ranks.
+    """
+    return n * length < _CHUNK_BUDGET // 8
+
+
 def _chunks(
     cols: np.ndarray, v: int, runs: Iterable[_Piece], count: Callable[[np.ndarray], np.ndarray]
 ) -> _Chunks:
@@ -216,13 +224,11 @@ def _chunks(
     ``_CHUNK_BUDGET`` ranks, sized on the row count of ``cols``.
     """
     n = cols.shape[1]
-    # A short run always fits one packed chunk, so pieces never split.
-    short = _CHUNK_BUDGET // 8
     per_pack = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets
     pieces: list[_Piece] = []
     held = 0
     for prefix, first, length in runs:
-        packs = n * length < short
+        packs = _packs(n, length)  # a packed run always fits one chunk
         if pieces and (not packs or held + length > per_pack):
             yield pieces, count(_packed_ranks(cols, v, pieces))
             pieces, held = [], 0

@@ -7,9 +7,10 @@ against.  Every case runs under the default chunk budget and under tiny ones.
 The default budget packs every prefix of the small arrays into shared chunks;
 the tiny ones split chunks inside one prefix and send most prefixes down the
 broadcast path, since a run packs only below an eighth of the budget.  Each
-budget runs with the head stage at its default size, at the coupon-collector
-mean with no slack, which recounts most t-sets, and above every row count,
-which never splits the rows.
+budget runs with runs packed by that rule, with every run that fits a chunk
+packed, and with none packed, and with the head stage at its default size, at
+the coupon-collector mean with no slack, which recounts most t-sets, and above
+every row count, which never splits the rows.
 """
 
 import functools
@@ -117,6 +118,19 @@ def budget(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[None, "all", "none"], ids=["default-packing", "pack-all", "pack-none"])
+def packing(request, monkeypatch):
+    # pack-all packs every run that fits a chunk; pack-none sends every run
+    # down the broadcast path.
+    if request.param == "all":
+        monkeypatch.setattr(
+            coverage, "_packs", lambda n, length: n * length < coverage._CHUNK_BUDGET
+        )
+    elif request.param == "none":
+        monkeypatch.setattr(coverage, "_packs", lambda n, length: False)
+    return request.param
+
+
 @pytest.fixture(params=[None, 0, 2**40], ids=["default-head", "short-head", "head-none"])
 def head(request, monkeypatch):
     if request.param is not None:
@@ -124,6 +138,12 @@ def head(request, monkeypatch):
     return request.param
 
 
+# On arrays of at most 40 rows the default budget already packs every run
+# that fits a chunk, as pack-all does, so reference checks skip pack-all; under
+# the tiny budgets TestChunks runs it.
+SMALL_ARRAY_PACKING = pytest.mark.parametrize(
+    "packing", [None, "none"], ids=["default-packing", "pack-none"], indirect=True
+)
 # The default head splits arrays of at most 40 rows only at v^t = 2,
 # so the tuple scans skip head-none; developed arrays are taller and keep it.
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
@@ -177,21 +197,22 @@ def early_exit_cases(t, v, seed):
     return cases
 
 
+@SMALL_ARRAY_PACKING
 @SMALL_ARRAY_HEAD
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, head, t, v):
+    def test_profile_matches_reference_and_oracle(self, budget, packing, head, t, v):
         for a, want in profile_cases(t, v, seed=t * 100 + v):
             counts = coverage_profile(a, t).counts
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, want)
         # the oracle is slow and blind to chunking
-        if budget is None and head is None:
+        if budget is None and packing is None and head is None:
             for a, want in profile_cases(t, v, seed=t * 100 + v):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, head, t, v):
+    def test_early_exit_scans_match_reference(self, budget, packing, head, t, v):
         for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
             assert first_defect(a.cells, v, t, m) == defect
             for stop_above, want in defects.items():
@@ -201,7 +222,9 @@ class TestTupleScans:
 class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
-    def test_chunks_tile_tsets_in_lex_order_within_budget(self, budget, head, monkeypatch, t, n):
+    def test_chunks_tile_tsets_in_lex_order_within_budget(
+        self, budget, packing, head, monkeypatch, t, n
+    ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
         blocks = spy_blocks(monkeypatch)
@@ -219,7 +242,9 @@ class TestChunks:
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
         if head == 0 and n > rows:  # a head with no slack leaves some t-set short
             assert any(width == n for *_, width in blocks)
-        if budget is None and n < 3000:  # every prefix is short and all fit one chunk
+        if packing == "none":
+            assert all(len(pieces) == 1 for pieces, _ in chunks)
+        elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
             assert len(chunks) == 1
 
     def test_budget_grid_runs_packed_and_broadcast_blocks(self, budget, monkeypatch):
@@ -243,7 +268,7 @@ class TestChunks:
         assert [(p, b, width) for p, _, b, width in blocks] == [(packed, k, 512)]
 
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, t):
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, packing, t):
         # Two equal columns j1 < j2 leave every t-set holding both with at
         # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
         k, j1, j2 = t + 12, t + 2, t + 6
@@ -255,7 +280,7 @@ class TestChunks:
         assert defect == _ref_first_defect(cells, 2, t, m)
         assert defect.tset == tset
         assert count_defects(cells, 2, t, m) == math.comb(k - 2, t - 2)
-        if budget is None:
+        if budget is None and packing != "none":
             [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
                         if any(p == tset[:-1] for p, _, _ in pieces)]
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
@@ -375,10 +400,11 @@ ACTIONS = [
 ]
 
 
+@SMALL_ARRAY_PACKING
 class TestClassScans:
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, head, t, v, make_action
+        self, budget, packing, head, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
@@ -389,7 +415,7 @@ class TestClassScans:
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, head, t, v, make_action
+        self, budget, packing, head, t, v, make_action
     ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
