@@ -143,8 +143,8 @@ def bound_pca_asymptotic(t: int, k: float, v: int, m: int) -> float:
     vt = v**t
     _check_m(m, vt)
     r = vt - m + 1
-    if k <= 1 or math.log(k) <= 0:
-        raise DomainError(f"ln k must be positive, got k={k}")
+    if not 1 < k < math.inf:  # also rejects NaN; math.isfinite overflows on huge ints
+        raise DomainError(f"ln k must be positive and finite, got k={k}")
     if k <= r:
         raise DomainError(f"k={k} must exceed r={r}")
     lnk = math.log(k)

@@ -173,6 +173,7 @@ def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
 
 def build_pca_moser_tardos(params: PcaParams) -> BuildReport:
     """Resampling builder for partial m-coverage at the local-lemma row count."""
+    params = validate(params)
     return _moser_tardos(params, _pcg64(params.seed))
 
 

@@ -6,16 +6,19 @@ All value types here are immutable and safe to share across workers.
 
 Each parameter rule has one private checker here, which every module calls,
 so a rule raises the same error class and message wherever it is enforced:
-``_check_v`` (v >= 2), ``_check_tkv`` (t, k and the 64-bit range of v^t and
-k), ``_check_m`` (1 <= m <= v^t), ``_check_fraction`` (epsilon or q in
-[0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
-``_check_full`` (m = v^t for the full-coverage constructions).
+``_as_int`` (an integer, not a float or a string), ``_check_v`` (v >= 2),
+``_check_tkv`` (t, k and the 64-bit range of v^t and k), ``_check_m``
+(1 <= m <= v^t), ``_check_fraction`` (epsilon or q in [0, 1], or in (0, 1]
+for the almost-coverage bounds and builders) and ``_check_full`` (m = v^t
+for the full-coverage constructions).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -63,6 +66,14 @@ class PcaParams:
         return self.v**self.t
 
 
+def _as_int(x: object, name: str) -> int:
+    """``x`` as a Python int: numpy integers convert, floats and strings raise."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name}={x!r} must be an integer") from None
+
+
 def _check_v(v: int) -> None:
     if v < 2:
         raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
@@ -103,11 +114,18 @@ def _check_full(m: int, vt: int, what: str) -> None:
 
 
 def validate(params: PcaParams) -> PcaParams:
-    """Return ``params`` unchanged if every invariant holds, else raise.
+    """Return ``params`` if every invariant holds, else raise.
 
-    Invariants: 2 <= t <= k, v >= 2, 1 <= m <= v^t, 0 <= epsilon <= 1,
-    0 <= seed < 2^64, and v^t and k fit in a 64-bit integer.
+    Invariants: t, k, v, m and seed are integers, epsilon is a real number,
+    2 <= t <= k, v >= 2, 1 <= m <= v^t, 0 <= epsilon <= 1, 0 <= seed < 2^64,
+    and v^t and k fit in a 64-bit integer.  A bundle holding numpy integers
+    comes back as a copy holding the equal Python ints.
     """
+    ints = {name: _as_int(getattr(params, name), name) for name in ("t", "k", "v", "m", "seed")}
+    if not isinstance(params.epsilon, numbers.Real):
+        raise DomainError(f"epsilon={params.epsilon!r} must be a real number")
+    if any(type(getattr(params, name)) is not int for name in ints):
+        params = dataclasses.replace(params, **ints)
     _check_tkv(params.t, params.v, params.k)
     _check_m(params.m, params.vt)
     _check_fraction(params.epsilon)
@@ -148,7 +166,7 @@ def _as_cells(cells: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Array:
-    """An N x k symbol grid over ``{0, ..., v-1}``.
+    """An N x k symbol grid over ``{0, ..., v-1}``, v an integer in [2, 2^63 - 1].
 
     The cell matrix is a private copy, made read-only on construction;
     operations that change contents return new arrays.
@@ -158,7 +176,10 @@ class Array:
     v: int
 
     def __init__(self, cells: np.ndarray | Sequence[Sequence[int]], v: int):
+        v = _as_int(v, "v")
         _check_v(v)
+        if v > WIDE_INT_MAX:
+            raise Overflow(f"alphabet size v={v} exceeds the 64-bit range")
         arr = _as_cells(cells)
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             bad = arr[(arr < 0) | (arr >= v)].flat[0]

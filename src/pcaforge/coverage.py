@@ -3,11 +3,14 @@
 Every scan runs through one counting kernel, :func:`_scan`, which counts the
 distinct tuples of column t-sets in batches and yields them in lexicographic
 order.  Each batch (a chunk) is a run of consecutive t-sets described by
-``(prefix, first, length)`` pieces: either part of one long (t-1)-prefix's
-t-sets, or the whole t-set runs of several short prefixes, those spanning
-fewer than ``_CHUNK_BUDGET // 8`` ranks.  Its scratch memory stays within the
-one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is more,
-whatever N and v^t are.  Early-exit callers stop taking chunks.
+``(prefix, first, length)`` pieces.  A pure plan, :func:`_chunks`, decides
+which t-sets share a chunk: either part of one long (t-1)-prefix's t-sets, or
+the whole t-set runs of several short prefixes, those spanning fewer than
+``_CHUNK_BUDGET // 8`` ranks.  One rank builder, :func:`_ranks`, turns a
+chunk's pieces into a block of tuple ranks, which is counted.  Its scratch
+memory stays within the one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's
+N ranks if that is more, whatever N and v^t are.  Early-exit callers stop
+taking chunks.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -140,10 +143,11 @@ def _head_rows(vt: int) -> int:
     return math.ceil(vt * (math.log(vt) + _HEAD_SLACK))
 
 
-def _prefix_base(cols: np.ndarray, v: int, prefix) -> np.ndarray | int:
-    """Rank of the prefix columns' tuples, times v: the base a last column adds to.
+def _prefix_base(cols: np.ndarray, v: int, prefix: np.ndarray) -> np.ndarray | int:
+    """Ranks of the prefixes' tuples, times v: the bases a last column adds to.
 
-    ``prefix`` holds column numbers, or index arrays to build several bases at once.
+    ``prefix`` holds one index array per prefix column, one index per prefix;
+    with no prefix columns (t = 1) the base is 0.
     """
     base = 0
     for c in prefix:
@@ -151,33 +155,23 @@ def _prefix_base(cols: np.ndarray, v: int, prefix) -> np.ndarray | int:
     return base
 
 
-def _slices(
-    cols: np.ndarray, v: int, prefix: tuple[int, ...], first: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``(lo, ranks)`` blocks of the t-sets ``prefix + (j,)`` for first <= j < stop.
+def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
+    """Tuple ranks of the pieces' t-sets as one ``(B, N)`` block, in order.
 
-    Each block broadcasts the prefix base against ``cols[lo : lo + B]`` and
-    holds at most ``_CHUNK_BUDGET`` ranks, or one row of ``cols`` if that is more.
-    """
-    base = _prefix_base(cols, v, prefix)
-    step = max(1, _CHUNK_BUDGET // max(cols.shape[1], 1))
-    for lo in range(first, stop, step):
-        yield lo, base + cols[lo : min(lo + step, stop)]
-
-
-def _packed_ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
-    """Tuple ranks of several short prefixes' t-sets as one ``(B, N)`` block.
-
-    One row gather per prefix column builds the prefix bases, each base is
-    repeated once per later column, and one more gather adds the later columns.
+    One piece broadcasts its prefix base against ``cols[first : first + length]``.
+    Several pieces are gathered: one row gather per prefix column builds the
+    bases, each base is repeated once per t-set of its piece, and one more
+    gather adds the last columns.
     """
     prefixes, firsts, lengths = zip(*pieces)
+    base = _prefix_base(cols, v, np.array(prefixes).T)
+    if len(pieces) == 1:
+        return base + cols[firsts[0] : firsts[0] + lengths[0]]
     lengths = np.array(lengths)
     # The j-th t-set of piece i ends in column firsts[i] + j.
     offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
     ranks = cols[np.arange(lengths.sum()) + np.repeat(offsets, lengths)]
     if prefixes[0]:  # t > 1
-        base = _prefix_base(cols, v, np.array(prefixes).T)
         ranks += np.repeat(base, lengths, axis=0)
     return ranks
 
@@ -214,51 +208,49 @@ def _packs(n: int, length: int) -> bool:
     return n * length < _CHUNK_BUDGET // 8
 
 
-def _chunks(
-    cols: np.ndarray, v: int, runs: Iterable[_Piece], count: Callable[[np.ndarray], np.ndarray]
-) -> _Chunks:
-    """The runs' t-sets counted on the rows of the column-major ``cols``, in order.
+def _chunks(n: int, runs: Iterable[_Piece]) -> Iterator[list[_Piece]]:
+    """The plan of a scan on ``n`` rows: the runs' t-sets in chunks of pieces, in order.
 
-    Runs spanning fewer than ``_CHUNK_BUDGET // 8`` ranks share packed chunks;
-    longer ones are counted in broadcast slices.  Both stay within
-    ``_CHUNK_BUDGET`` ranks, sized on the row count of ``cols``.
+    Runs where :func:`_packs` holds share chunks; longer ones are cut into
+    one-piece chunks.  Every chunk holds at most ``_CHUNK_BUDGET`` ranks, or
+    one t-set's ``n`` if that is more.
     """
-    n = cols.shape[1]
-    per_pack = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets
+    step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
     pieces: list[_Piece] = []
     held = 0
     for prefix, first, length in runs:
         packs = _packs(n, length)  # a packed run always fits one chunk
-        if pieces and (not packs or held + length > per_pack):
-            yield pieces, count(_packed_ranks(cols, v, pieces))
+        if pieces and (not packs or held + length > step):
+            yield pieces
             pieces, held = [], 0
         if packs:
             pieces.append((prefix, first, length))
             held += length
             continue
-        for lo, ranks in _slices(cols, v, prefix, first, first + length):
-            yield [(prefix, lo, len(ranks))], count(ranks)
+        for lo in range(first, first + length, step):
+            yield [(prefix, lo, min(step, first + length - lo))]
     if pieces:
-        yield pieces, count(_packed_ranks(cols, v, pieces))
+        yield pieces
 
 
 def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
-    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  Every
-    chunk holds at most ``_CHUNK_BUDGET`` ranks.  A (t-1)-prefix whose t-sets
-    span at least ``_CHUNK_BUDGET // 8`` ranks is ranked once, then every
-    later column against it as one ``(B, N)`` slice of a column-major copy of
-    the cells.  Consecutive prefixes with fewer ranks share chunks built by
-    :func:`_packed_ranks`, so that narrow or short arrays pay the per-chunk
-    cost once per packed chunk, not per prefix.  Tuples are counted by
-    OR-reducing one-hot bits (v^t at most 64) or else by sorting rows.
+    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
+    chunks follow the plan of :func:`_chunks` and each holds at most
+    ``_CHUNK_BUDGET`` ranks.  Every chunk, head or recount, is counted as
+    ``count(_ranks(cols, v, pieces))`` on a column-major copy of the cells.
+    A one-piece chunk broadcasts its prefix's ranks against a ``(B, N)``
+    slice of later columns; the runs of several short prefixes are gathered
+    into one chunk, so that narrow or short arrays pay the per-chunk cost
+    once per chunk, not per prefix.  Tuples are counted by OR-reducing
+    one-hot bits (v^t at most 64) or else by sorting rows.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
     is yielded, its t-sets that covered fewer than v^t tuples in the head are
-    recounted over all N rows, as runs of consecutive t-sets that are packed
-    or sliced by the same rule as the prefixes.  A t-set that covers all v^t
+    recounted over all N rows, as runs of consecutive t-sets that the same
+    plan packs or cuts as it does the prefixes.  A t-set that covers all v^t
     tuples in the head covers them in the whole array, so every yielded count
     is exact.
     """
@@ -288,11 +280,12 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     cols = np.ascontiguousarray(cells.T, dtype)
     head = min(n, _head_rows(vt))
     head_cols = np.ascontiguousarray(cols[:, :head])
-    for pieces, counts in _chunks(head_cols, v, _prefix_runs(k, t), count):
+    for pieces in _chunks(head, _prefix_runs(k, t)):
+        counts = count(_ranks(head_cols, v, pieces))
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
-            runs = _runs_at(pieces, short)
-            counts[short] = np.concatenate([c for _, c in _chunks(cols, v, runs, count)])
+            plan = _chunks(n, _runs_at(pieces, short))
+            counts[short] = np.concatenate([count(_ranks(cols, v, p)) for p in plan])
         yield pieces, counts
 
 

@@ -112,7 +112,9 @@ class IterationCap(PcaForgeError):
 
 
 class MNotFull(PcaForgeError):
-    """Derandomized construction supports only m = v^t."""
+    """m differs from v^t where only full coverage is supported: the cyclic,
+    frobenius and derandomized builders and the cyclic and frobenius
+    development bounds."""
 
 
 # -- file I/O -------------------------------------------------------------------

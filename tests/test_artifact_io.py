@@ -25,7 +25,9 @@ from pcaforge.bounds import sweep
 from pcaforge.construct import build_pca_moser_tardos
 from pcaforge.core import WIDE_INT_MAX, Array, PcaParams
 from pcaforge.coverage import coverage_profile
-from pcaforge.errors import DimensionMismatch, ParseError, PcaForgeError, SymbolOutOfRange
+from pcaforge.errors import (
+    DimensionMismatch, DomainError, Overflow, ParseError, PcaForgeError, SymbolOutOfRange,
+)
 
 
 class TestArrayFormat:
@@ -57,6 +59,24 @@ class TestArrayFormat:
         loaded, header = read_array(path)
         assert header.claims == {"t": 2, "m": 4, "epsilon": 0.25}
         assert loaded == Array([[0, 1]], 2)
+
+    @pytest.mark.parametrize("v", [5, np.int64(5), np.uint8(5), WIDE_INT_MAX])
+    def test_alphabet_round_trip(self, tmp_path, v):
+        path = tmp_path / "a.pca"
+        a = Array([[0, 1], [4, 2]], v)
+        assert type(a.v) is int
+        write_array(a, path)
+        loaded, header = read_array(path)
+        assert loaded == a and header.v == v
+
+    @pytest.mark.parametrize("v,error", [
+        (2.0, DomainError), ("2", DomainError), (2**63, Overflow), (2**70, Overflow),
+    ])
+    def test_alphabet_the_reader_would_refuse(self, v, error):
+        # these were accepted and written to files that read_array refuses:
+        # "count line needs integers", "v exceeds the 64-bit range"
+        with pytest.raises(error):
+            Array([[0, 1]], v)
 
     def test_empty_array(self, tmp_path):
         path = tmp_path / "a.pca"

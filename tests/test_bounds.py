@@ -205,9 +205,17 @@ class TestAsymptotic:
         # ln k = 1 at k = e: value collapses to v^t (t-1)
         assert bound_pca_asymptotic(2, math.e, 2, 4) == pytest.approx(4.0, rel=1e-12)
 
-    def test_domain_error(self):
+    @pytest.mark.parametrize("k", [1, -math.inf, math.nan, math.inf])
+    def test_domain_error(self, k):
+        # k = nan returned nan, k = inf returned inf
         with pytest.raises(DomainError):
-            bound_pca_asymptotic(2, 1, 2, 4)
+            bound_pca_asymptotic(2, k, 2, 4)
+
+    def test_integer_k_past_the_double_range(self):
+        # ln(10^400) = 400 ln 10; m = v^t makes the correction factor vanish
+        assert bound_pca_asymptotic(2, 10**400, 2, 4) == pytest.approx(
+            4 * 400 * math.log(10), rel=1e-12
+        )
 
 
 class TestApcaBound:

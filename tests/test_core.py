@@ -1,5 +1,6 @@
 """Tests for domain types, validation, tuple ranking, and projection."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcaforge.construct import build_pca_moser_tardos
 from pcaforge.core import (
     Array,
     PcaParams,
@@ -18,6 +20,7 @@ from pcaforge.core import (
 from pcaforge.errors import (
     AlphabetTooSmall,
     ColumnOutOfRange,
+    DomainError,
     EpsilonOutOfRange,
     MOutOfRange,
     Overflow,
@@ -70,6 +73,28 @@ class TestValidate:
     def test_seed_largest_64_bit(self):
         p = PcaParams(t=2, k=4, v=2, m=4, seed=2**64 - 1)
         assert validate(p) is p
+
+    @pytest.mark.parametrize("field,value", [
+        ("t", 2.0), ("k", 5.0), ("v", 2.0), ("m", 3.5), ("seed", 1.5), ("t", "2"),
+        ("m", "4"), ("epsilon", "0.1"), ("epsilon", None), ("epsilon", 0.5j),
+    ])
+    def test_non_integer_params(self, field, value):
+        # m=3.5 built and claimed pca(t=2, m=3.5); seed=1.5 and
+        # epsilon="0.1" escaped as a builtin TypeError
+        p = dataclasses.replace(PcaParams(t=2, k=5, v=2, m=4, epsilon=0.25), **{field: value})
+        with pytest.raises(DomainError):
+            validate(p)
+        with pytest.raises(DomainError):
+            build_pca_moser_tardos(p)
+
+    def test_numpy_integers_are_python_ints(self):
+        # t=np.int64(2) died with AttributeError: bit_length in the kernel
+        p = PcaParams(*map(np.int64, (2, 5, 2, 3)), epsilon=np.float64(0.0), seed=np.uint64(7))
+        want = PcaParams(2, 5, 2, 3, 0.0, 7)
+        got = validate(p)
+        assert got == want
+        assert all(type(x) is int for x in (got.t, got.k, got.v, got.m, got.seed))
+        assert build_pca_moser_tardos(p).array == build_pca_moser_tardos(want).array
 
 
 class TestTupleRank:

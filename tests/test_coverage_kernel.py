@@ -5,12 +5,15 @@ The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 table of an undeveloped base that the development identity is checked
 against.  Every case runs under the default chunk budget and under tiny ones.
 The default budget packs every prefix of the small arrays into shared chunks;
-the tiny ones split chunks inside one prefix and send most prefixes down the
-broadcast path, since a run packs only below an eighth of the budget.  Each
-budget runs with runs packed by that rule, with every run that fits a chunk
-packed, and with none packed, and with the head stage at its default size, at
-the coupon-collector mean with no slack, which recounts most t-sets, and above
-every row count, which never splits the rows.
+the tiny ones cut most prefixes into one-piece chunks, since a run packs only
+below an eighth of the budget.  Each budget runs with runs packed by that rule,
+with every run that fits a chunk packed, and with none packed, and with the
+head stage at its default size, at the coupon-collector mean with no slack,
+which recounts most t-sets, and above every row count, which never splits the
+rows.  The chunk plan, ``coverage._chunks``, is checked on its own; scans that
+look at the blocks of ranks they count spy on the one rank builder,
+``coverage._ranks``, where a one-piece chunk broadcasts and a chunk of several
+pieces is gathered.
 """
 
 import functools
@@ -20,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcaforge import coverage
@@ -152,22 +155,16 @@ SMALL_ARRAY_HEAD = pytest.mark.parametrize(
 
 
 def spy_blocks(monkeypatch):
-    """Record ``(packed, prefixes, B, width)`` for each block of ranks ``_scan`` counts."""
+    """Record ``(pieces, B, width)`` for each block of ranks ``_scan`` counts."""
     blocks = []
-    slices, packed_ranks = coverage._slices, coverage._packed_ranks
+    ranks = coverage._ranks
 
-    def spy_slices(cols, v, prefix, first, stop):
-        for lo, ranks in slices(cols, v, prefix, first, stop):
-            blocks.append((False, [prefix], *ranks.shape))
-            yield lo, ranks
+    def spy_ranks(cols, v, pieces):
+        block = ranks(cols, v, pieces)
+        blocks.append((pieces, *block.shape))
+        return block
 
-    def spy_packed_ranks(cols, v, pieces):
-        ranks = packed_ranks(cols, v, pieces)
-        blocks.append((True, [prefix for prefix, _, _ in pieces], *ranks.shape))
-        return ranks
-
-    monkeypatch.setattr(coverage, "_slices", spy_slices)
-    monkeypatch.setattr(coverage, "_packed_ranks", spy_packed_ranks)
+    monkeypatch.setattr(coverage, "_ranks", spy_ranks)
     return blocks
 
 
@@ -237,7 +234,8 @@ class TestChunks:
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
-        for _, _, b, width in blocks:
+        for pieces, b, width in blocks:
+            assert b == sum(length for _, _, length in pieces)
             assert width in (rows, n)
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
         if head == 0 and n > rows:  # a head with no slack leaves some t-set short
@@ -247,25 +245,34 @@ class TestChunks:
         elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
             assert len(chunks) == 1
 
-    def test_budget_grid_runs_packed_and_broadcast_blocks(self, budget, monkeypatch):
-        # The default budget packs every run of the small arrays; the tiny
-        # ones pack only the runs of 0 or 1 rows, or a few short t-sets.
-        blocks = spy_blocks(monkeypatch)
+    def test_budget_grid_runs_packed_and_broadcast_blocks(self, budget):
+        # The plan of each scan: every chunk is packed runs or one cut of a
+        # longer run.  The default budget packs every run of the small arrays;
+        # the tiny ones pack only the runs of 0 or 1 rows, or a few short t-sets.
+        kinds = set()
         for t, v in SHAPES:
             for a, _ in profile_cases(t, v, seed=t * 100 + v):
-                coverage_profile(a, t)
-        assert {packed for packed, *_ in blocks} == ({True} if budget is None else {True, False})
+                n = min(a.rows, coverage._head_rows(v**t))
+                for pieces in coverage._chunks(n, coverage._prefix_runs(a.cols, t)):
+                    packed = [coverage._packs(n, length) for _, _, length in pieces]
+                    assert all(packed) or len(pieces) == 1
+                    kinds.add(all(packed))
+        assert kinds == ({True} if budget is None else {True, False})
 
     @pytest.mark.parametrize("k,packed", [(63, True), (64, False)])
-    def test_runs_pack_below_an_eighth_of_the_budget(self, monkeypatch, k, packed):
-        # At t = 1 the one run spans 512 * k ranks, against 2^15 = 512 * 64;
-        # the v = 64 head (651 rows) holds all 512 rows, so nothing is recounted.
+    def test_runs_pack_below_an_eighth_of_the_budget(self, k, packed):
+        # A run of k t-sets on 512 rows spans 512 * k ranks, against
+        # 2^15 = 512 * 64: two such runs share a chunk only below that.
         assert coverage._CHUNK_BUDGET // 8 == 2**15
+        run = ((), 0, k)
+        plan = list(coverage._chunks(512, [run, run]))
+        assert plan == ([[run, run]] if packed else [[run], [run]])
+        # At t = 1 the one run is one chunk either way; the v = 64 head
+        # (651 rows) holds all 512 rows, so nothing is recounted.
         cells = np.random.default_rng(k).integers(0, 64, size=(512, k))
-        blocks = spy_blocks(monkeypatch)
-        [(_, counts)] = coverage._scan(cells, 64, 1)
+        [(pieces, counts)] = coverage._scan(cells, 64, 1)
+        assert pieces == [run]
         np.testing.assert_array_equal(counts, _ref_distinct_counts(cells, 64, 1))
-        assert [(p, b, width) for p, _, b, width in blocks] == [(packed, k, 512)]
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, packing, t):
@@ -284,6 +291,42 @@ class TestChunks:
             [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
                         if any(p == tset[:-1] for p, _, _ in pieces)]
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
+
+
+@given(
+    n=st.sampled_from([0, 1, 40, 3000, 40000]),
+    lengths=st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2000)), max_size=24),
+    firsts=st.lists(st.integers(0, 50), min_size=24, max_size=24),
+)
+# runs that fill a chunk to one t-set past the default and the tiniest budget
+@example(n=40, lengths=[819] * 8 + [2], firsts=[0] * 24)
+@example(n=1, lengths=[1] * 17, firsts=[0] * 24)
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunk_plan_tiles_runs_within_budget(budget, n, lengths, firsts):
+    # Run i has prefix (i,), so the pieces of one run are told from the next.
+    runs = [((i,), first, length) for i, (first, length) in enumerate(zip(firsts, lengths))]
+    plan = list(coverage._chunks(n, runs))
+    tiled = []  # the plan's pieces, each run's consecutive pieces joined
+    for prefix, first, length in (piece for chunk in plan for piece in chunk):
+        assert length > 0
+        if tiled and tiled[-1][0] == prefix:
+            _, lo, held = tiled[-1]
+            assert lo + held == first
+            tiled[-1] = (prefix, lo, held + length)
+        else:
+            tiled.append((prefix, first, length))
+    assert tiled == runs
+    held = [sum(length for _, _, length in chunk) for chunk in plan]
+    packed = [all(piece in runs and coverage._packs(n, piece[2]) for piece in chunk)
+              for chunk in plan]
+    for chunk, b, whole in zip(plan, held, packed):
+        assert b * n <= max(coverage._CHUNK_BUDGET, n)
+        assert whole or len(chunk) == 1  # only whole runs that pack share a chunk
+    # A chunk of packed runs closes only when the next run would not fit it.
+    for i in range(len(plan) - 1):
+        if packed[i] and packed[i + 1]:
+            assert (held[i] + plan[i + 1][0][2]) * max(n, 1) > coverage._CHUNK_BUDGET
 
 
 class TestHeadStage:
@@ -319,7 +362,8 @@ class TestHeadStage:
         cells[self.HEAD, :2] = (2, 2)
         blocks = spy_blocks(monkeypatch)
         assert coverage_profile(Array(cells, self.V), self.T).counts[0] == self.VT
-        assert any((0,) in prefixes and width == len(cells) for _, prefixes, _, width in blocks)
+        assert any(width == len(cells) and any(p == (0,) for p, _, _ in pieces)
+                   for pieces, _, width in blocks)
         self.assert_scans_match_reference(cells)
 
     def test_tset_complete_in_the_head_is_not_recounted(self, monkeypatch):

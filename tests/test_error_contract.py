@@ -2,7 +2,9 @@
 (or ``OSError`` for I/O) may escape."""
 
 import math
+import numbers
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from pcaforge.bounds import FORMULAS, evaluate_formula
 from pcaforge.core import (
     WIDE_INT_MAX, Array, PcaParams, project, tuple_rank, tuple_unrank, validate,
 )
-from pcaforge.errors import PcaForgeError
+from pcaforge.errors import DomainError, PcaForgeError
 from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
 
 small = st.integers(-3, 9)
@@ -23,6 +25,11 @@ epsilons = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, 
 FUZZ = settings(max_examples=60, deadline=None)
 
 
+def loose(ints):
+    """``ints``, or numpy integers, floats and strings where an integer belongs."""
+    return st.one_of(ints, small.map(np.int64), st.floats(-3, 9), st.sampled_from(["2", "0.5"]))
+
+
 def _contained(call, *args, **kwargs):
     try:
         call(*args, **kwargs)
@@ -30,17 +37,37 @@ def _contained(call, *args, **kwargs):
         pass
 
 
+def _validated(*fields):
+    """The bundle :func:`validate` returns, or the class of the error it raises."""
+    try:
+        return validate(PcaParams(*fields))
+    except PcaForgeError as exc:
+        return type(exc)
+
+
 @FUZZ
-@given(small, sizes, sizes, small, epsilons, st.integers(-2, 2**64 + 1))
+@given(loose(small), loose(sizes), loose(sizes), loose(small),
+       st.one_of(epsilons, st.sampled_from(["0.1", None, 1j])),
+       loose(st.integers(-2, 2**64 + 1)))
 @example(2, 10**400, 3, 3, 0.0, 0)
 @example(2, 2**63, 3, 3, 0.0, 0)
+@example(2, 5, 2, 3.5, 0.0, 0)
+@example(np.int64(2), 5, 2, 4, 0.0, 0)
+@example(2, 5, 2, 4, "0.1", 1.5)
 def test_validate(t, k, v, m, epsilon, seed):
-    try:
-        validate(PcaParams(t, k, v, m, epsilon, seed))
-    except PcaForgeError:
-        return
-    # a validated bundle is safe for the bounds: k and v^t fit in 64 bits
-    assert k <= WIDE_INT_MAX and v**t <= WIDE_INT_MAX
+    ints = (t, k, v, m, seed)
+    got = _validated(t, k, v, m, epsilon, seed)
+    if not all(isinstance(x, numbers.Integral) for x in ints):
+        assert got is DomainError
+    elif not isinstance(epsilon, numbers.Real):
+        assert got is DomainError
+    else:  # numpy integers behave exactly like the equal Python ints
+        assert got == _validated(*map(int, ints[:4]), epsilon, int(seed))
+    if isinstance(got, PcaParams):
+        # a validated bundle holds Python ints, and is safe for the bounds:
+        # k and v^t fit in 64 bits
+        assert all(type(getattr(got, name)) is int for name in ("t", "k", "v", "m", "seed"))
+        assert got.k <= WIDE_INT_MAX and got.v**got.t <= WIDE_INT_MAX
 
 
 @FUZZ
