@@ -17,11 +17,11 @@ A body is *canonical* when it has N >= 1 rows of k >= 1 symbols, each token
 is one ASCII digit, tokens are separated by single spaces and every row ends
 with LF: exactly N*2k bytes.  The writer produces canonical bodies whenever
 every symbol it prints is below 10 (v <= 10 in base 0, v <= 9 in base 1).
-:func:`read_array` reads a canonical body as one N x 2k byte grid, with
-vectorized checks of its separators and digit range; every other body is
-parsed row by row with ``int()``.  Both paths accept the same files with
-the same cells and raise the same errors.  The writer looks every cell up
-in a per-symbol byte table instead of formatting it on its own.
+:func:`read_array` reads a canonical body as one N x k grid of 16-bit
+(digit, separator) pairs, checked and turned into cells in one pass; every
+other body is parsed row by row with ``int()``.  Both paths accept the same
+files with the same cells and raise the same errors.  The writer looks every
+cell up in a per-symbol byte table instead of formatting it on its own.
 
 CSV outputs are deterministic: same input, same bytes.  Real values print
 with 6 significant digits.  OS-level failures raise the builtin ``OSError``.
@@ -149,10 +149,10 @@ def _canonical_cells(data: bytes) -> tuple[np.ndarray, ArrayFileHeader] | None:
     """The 0-based cells and header of a valid file with a canonical body, or
     None for any other file.
 
-    The body is taken as an N x 2k byte grid: digit, space, ..., digit, LF.
-    It is accepted only when :func:`_parsed_cells` would accept it too, with
-    the same cells, so the caller can fall back to that parser for every
-    file this returns None for.
+    The body is taken as an N x k grid of little-endian 16-bit pairs:
+    (digit, space), ..., (digit, LF).  It is accepted only when
+    :func:`_parsed_cells` would accept it too, with the same cells, so the
+    caller can fall back to that parser for every file this returns None for.
     """
     end = data.find(b"\n", data.find(b"\n") + 1) + 1  # past the count line
     if end and data.startswith(b"claims", end):
@@ -164,17 +164,20 @@ def _canonical_cells(data: bytes) -> tuple[np.ndarray, ArrayFileHeader] | None:
     except (UnicodeDecodeError, ParseError):
         return None
     n, k = header.rows, header.cols
-    if n < 1 or k < 1 or len(data) - end != 2 * n * k:
-        return None
-    grid = np.frombuffer(data, dtype=np.uint8, offset=end).reshape(n, 2 * k)
-    if not ((grid[:, 1:-1:2] == ord(" ")).all() and (grid[:, -1] == ord("\n")).all()):
-        return None
     lo, hi = header.base, header.v - 1 + header.base
-    digits = grid[:, ::2]
-    if not ord("0") + lo <= digits.min() <= digits.max() <= ord("0") + min(hi, 9):
+    if n < 1 or k < 1 or len(data) - end != 2 * n * k or hi < lo:
         return None
-    cells = digits.astype(np.int64)
-    cells -= ord("0") + header.base
+    # Each (digit, separator) byte pair is read as one little-endian 16-bit
+    # number, separator * 256 + digit, less the pair of the smallest digit
+    # allowed there.  A valid pair leaves its cell; any other pair leaves a
+    # number above the digit span, or below zero, which wraps round to one
+    # above it when read unsigned.
+    least = np.full(k, 0x2000 + ord("0") + lo, dtype=np.uint16)
+    least[-1] = 0x0A00 + ord("0") + lo
+    pairs = np.frombuffer(data, dtype="<u2", offset=end).reshape(n, k)
+    cells = np.subtract(pairs, least, dtype=np.int64)
+    if cells.view(np.uint64).max() > min(hi, 9) - lo:
+        return None
     return cells, header
 
 

@@ -32,6 +32,7 @@ can-lower  classical full-coverage lower reference, v^(t-1) log2 k
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -412,10 +413,13 @@ def sweep(
     explicit gap markers rather than silent omissions.
 
     ``axis`` is ``"m"`` or ``"k"``; the fixed parameters supply the rest.
+    A parameter or axis value that is not an integer is a caller's bug, not
+    an infeasible point, and raises ``TypeError``.
     """
     if axis not in ("m", "k"):
         raise DomainError(f"axis must be 'm' or 'k', got {axis!r}")
-    values = list(values)
+    t, k, v, m = map(operator.index, (t, k, v, m))
+    values = [operator.index(value) for value in values]
     if not values:
         raise EmptyRange("sweep range is empty")
     canon = [lookup_formula(f).label for f in formulas]

@@ -7,10 +7,10 @@ All value types here are immutable and safe to share across workers.
 Each parameter rule has one private checker here, which every module calls,
 so a rule raises the same error class and message wherever it is enforced:
 ``_as_int`` (an integer, not a float or a string), ``_check_v`` (v >= 2),
-``_check_tkv`` (t, k and the 64-bit range of v^t and k), ``_check_m``
-(1 <= m <= v^t), ``_check_fraction`` (epsilon or q in [0, 1], or in (0, 1]
-for the almost-coverage bounds and builders) and ``_check_full`` (m = v^t
-for the full-coverage constructions).
+``_check_tkv`` (integers t, v and k, and the 64-bit range of v^t and k),
+``_check_m`` (an integer 1 <= m <= v^t), ``_check_fraction`` (epsilon or q
+in [0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
+``_check_full`` (m = v^t for the full-coverage constructions).
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ def _check_v(v: int) -> None:
 
 
 def _check_tkv(t: int, v: int, k: int | None = None) -> None:
-    """Raise unless t >= 2, t <= k (when k is given), v >= 2, and v^t and k
-    fit in a 64-bit integer; the shared domain of :func:`validate` and the
-    bounds."""
+    """Raise unless t, v and k (when given) are integers, t >= 2, t <= k,
+    v >= 2, and v^t and k fit in a 64-bit integer; the shared domain of
+    :func:`validate` and the bounds."""
+    t, v = _as_int(t, "t"), _as_int(v, "v")
+    if k is not None:
+        k = _as_int(k, "k")
     if t < 2:
         raise StrengthTooSmall(f"strength t={t} must be at least 2")
     if k is not None and k < t:
@@ -95,7 +98,7 @@ def _check_tkv(t: int, v: int, k: int | None = None) -> None:
 
 
 def _check_m(m: int, vt: int) -> None:
-    if not 1 <= m <= vt:
+    if not 1 <= _as_int(m, "m") <= vt:
         raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
 
 
@@ -109,7 +112,7 @@ def _check_fraction(x: float, name: str = "epsilon", *, positive: bool = False) 
 
 def _check_full(m: int, vt: int, what: str) -> None:
     """Raise unless m = v^t; ``what`` names the construction that needs it."""
-    if m != vt:
+    if _as_int(m, "m") != vt:
         raise MNotFull(f"{what}, got m={m}")
 
 

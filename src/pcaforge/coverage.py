@@ -18,6 +18,9 @@ nearly all of them already cover every tuple.  Only the t-sets short of v^t
 in the head are recounted on all N rows before their chunk is yielded.  A
 t-set that covers all v^t tuples in the head covers them in the whole array,
 so every count the kernel yields is exact, as if all N rows had been counted.
+Only the head rows are transposed for the head counts; a column's N rows are
+transposed the first time a recount reads it, so an array whose t-sets all
+cover v^t tuples in the head is read no further than the head.
 
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
@@ -38,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Array, _check_fraction, _check_m
+from .core import Array, _as_int, _check_fraction, _check_m
 from .errors import CapacityExceeded, StrengthTooSmall
 
 # Guard on v^t and on C(k,t) for every exhaustive scan.
@@ -133,9 +136,12 @@ class CoverageProfile:
         )
 
 
-def _check_t(t: int, k: int) -> None:
+def _check_t(t: int, k: int) -> int:
+    """``t`` as a Python int, if it is an integer in [1, k]."""
+    t = _as_int(t, "t")
     if t < 1 or t > k:
         raise StrengthTooSmall(f"t={t} outside [1, k={k}]")
+    return t
 
 
 def _head_rows(vt: int) -> int:
@@ -174,6 +180,24 @@ def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     if prefixes[0]:  # t > 1
         ranks += np.repeat(base, lengths, axis=0)
     return ranks
+
+
+def _fill(
+    cols: np.ndarray, filled: np.ndarray, cells: np.ndarray, pieces: list[_Piece]
+) -> np.ndarray:
+    """``cols`` once it holds every column the pieces read, as rows of ``cells.T``.
+
+    Each column not yet ``filled`` is copied from ``cells`` on its own and
+    marked filled; the others are left as they are.
+    """
+    wanted = np.zeros_like(filled)
+    for prefix, first, length in pieces:
+        wanted[list(prefix)] = True
+        wanted[first : first + length] = True
+    for c in np.flatnonzero(wanted & ~filled):
+        cols[c] = cells[:, c]
+    filled |= wanted
+    return cols
 
 
 def _runs_at(pieces: list[_Piece], positions: np.ndarray) -> list[_Piece]:
@@ -239,7 +263,9 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
     chunks follow the plan of :func:`_chunks` and each holds at most
     ``_CHUNK_BUDGET`` ranks.  Every chunk, head or recount, is counted as
-    ``count(_ranks(cols, v, pieces))`` on a column-major copy of the cells.
+    ``count(_ranks(cols, v, pieces))`` on a column-major copy: the head
+    chunks on one of the head rows, the recounts on one of all N rows whose
+    columns :func:`_fill` copies the first time a recount reads them.
     A one-piece chunk broadcasts its prefix's ranks against a ``(B, N)``
     slice of later columns; the runs of several short prefixes are gathered
     into one chunk, so that narrow or short arrays pay the per-chunk cost
@@ -255,7 +281,7 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     is exact.
     """
     n, k = cells.shape
-    _check_t(t, k)
+    t = _check_t(t, k)
     vt = v**t
     if vt > PROFILE_CAPACITY:
         raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
@@ -277,20 +303,24 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
             counts = (ranks.shape[1] > 0) + distinct
         return counts.astype(np.int64)
 
-    cols = np.ascontiguousarray(cells.T, dtype)
     head = min(n, _head_rows(vt))
-    head_cols = np.ascontiguousarray(cols[:, :head])
+    head_cols = np.ascontiguousarray(cells[:head].T, dtype)
+    if head < n:  # the recount's columns, each filled when a recount first reads it
+        cols, filled = np.empty((k, n), dtype), np.zeros(k, dtype=bool)
     for pieces in _chunks(head, _prefix_runs(k, t)):
         counts = count(_ranks(head_cols, v, pieces))
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
             plan = _chunks(n, _runs_at(pieces, short))
-            counts[short] = np.concatenate([count(_ranks(cols, v, p)) for p in plan])
+            counts[short] = np.concatenate(
+                [count(_ranks(_fill(cols, filled, cells, p), v, p)) for p in plan]
+            )
         yield pieces, counts
 
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
     """Count the distinct tuples each column t-set covers."""
+    t = _check_t(t, a.cols)
     counts = np.concatenate([c for _, c in _scan(a.cells, a.v, t)])
     return CoverageProfile(t=t, v=a.v, k=a.cols, counts=counts)
 
@@ -301,7 +331,7 @@ def naive_oracle(a: Array, t: int) -> CoverageProfile:
     Projects each row to a Python tuple and counts set sizes.  Guarded to
     small instances; exists purely to cross-check the primary counter.
     """
-    _check_t(t, a.cols)
+    t = _check_t(t, a.cols)
     work = math.comb(a.cols, t) * max(a.rows, 1) * a.v**t
     if work > ORACLE_CAPACITY:
         raise CapacityExceeded(f"oracle work {work} exceeds {ORACLE_CAPACITY}")
@@ -345,7 +375,7 @@ def is_pca(a: Array, t: int, m: int) -> PcaCheck:
 
     On failure the witness is the lex-first defective t-set with its count.
     """
-    _check_t(t, a.cols)
+    t = _check_t(t, a.cols)
     _check_m(m, a.v**t)
     defect = first_defect(a.cells, a.v, t, m)
     return PcaCheck(ok=defect is None, witness=defect)

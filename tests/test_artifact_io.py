@@ -353,8 +353,18 @@ def test_reader_matches_row_parser(scratch_file, v, base, n, k, claims, mutation
 
 
 # bodies of the canonical length, and headers around them, that one check
-# of the byte-level reader must refuse
+# of the byte-level reader must refuse, and ones at the edge of what it reads
 EDGE_FILES = [
+    b"pca-forge v1\n1 2 3 0\n0 1\n",  # a header of odd length: unaligned pairs
+    b"pca-forge v1\n2 2 13 0\n0 1\n2 0\n",  # a header of even length
+    b"pca-forge v1\n1 2 3 0\n0\n1 ",  # the separators of one row swapped
+    b"pca-forge v1\n2 2 3 0\n0\n1 0 1\n",
+    b"pca-forge v1\n1 3 10 1\n1 9 5\n",  # v = 10 in base 1: symbols up to 10
+    b"pca-forge v1\n1 2 10 1\n0 9\n",
+    b"pca-forge v1\n1 2 10 1\n: 1\n",
+    b"pca-forge v1\n1 2 1 1\n1 1\n",
+    b"pca-forge v1\n1 2 0 1\n1 1\n",  # no symbol at all: hi < lo
+    b"pca-forge v1\n1 2 0 1\n0 0\n",
     b"pca-forge v1\n1 2 11 0\n0 :\n",  # ':' follows '9' but is no digit
     b"pca-forge v1\n1 2 3 0\n0\t1\n",
     b"pca-forge v1\n1 2 3 0\n0 1\r",
@@ -394,10 +404,21 @@ def test_canonical_bodies_skip_the_row_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifact_io, "_parsed_cells", refuse)
     path = tmp_path / "a.pca"
-    for v, base in ((10, 0), (9, 1), (64, 0)):
+    header_parities = set()
+    for v, base in ((10, 0), (9, 1), (10, 1), (64, 0)):
         a = Array(np.random.default_rng(v).integers(0, min(v, 10 - base), size=(30, 7)), v)
-        write_array(a, path, base=base, claims={"t": 2})
-        assert read_array(path)[0] == a
+        for claims in (None, {"t": 2}):
+            write_array(a, path, base=base, claims=claims)
+            assert read_array(path)[0] == a
+            header_parities.add((path.stat().st_size - 2 * a.rows * a.cols) % 2)
+    assert header_parities == {0, 1}  # the 16-bit pairs are read unaligned too
+    for content in (b"pca-forge v1\n1 2 3 0\n0 1\n", b"pca-forge v1\n2 2 13 0\n0 1\n2 0\n",
+                    b"pca-forge v1\n1 2 10 1\n1 9\n"):
+        assert artifact_io._canonical_cells(content) is not None
+    # swapped separators and alphabets with no symbol go to the row parser
+    for content in (b"pca-forge v1\n1 2 3 0\n0\n1 ", b"pca-forge v1\n1 2 0 1\n1 1\n",
+                    b"pca-forge v1\n1 2 0 0\n0 0\n"):
+        assert artifact_io._canonical_cells(content) is None
     write_array(Array([[0, 10]], 11), path)
     with pytest.raises(AssertionError, match="row parser called"):
         read_array(path)

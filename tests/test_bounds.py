@@ -9,9 +9,11 @@ inequalities.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pcaforge.bounds import (
+    FORMULAS,
     bound_apca,
     bound_apca_cyclic,
     bound_apca_frobenius,
@@ -440,3 +442,31 @@ class TestSweep:
     def test_aliases(self):
         result = evaluate_formula("union", t=2, k=4, v=2, m=4)
         assert result.source == "eq5" and result.n_rows == 12
+
+
+# A point every formula accepts, and the formulas that read k and m at all;
+# eq7 reads k as a real number.
+POINT = dict(t=2, k=10, v=3, m=9, epsilon=0.1)
+READS = {
+    "k": {"eq5", "eq6", "eq8", "eq8-t", "concat", "can-upper", "can-lower"},
+    "m": {f.label for f in FORMULAS} - {"can-upper", "can-lower"},
+}
+NON_INTEGERS = [("t", 2.0), ("k", 10.5), ("k", 10.0), ("v", 3.0), ("m", 8.5), ("m", 9.0),
+                ("m", "9")]
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("label,name,value", [
+        (f.label, name, value) for f in FORMULAS for name, value in NON_INTEGERS
+        if f.label in READS.get(name, {f.label})
+    ])
+    def test_non_integer_parameter(self, label, name, value):
+        # eq5 returned n_rows = 38 at m = 8.5 (t=2 k=10 v=3), 52 at k = 10.5
+        # and 51 at t = 2.0 (m = 8)
+        with pytest.raises(DomainError, match=f"{name}="):
+            evaluate_formula(label, **{**POINT, name: value})
+
+    @pytest.mark.parametrize("label", [f.label for f in FORMULAS])
+    def test_numpy_integers(self, label):
+        point = {**POINT, **{name: np.int64(POINT[name]) for name in ("t", "k", "v", "m")}}
+        assert evaluate_formula(label, **point) == evaluate_formula(label, **POINT)

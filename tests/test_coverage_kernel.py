@@ -13,7 +13,8 @@ which recounts most t-sets, and above every row count, which never splits the
 rows.  The chunk plan, ``coverage._chunks``, is checked on its own; scans that
 look at the blocks of ranks they count spy on the one rank builder,
 ``coverage._ranks``, where a one-piece chunk broadcasts and a chunk of several
-pieces is gathered.
+pieces is gathered.  Scans of tall arrays spy on ``coverage._fill``, which
+copies a column's rows past the head only when a recount first reads it.
 """
 
 import functools
@@ -166,6 +167,29 @@ def spy_blocks(monkeypatch):
 
     monkeypatch.setattr(coverage, "_ranks", spy_ranks)
     return blocks
+
+
+def spy_fill(monkeypatch):
+    """Record each column ``_scan`` copies into its recount store, in order.
+
+    Every call must leave each column its pieces read filled with that
+    column of the cells.
+    """
+    copied = []
+    fill = coverage._fill
+
+    def spy(cols, filled, cells, pieces):
+        before = filled.copy()
+        out = fill(cols, filled, cells, pieces)
+        copied.extend(np.flatnonzero(filled & ~before).tolist())
+        for prefix, first, length in pieces:
+            for c in (*prefix, *range(first, first + length)):
+                assert filled[c]
+                np.testing.assert_array_equal(out[c], cells[:, c])
+        return out
+
+    monkeypatch.setattr(coverage, "_fill", spy)
+    return copied
 
 
 def arrays(t, v, seed):
@@ -411,6 +435,54 @@ class TestHeadStage:
         cells = self.cells(n, seed=n)
         cells[: self.HEAD, 0] = 0
         self.assert_scans_match_reference(cells)
+
+
+class TestRecountColumns:
+    """Past the head only the columns of t-sets short there are transposed."""
+
+    N = 200  # above the default head at every v^t here (74 rows at most)
+
+    @pytest.mark.parametrize("t,v", [(1, 3), (2, 3), (3, 2)])
+    def test_only_columns_of_short_tsets_are_filled(
+        self, budget, packing, head, monkeypatch, t, v
+    ):
+        k = t + 6
+        cells = np.random.default_rng(t * 10 + v).integers(0, v, size=(self.N, k))
+        rows = min(self.N, coverage._head_rows(v**t))
+        # In the head, column t + 1 is the sum of columns 2..t mod v (0 at
+        # t = 1), so the t-set (2, ..., t + 1) covers v^(t-1) tuples there.
+        cells[:rows, t + 1] = cells[:rows, 2 : t + 1].sum(axis=1) % v
+        copied = spy_fill(monkeypatch)
+        counts = coverage_profile(Array(cells, v), t).counts
+        want = _ref_distinct_counts(cells, v, t)
+        np.testing.assert_array_equal(counts, want)
+        if budget is None and packing is None:
+            np.testing.assert_array_equal(naive_oracle(Array(cells, v), t).counts, want)
+        short = set()
+        if rows < self.N:
+            head_counts = _ref_distinct_counts(cells[:rows], v, t)
+            for tset, c in zip(combinations(range(k), t), head_counts):
+                if c < v**t:
+                    short.update(tset)
+            assert short >= set(range(2, t + 2))
+        assert len(copied) == len(set(copied))  # each column at most once
+        assert set(copied) == short
+        assert first_defect(cells, v, t, v**t) == _ref_first_defect(cells, v, t, v**t)
+        assert count_defects(cells, v, t, v**t) == _ref_count_defects(cells, v, t, v**t)
+
+    def test_no_column_filled_when_the_head_covers_every_tset(
+        self, budget, packing, head, monkeypatch
+    ):
+        # Nine rows (a, b, a + b, a + 2b) mod 3 cover every pair of columns,
+        # within the head at every head size.
+        a, b = np.divmod(np.arange(9), 3)
+        cells = np.random.default_rng(3).integers(0, 3, size=(self.N, 4))
+        cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
+        copied = spy_fill(monkeypatch)
+        counts = coverage_profile(Array(cells, 3), 2).counts
+        np.testing.assert_array_equal(counts, np.full(6, 9))
+        np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts)
+        assert copied == []
 
 
 @given(

@@ -14,7 +14,8 @@ from pcaforge.bounds import FORMULAS, evaluate_formula
 from pcaforge.core import (
     WIDE_INT_MAX, Array, PcaParams, project, tuple_rank, tuple_unrank, validate,
 )
-from pcaforge.errors import DomainError, PcaForgeError
+from pcaforge.coverage import completeness, coverage_profile, is_apca, is_pca, naive_oracle
+from pcaforge.errors import DomainError, PcaForgeError, StrengthTooSmall
 from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
 
 small = st.integers(-3, 9)
@@ -77,6 +78,48 @@ def test_validate(t, k, v, m, epsilon, seed):
 @example("concat", 2, 10**400, 3, 3, 0.5)
 def test_evaluate_formula(label, t, k, v, m, epsilon):
     _contained(evaluate_formula, label, t=t, k=k, v=v, m=m, epsilon=epsilon)
+
+
+COVERAGE_CALLS = {
+    "coverage_profile": lambda a, t, m: coverage_profile(a, t).counts.tolist(),
+    "naive_oracle": lambda a, t, m: naive_oracle(a, t).counts.tolist(),
+    "completeness": lambda a, t, m: completeness(a, 0.5, t),
+    "is_pca": lambda a, t, m: is_pca(a, t, m),
+    "is_apca": lambda a, t, m: is_apca(a, t, m, 0.1),
+    "defective": lambda a, t, m: coverage_profile(a, t).defective(m),
+}
+READS_M = ("is_pca", "is_apca", "defective")
+COVERED = Array(np.random.default_rng(0).integers(0, 3, size=(12, 4)), 3)
+
+
+def _coverage_outcome(call, t, m):
+    """A coverage entry point's result on ``COVERED``, or its error class."""
+    try:
+        return call(COVERED, t, m)
+    except PcaForgeError as exc:
+        return type(exc)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(COVERAGE_CALLS)), loose(st.integers(-1, 5)),
+       loose(st.integers(-1, 10)))
+@example("coverage_profile", np.int64(2), 5)  # died with AttributeError in the kernel
+@example("coverage_profile", 2.0, 5)  # these three raised a builtin TypeError
+@example("naive_oracle", 2.0, 5)
+@example("completeness", 2.0, 5)
+@example("is_pca", 2, 2.5)  # these three returned a verdict
+@example("is_apca", 2, 2.5)
+@example("defective", 2, 2.5)
+def test_coverage_entry_points(name, t, m):
+    call = COVERAGE_CALLS[name]
+    got = _coverage_outcome(call, t, m)
+    if not isinstance(t, numbers.Integral):
+        assert got is DomainError
+    elif name in READS_M and not isinstance(m, numbers.Integral):
+        # t is checked first
+        assert got is (DomainError if 1 <= t <= COVERED.cols else StrengthTooSmall)
+    else:  # numpy integers behave exactly like the equal Python ints
+        assert got == _coverage_outcome(call, int(t), int(m) if name in READS_M else m)
 
 
 @FUZZ
