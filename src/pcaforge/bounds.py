@@ -27,16 +27,26 @@ concat     eq6 component stacked with a cyclic component (dual guarantee)
 can-upper  classical full-coverage upper reference, (t-1) v^t log2 k
 can-lower  classical full-coverage lower reference, v^(t-1) log2 k
 ========== ==============================================================
+
+Every row count is the least N with (number of bad events) (chance that one
+event survives a row)^N at most 1 (below 1 for eq5), and one of two private
+skeletons finds it.  ``_partial`` serves eq5, eq6 and apca: C(v^t, m-1)
+sets of m-1 tuples, each surviving a row with chance (m-1)/v^t, times the
+formula's own factor (C(k,t) for eq5, e t C(k,t-1) for eq6, 1/epsilon for
+apca); at m = 1 it gives one row.  ``_developed`` serves eq8, eq8-t, cyclic
+and frobenius: a bad event survives a base row with chance
+1 - missed/orbits, and n base rows develop into ``order n + tail`` rows
+(v n for eq8, eq8-t and cyclic, v(v-1) n + v for frobenius).  concat adds
+an eq6 and a cyclic result.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BoundResult, _check_fraction, _check_full, _check_m, _check_tkv
+from .core import BoundResult, _as_int, _check_fraction, _check_full, _check_m, _check_tkv
 from .errors import (
     DomainError,
     EmptyRange,
@@ -67,7 +77,10 @@ def log_binomial(n: int, r: int) -> float:
     ``r ln n - (n-r+1/2) log1p(-r/n) - r + 1/(12n) - 1/(12(n-r))``, whose
     next term is below 1e-15 there.  No term cancels to a small difference,
     so ln C(10^16, 2) keeps its digits where the log-gamma difference gives 0.
+    Numpy integers are taken as the equal Python ints; a non-integer n or r
+    raises ``DomainError``.
     """
+    n, r = _as_int(n, "n"), _as_int(r, "r")
     if r < 0 or r > n:
         raise ROutOfRange(f"r={r} outside [0, n={n}]")
     if n < _STIRLING_FROM_N:
@@ -95,9 +108,27 @@ def _min_int(log_constant: float, log_ratio: float, *, strict: bool) -> tuple[fl
     return rb, n
 
 
-def _degenerate(source: str) -> BoundResult:
-    # m = 1: any single row covers one tuple in every t-set.
-    return BoundResult(real_bound=0.0, n_rows=1, source=source)
+def _partial(
+    source: str, log_events: float, vt: int, m: int, *, strict: bool = False
+) -> BoundResult:
+    """Least N with ``exp(log_events) C(v^t, m-1) ((m-1)/v^t)^N`` below 1 when
+    ``strict``, at most 1 otherwise.  At m = 1 it is one row: any row covers
+    one tuple in every t-set."""
+    if m == 1:
+        return BoundResult(real_bound=0.0, n_rows=1, source=source)
+    rb, n = _min_int(log_events + log_binomial(vt, m - 1), math.log(vt / (m - 1)), strict=strict)
+    return BoundResult(real_bound=rb, n_rows=n, source=source)
+
+
+def _developed(source: str, log_events: float, orbits: int, missed: int, order: int, *,
+               tail: int = 0, real_bound: float | None = None, **detail: int) -> BoundResult:
+    """Least base count n with ``exp(log_events) (1 - missed/orbits)^n <= 1``,
+    developed into ``order n + tail`` rows.  ``real_bound`` defaults to order
+    times the real n; ``detail`` lists n as ``base_rows`` after its own keys."""
+    rb, n = _min_int(log_events, math.log(orbits / (orbits - missed)), strict=False)
+    real_bound = order * rb if real_bound is None else real_bound
+    return BoundResult(real_bound=real_bound, n_rows=order * n + tail, source=source,
+                       detail={**detail, "base_rows": n})
 
 
 def bound_pca_union(t: int, k: int, v: int, m: int) -> BoundResult:
@@ -108,12 +139,7 @@ def bound_pca_union(t: int, k: int, v: int, m: int) -> BoundResult:
     _check_tkv(t, v, k)
     vt = v**t
     _check_m(m, vt)
-    if m == 1:
-        return _degenerate("eq5")
-    const = log_binomial(k, t) + log_binomial(vt, m - 1)
-    ratio = math.log(vt / (m - 1))
-    rb, n = _min_int(const, ratio, strict=True)
-    return BoundResult(real_bound=rb, n_rows=n, source="eq5")
+    return _partial("eq5", log_binomial(k, t), vt, m, strict=True)
 
 
 def bound_pca_lll(t: int, k: int, v: int, m: int) -> BoundResult:
@@ -126,12 +152,7 @@ def bound_pca_lll(t: int, k: int, v: int, m: int) -> BoundResult:
         raise KTooSmallForLLL(f"k={k} below 2t={2 * t}")
     vt = v**t
     _check_m(m, vt)
-    if m == 1:
-        return _degenerate("eq6")
-    const = 1.0 + math.log(t) + log_binomial(k, t - 1) + log_binomial(vt, m - 1)
-    ratio = math.log(vt / (m - 1))
-    rb, n = _min_int(const, ratio, strict=False)
-    return BoundResult(real_bound=rb, n_rows=n, source="eq6")
+    return _partial("eq6", 1.0 + math.log(t) + log_binomial(k, t - 1), vt, m)
 
 
 def bound_pca_asymptotic(t: int, k: float, v: int, m: int) -> float:
@@ -161,12 +182,7 @@ def bound_apca(t: int, v: int, m: int, epsilon: float) -> BoundResult:
     vt = v**t
     _check_m(m, vt)
     _check_fraction(epsilon, positive=True)
-    if m == 1:
-        return _degenerate("apca")
-    const = log_binomial(vt, m - 1) - math.log(epsilon)
-    ratio = math.log(vt / (m - 1))
-    rb, n = _min_int(const, ratio, strict=False)
-    return BoundResult(real_bound=rb, n_rows=n, source="apca")
+    return _partial("apca", -math.log(epsilon), vt, m)
 
 
 def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
@@ -180,16 +196,8 @@ def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
     _check_tkv(t, v)
     _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
-    const = math.log(orbits) - math.log(epsilon)
-    ratio = math.log(orbits / (orbits - 1))
-    _, n = _min_int(const, ratio, strict=False)
-    closed_form = v**t * math.log(orbits / epsilon)
-    return BoundResult(
-        real_bound=closed_form,
-        n_rows=v * n,
-        source="cyclic",
-        detail={"base_rows": n},
-    )
+    return _developed("cyclic", math.log(orbits) - math.log(epsilon), orbits, 1, v,
+                      real_bound=v**t * math.log(orbits / epsilon))
 
 
 def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
@@ -205,16 +213,9 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
     full_orbits = (orbits - 1) // (v - 1)
-    const = math.log(full_orbits) - math.log(epsilon)
-    ratio = math.log(orbits / (orbits - (v - 1)))
-    _, n = _min_int(const, ratio, strict=False)
-    closed_form = v**t * math.log(2 * v ** (t - 2) / epsilon) + v
-    return BoundResult(
-        real_bound=closed_form,
-        n_rows=v * (v - 1) * n + v,
-        source="frobenius",
-        detail={"base_rows": n},
-    )
+    return _developed("frobenius", math.log(full_orbits) - math.log(epsilon), orbits, v - 1,
+                      v * (v - 1), tail=v,
+                      real_bound=v**t * math.log(2 * v ** (t - 2) / epsilon) + v)
 
 
 def bound_pca_cyclic(
@@ -235,23 +236,16 @@ def bound_pca_cyclic(
     _check_m(m, vt)
     source = "eq8-t" if include_t_factor else "eq8"
     if m == 1:
-        return _degenerate(source)
+        return BoundResult(real_bound=0.0, n_rows=1, source=source)
     r = vt - m + 1
     s = -(-r // v)
     orbits = v ** (t - 1)
     if not 1 <= s < orbits:
         raise SOutOfRange(f"s={s} outside [1, v^(t-1)={orbits})")
-    const = 1.0 + log_binomial(k, t - 1) + log_binomial(orbits, s)
+    log_events = 1.0 + log_binomial(k, t - 1) + log_binomial(orbits, s)
     if include_t_factor:
-        const += math.log(t)
-    ratio = math.log(orbits / (orbits - s))
-    rb, n = _min_int(const, ratio, strict=False)
-    return BoundResult(
-        real_bound=v * rb,
-        n_rows=v * n,
-        source=source,
-        detail={"s": s, "base_rows": n},
-    )
+        log_events += math.log(t)
+    return _developed(source, log_events, orbits, s, v, s=s)
 
 
 def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, int]:
@@ -414,12 +408,13 @@ def sweep(
 
     ``axis`` is ``"m"`` or ``"k"``; the fixed parameters supply the rest.
     A parameter or axis value that is not an integer is a caller's bug, not
-    an infeasible point, and raises ``TypeError``.
+    an infeasible point: it raises ``DomainError`` before any point is
+    evaluated, and no gap marker stands for it.
     """
     if axis not in ("m", "k"):
         raise DomainError(f"axis must be 'm' or 'k', got {axis!r}")
-    t, k, v, m = map(operator.index, (t, k, v, m))
-    values = [operator.index(value) for value in values]
+    t, k, v, m = (_as_int(x, name) for x, name in zip((t, k, v, m), "tkvm"))
+    values = [_as_int(value, axis) for value in values]
     if not values:
         raise EmptyRange("sweep range is empty")
     canon = [lookup_formula(f).label for f in formulas]

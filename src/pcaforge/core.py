@@ -8,7 +8,8 @@ Each parameter rule has one private checker here, which every module calls,
 so a rule raises the same error class and message wherever it is enforced:
 ``_as_int`` (an integer, not a float or a string), ``_check_v`` (v >= 2),
 ``_check_tkv`` (integers t, v and k, and the 64-bit range of v^t and k),
-``_check_m`` (an integer 1 <= m <= v^t), ``_check_fraction`` (epsilon or q
+``_check_m`` (an integer 1 <= m <= v^t), ``_check_real`` (a real number,
+not a string, None or a complex), ``_check_fraction`` (a real epsilon or q
 in [0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
 ``_check_full`` (m = v^t for the full-coverage constructions).
 """
@@ -102,8 +103,14 @@ def _check_m(m: int, vt: int) -> None:
         raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
 
 
+def _check_real(x: object, name: str) -> None:
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{name}={x!r} must be a real number")
+
+
 def _check_fraction(x: float, name: str = "epsilon", *, positive: bool = False) -> None:
-    """Raise unless ``x`` lies in [0, 1], or in (0, 1] when ``positive``."""
+    """Raise unless ``x`` is a real number in [0, 1], or in (0, 1] when ``positive``."""
+    _check_real(x, name)
     if positive and x <= 0:
         raise EpsilonZero(f"{name} must be positive")
     if not 0.0 <= x <= 1.0:  # also rejects NaN
@@ -125,8 +132,7 @@ def validate(params: PcaParams) -> PcaParams:
     comes back as a copy holding the equal Python ints.
     """
     ints = {name: _as_int(getattr(params, name), name) for name in ("t", "k", "v", "m", "seed")}
-    if not isinstance(params.epsilon, numbers.Real):
-        raise DomainError(f"epsilon={params.epsilon!r} must be a real number")
+    _check_real(params.epsilon, "epsilon")
     if any(type(getattr(params, name)) is not int for name in ints):
         params = dataclasses.replace(params, **ints)
     _check_tkv(params.t, params.v, params.k)

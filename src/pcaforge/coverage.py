@@ -391,6 +391,9 @@ def is_apca(a: Array, t: int, m: int, epsilon: float) -> ApcaCheck:
 
     The report lists every defective t-set in lexicographic order.
     """
+    t = _check_t(t, a.cols)
+    _check_fraction(epsilon)
+    _check_m(m, a.v**t)
     profile = coverage_profile(a, t)
     allowed, defects = profile.allowed(epsilon), profile.defective(m)
     return ApcaCheck(ok=len(defects) <= allowed, defects=defects, allowed=allowed)

@@ -6,6 +6,8 @@ minimal row counts come from exact rational arithmetic on the underlying
 inequalities.
 """
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from pcaforge.errors import (
     KTooSmallForLLL,
     MConditionViolated,
     NotPrimePower,
+    PcaForgeError,
     ROutOfRange,
     SOutOfRange,
 )
@@ -94,6 +97,12 @@ class TestLogBinomial:
         for bound in (bound_pca_union, bound_pca_lll):
             rows = [bound(2, k, 3, 4).n_rows for k in ks]
             assert rows == sorted(rows), bound.__name__
+
+    def test_non_integer_arguments(self):
+        for n, r in [(10.5, 2), (10, 2.0), ("10", 2)]:
+            with pytest.raises(DomainError, match="must be an integer"):
+                log_binomial(n, r)
+        assert log_binomial(np.int64(2**62), np.int64(2)) == log_binomial(2**62, 2)
 
     def test_r_out_of_range(self):
         with pytest.raises(ROutOfRange):
@@ -466,7 +475,45 @@ class TestIntegerParameters:
         with pytest.raises(DomainError, match=f"{name}="):
             evaluate_formula(label, **{**POINT, name: value})
 
+    @pytest.mark.parametrize("label", ["eq5", "eq6", "eq8", "eq8-t"])
+    def test_numpy_k_past_the_stirling_switch(self, label):
+        # 12 k overflowed int64 in log_binomial: eq5 raised a builtin
+        # OverflowError at k = 2^62, with warnings ignored
+        point = {**POINT, "k": 2**62}
+        got = evaluate_formula(label, **{**point, "k": np.int64(2**62)})
+        assert got == evaluate_formula(label, **point)
+
     @pytest.mark.parametrize("label", [f.label for f in FORMULAS])
     def test_numpy_integers(self, label):
         point = {**POINT, **{name: np.int64(POINT[name]) for name in ("t", "k", "v", "m")}}
         assert evaluate_formula(label, **point) == evaluate_formula(label, **POINT)
+
+
+def _pin_grid():
+    """Every t, v, edge m, k and epsilon of the pinned grid, m = v^t + 1 and
+    epsilon = 1.5 included so that each error path is hashed too."""
+    for t, v in itertools.product((2, 3, 4, 6), (2, 3, 4, 8, 9, 2**20)):
+        vt = v**t
+        for m in sorted({1, 2, 3, vt // 2, vt - v, vt - v + 1, vt - 1, vt, vt + 1}):
+            for k, epsilon in itertools.product((3, 5, 12, 10**6, 10**9),
+                                                (0.0, 1e-9, 0.05, 1.0, 1.5)):
+                yield dict(t=t, k=k, v=v, m=m, epsilon=epsilon)
+
+
+# sha256 over (real_bound, n_rows, source, detail) of every formula at every
+# grid point, or the error class name where the point is infeasible.  It pins
+# each bound bit for bit, where the tests above check real_bound approximately.
+PIN_SHA256 = "d1a7fd9796149f29fe31343e7f0aa884cfd0205d84316c26ce0322eeac6ca423"
+
+
+def test_every_formula_pinned_on_a_grid():
+    digest = hashlib.sha256()
+    for point in _pin_grid():
+        for formula in FORMULAS:
+            try:
+                r = evaluate_formula(formula.label, **point)
+            except PcaForgeError as exc:
+                digest.update(type(exc).__name__.encode())
+            else:
+                digest.update(repr((r.real_bound, r.n_rows, r.source, r.detail)).encode())
+    assert digest.hexdigest() == PIN_SHA256

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcaforge import coverage
 from pcaforge.core import Array
 from pcaforge.coverage import (
     completeness,
@@ -18,7 +19,13 @@ from pcaforge.coverage import (
     is_pca,
     naive_oracle,
 )
-from pcaforge.errors import CapacityExceeded, MOutOfRange, StrengthTooSmall
+from pcaforge.errors import (
+    CapacityExceeded,
+    DomainError,
+    EpsilonOutOfRange,
+    MOutOfRange,
+    StrengthTooSmall,
+)
 from pcaforge.galois import constant_rows
 
 
@@ -153,6 +160,16 @@ class TestPredicates:
         eps_ok = defect_pairs / math.comb(3, 2)
         assert is_apca(a, 2, 4, eps_ok).ok
         assert not is_apca(a, 2, 4, (defect_pairs - 1) / math.comb(3, 2)).ok
+
+    @pytest.mark.parametrize("m,epsilon,error", [
+        (2.5, 0.1, DomainError), (5, 0.1, MOutOfRange), (4, 1.5, EpsilonOutOfRange),
+    ])
+    def test_apca_checks_arguments_before_scanning(self, monkeypatch, m, epsilon, error):
+        scans = []
+        monkeypatch.setattr(coverage, "_scan", lambda *args: scans.append(args))
+        with pytest.raises(error):
+            is_apca(full_factorial(2, 2), 2, m, epsilon)
+        assert scans == []
 
     def test_apca_report_lists_defects(self):
         a = Array([[0, 0, 0]], 2)

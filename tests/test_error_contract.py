@@ -23,6 +23,8 @@ small = st.integers(-3, 9)
 huge = st.sampled_from([2**63 - 1, 2**63, 10**400])
 sizes = st.one_of(small, huge)
 epsilons = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, 0.0, 1.0]))
+# and values that are not real numbers at all
+fractions = st.one_of(epsilons, st.sampled_from(["0.1", None, 1j]))
 FUZZ = settings(max_examples=60, deadline=None)
 
 
@@ -48,7 +50,7 @@ def _validated(*fields):
 
 @FUZZ
 @given(loose(small), loose(sizes), loose(sizes), loose(small),
-       st.one_of(epsilons, st.sampled_from(["0.1", None, 1j])),
+       fractions,
        loose(st.integers(-2, 2**64 + 1)))
 @example(2, 10**400, 3, 3, 0.0, 0)
 @example(2, 2**63, 3, 3, 0.0, 0)
@@ -73,9 +75,11 @@ def test_validate(t, k, v, m, epsilon, seed):
 
 @FUZZ
 @given(st.sampled_from([f.label for f in FORMULAS]), small, sizes, sizes, st.integers(-3, 80),
-       epsilons)
+       fractions)
 @example("eq5", 2, 10**400, 3, 3, 0.0)
 @example("concat", 2, 10**400, 3, 3, 0.5)
+@example("apca", 2, 5, 3, 4, "0.1")  # these two raised a builtin TypeError
+@example("cyclic", 2, 5, 3, 9, "x")
 def test_evaluate_formula(label, t, k, v, m, epsilon):
     _contained(evaluate_formula, label, t=t, k=k, v=v, m=m, epsilon=epsilon)
 
@@ -120,6 +124,28 @@ def test_coverage_entry_points(name, t, m):
         assert got is (DomainError if 1 <= t <= COVERED.cols else StrengthTooSmall)
     else:  # numpy integers behave exactly like the equal Python ints
         assert got == _coverage_outcome(call, int(t), int(m) if name in READS_M else m)
+
+
+FRACTION_CALLS = {
+    "completeness": lambda a, x: completeness(a, x, 2),
+    "is_apca": lambda a, x: is_apca(a, 2, 3, x),
+}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FRACTION_CALLS)), fractions)
+@example("completeness", "x")  # these two raised a builtin TypeError
+@example("is_apca", "x")
+@example("is_apca", None)
+@example("completeness", 1j)
+def test_coverage_fractions(name, x):
+    try:
+        FRACTION_CALLS[name](COVERED, x)
+    except PcaForgeError as exc:
+        assert not isinstance(x, numbers.Real) or not 0 <= x <= 1
+        assert isinstance(x, numbers.Real) or type(exc) is DomainError
+    else:
+        assert isinstance(x, numbers.Real) and 0 <= x <= 1
 
 
 @FUZZ

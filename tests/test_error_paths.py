@@ -43,9 +43,14 @@ class TestBoundsEdges:
             sweep(["eq5"], "rows", [4], t=2, k=4, v=2)
 
     def test_sweep_gap_markers_only_for_package_errors(self):
-        # a wrong argument type is a caller bug, not an infeasible point
-        with pytest.raises(TypeError):
-            sweep(["eq5"], "m", [4], t=2, k=4, v="3")
+        # a non-integer parameter is a caller bug, not an infeasible point:
+        # it raises before the first point, and no sweep comes back
+        for fixed, values in [({"v": "3"}, [4]), ({"v": 3.0}, [4]), ({"t": 2.5}, [4]),
+                              ({}, [4, 4.5]), ({}, ["4"])]:
+            result = None
+            with pytest.raises(DomainError, match="must be an integer"):
+                result = sweep(["eq5"], "m", values, **{"t": 2, "k": 4, "v": 2, **fixed})
+            assert result is None
 
     @pytest.mark.parametrize("label", [f.label for f in FORMULAS])
     def test_vt_beyond_64_bits_is_overflow(self, label):
