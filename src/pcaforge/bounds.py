@@ -136,9 +136,9 @@ def bound_pca_union(t: int, k: int, v: int, m: int) -> BoundResult:
 
     Minimal N with ``C(k,t) C(v^t, m-1) ((m-1)/v^t)^N < 1`` (strict).
     """
-    _check_tkv(t, v, k)
+    t, v, k = _check_tkv(t, v, k)
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     return _partial("eq5", log_binomial(k, t), vt, m, strict=True)
 
 
@@ -147,11 +147,11 @@ def bound_pca_lll(t: int, k: int, v: int, m: int) -> BoundResult:
 
     Minimal N with ``e t C(k,t-1) C(v^t, m-1) ((m-1)/v^t)^N <= 1`` (non-strict).
     """
-    _check_tkv(t, v, k)
+    t, v, k = _check_tkv(t, v, k)
     if k < 2 * t:
         raise KTooSmallForLLL(f"k={k} below 2t={2 * t}")
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     return _partial("eq6", 1.0 + math.log(t) + log_binomial(k, t - 1), vt, m)
 
 
@@ -161,9 +161,9 @@ def bound_pca_asymptotic(t: int, k: float, v: int, m: int) -> float:
     Returns ``(v^t (t-1) ln k / r) (1 - ln r / ln k)`` with r = v^t - m + 1.
     ``k`` may be real here (the formula is a smooth function of ln k).
     """
-    _check_tkv(t, v)
+    t, v, _ = _check_tkv(t, v)
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     r = vt - m + 1
     if not 1 < k < math.inf:  # also rejects NaN; math.isfinite overflows on huge ints
         raise DomainError(f"ln k must be positive and finite, got k={k}")
@@ -178,9 +178,9 @@ def bound_apca(t: int, v: int, m: int, epsilon: float) -> BoundResult:
 
     Minimal N with ``C(v^t, m-1) ((m-1)/v^t)^N <= epsilon``; independent of k.
     """
-    _check_tkv(t, v)
+    t, v, _ = _check_tkv(t, v)
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     _check_fraction(epsilon, positive=True)
     return _partial("apca", -math.log(epsilon), vt, m)
 
@@ -193,7 +193,7 @@ def bound_apca_cyclic(t: int, v: int, epsilon: float) -> BoundResult:
     union-bound inequality ``v^(t-1) (1 - 1/v^(t-1))^n <= epsilon``, which is
     tighter than the closed form.  Base-row count n is in ``detail``.
     """
-    _check_tkv(t, v)
+    t, v, _ = _check_tkv(t, v)
     _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
     return _developed("cyclic", math.log(orbits) - math.log(epsilon), orbits, 1, v,
@@ -208,7 +208,7 @@ def bound_apca_frobenius(t: int, v: int, epsilon: float) -> BoundResult:
     for the exact full-orbit inequality
     ``((v^(t-1)-1)/(v-1)) (1 - (v-1)/v^(t-1))^n <= epsilon``.
     """
-    _check_tkv(t, v)
+    t, v, _ = _check_tkv(t, v)
     _prime_power(v)
     _check_fraction(epsilon, positive=True)
     orbits = v ** (t - 1)
@@ -231,9 +231,9 @@ def bound_pca_cyclic(
     two published forms differ).  ``n_rows = v * n`` with n from the non-strict
     minimal-integer rule on the chosen form.
     """
-    _check_tkv(t, v, k)
+    t, v, k = _check_tkv(t, v, k)
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     source = "eq8-t" if include_t_factor else "eq8"
     if m == 1:
         return BoundResult(real_bound=0.0, n_rows=1, source=source)
@@ -254,9 +254,9 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
 
     Checks the admissibility condition ``m <= v^t + 1 - ln k / ln(v/eps^(1/(t-1)))``.
     """
-    _check_tkv(t, v, k)
+    t, v, k = _check_tkv(t, v, k)
     vt = v**t
-    _check_m(m, vt)
+    m = _check_m(m, vt)
     _check_fraction(epsilon, positive=True)
     # epsilon <= 1 keeps the denominator at least ln v >= ln 2
     denom = math.log(v) - math.log(epsilon) / (t - 1)
@@ -294,7 +294,7 @@ def bound_can_reference(t: int, k: int, v: int) -> tuple[float, float]:
     Informational context for sweep tables; leading constants of the suppressed
     lower-order terms are not modeled.
     """
-    _check_tkv(t, v, k)
+    t, v, k = _check_tkv(t, v, k)
     return ((t - 1) * v**t * math.log2(k), v ** (t - 1) * math.log2(k))
 
 
@@ -318,7 +318,7 @@ def _informational(label: str, value: float) -> BoundResult:
 
 
 def _full_only(label: str, t: int, v: int, m: int) -> None:
-    _check_tkv(t, v)
+    t, v, _ = _check_tkv(t, v)
     _check_full(m, v**t, f"{label} development bound targets m = v^t")
 
 

@@ -7,7 +7,8 @@ named presets ``1a`` and ``1b``).
 
 Exit codes are a stable contract: 0 success or property verified, 1 claimed
 property violated, 2 usage or validation failure, 3 iteration cap hit.
-Outputs are pure functions of flags, seed, and input files; report files omit
+Outputs are pure functions of flags, seed, and input files.  ``generate``
+times the builder call and prints that time on stderr only; report files omit
 timing so repeated runs are byte-identical.  ``PCAFORGE_SEED`` supplies the
 default seed.
 """
@@ -18,6 +19,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import artifact_io, bounds, construct, coverage
@@ -147,7 +149,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print("error: --m is required for this algorithm", file=sys.stderr)
             return EXIT_USAGE
     params = PcaParams(t=args.t, k=args.k, v=args.v, m=m, epsilon=args.epsilon, seed=seed)
+    start = time.perf_counter()
     report = _ALGORITHMS[args.alg](params)
+    elapsed = time.perf_counter() - start
     claims = {"t": args.t, "m": m}
     if args.epsilon:
         claims["epsilon"] = args.epsilon
@@ -158,7 +162,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"wrote {report.n_rows} x {report.array.cols} array to {args.out} "
         f"(iterations={report.iterations}, verified {report.verifier})"
     )
-    print(f"elapsed: {report.elapsed * 1000:.1f} ms", file=sys.stderr)
+    print(f"elapsed: {elapsed * 1000:.1f} ms", file=sys.stderr)
     return EXIT_OK
 
 

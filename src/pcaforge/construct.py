@@ -2,13 +2,16 @@
 
 Every builder takes a :class:`~pcaforge.core.PcaParams` and nothing else.
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit seed
-in the parameter bundle, so a fixed seed reproduces the output array and the
-iteration count bit for bit on any platform.  Every claim a
-:class:`BuildReport` states was established by one full scan of the rows the
-builder returns: the scan that accepted them, not a second pass afterwards.
-Hitting an iteration cap raises instead of returning a partial result, and a
-build whose output would exceed ``coverage.PROFILE_CAPACITY`` cells raises
-``CapacityExceeded`` before anything is drawn.
+in the parameter bundle, and a builder reads nothing else (no clock), so its
+:class:`BuildReport` is a pure function of the :class:`~pcaforge.core.PcaParams`:
+equal parameters give equal reports, bit for bit on any platform.  Each
+builder validates its parameters once and sizes its output once.  A build
+whose output would exceed ``coverage.PROFILE_CAPACITY`` cells raises
+``CapacityExceeded`` before any allocation, group tables included.  Every
+claim a report states was established by one full scan of the rows the
+builder returns: the scan that accepted them, not a second pass afterwards,
+and the returned array wraps those very rows.  Hitting an iteration cap
+raises instead of returning a partial result.
 
 The epsilon-almost builders are one Las Vegas restart algorithm: sample a
 uniform array at the row count whose union bound holds for epsilon/2, turn it
@@ -17,9 +20,10 @@ into the rows the builder returns, accept them when at most
 epsilon/2 the expected number of defective t-sets is at most half the
 allowance, so by Markov's inequality one attempt succeeds with probability
 >= 1/2 and the expected number of attempts is at most 2.  One private loop
-runs this for every such builder; attempts count from 1 and the failure of
-attempt :data:`RESTART_CAP` raises ``IterationCap``, as does a Moser-Tardos
-build needing more than :data:`RESAMPLE_CAP` resamples.
+runs this for every such builder and accepts on the exact defect count of
+each attempt, which the report states; attempts count from 1 and the failure
+of attempt :data:`RESTART_CAP` raises ``IterationCap``, as does a
+Moser-Tardos build needing more than :data:`RESAMPLE_CAP` resamples.
 
 Builders:
 
@@ -57,7 +61,6 @@ Builders:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -86,7 +89,6 @@ class BuildReport:
     iterations: int
     rng_seed: int
     bound_used: BoundResult
-    elapsed: float
     verifier: str
     detail: dict = field(default_factory=dict)
 
@@ -105,7 +107,6 @@ def _check_cells(n_rows: int, k: int) -> None:
 
 
 def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
-    _check_cells(n, k)
     return rng.integers(0, v, size=(n, k), dtype=np.int64)
 
 
@@ -116,24 +117,25 @@ def _restart(
     """Draw ``n_rows x k`` arrays until ``make`` turns one into rows in which
     at most ``floor(epsilon * C(k,t))`` t-sets cover fewer than m tuples.
 
-    That count of the returned rows proves their apca claim.  Returns the
-    rows, the attempt count (from 1) and their exact defective t-set count.
+    The exact defect count of the returned rows proves their apca claim.
+    Returns the rows, the attempt count (from 1) and that count.
     """
     t, k, v, m = params.t, params.k, params.v, params.m
     allowed = _allowed(params.epsilon, k, t)
     for attempt in range(1, RESTART_CAP + 1):
         cells = make(_sample(rng, n_rows, k, v))
-        defective = count_defects(cells, v, t, m, stop_above=allowed)
+        defective = count_defects(cells, v, t, m)
         if defective <= allowed:
             return cells, attempt, defective
     raise IterationCap(f"hit restart cap {RESTART_CAP}")
 
 
 def _verified(
-    params: PcaParams, array: Array, bound: BoundResult, start: float, iterations: int, *,
+    params: PcaParams, cells: np.ndarray, bound: BoundResult, iterations: int, *,
     pca_m: int | None = None, apca_m: int | None = None, detail: dict | None = None,
 ) -> BuildReport:
-    """Wrap ``array`` in a report stating the claims its builder has proved.
+    """Wrap the rows a builder drew, neither copied nor rescanned, in a report
+    stating the claims its scans have proved.
 
     ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
     but ``floor(epsilon * C(k,t))`` do.
@@ -143,8 +145,8 @@ def _verified(
     if apca_m is not None:
         claims.append(f"apca(t={t}, m={apca_m}, epsilon={epsilon})")
     return BuildReport(
-        array=array, iterations=iterations, rng_seed=params.seed, bound_used=bound,
-        elapsed=time.perf_counter() - start, verifier=" + ".join(claims), detail=detail or {},
+        array=Array._wrap(cells, params.v), iterations=iterations, rng_seed=params.seed,
+        bound_used=bound, verifier=" + ".join(claims), detail=detail or {},
     )
 
 
@@ -157,10 +159,10 @@ def _full_coverage(params: PcaParams, what: str) -> PcaParams:
 
 
 def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
-    params = validate(params)
+    """The Moser-Tardos build of validated ``params``, drawing from ``rng``."""
     t, k, v, m = params.t, params.k, params.v, params.m
-    start = time.perf_counter()
     bound = bounds.bound_pca_lll(t, k, v, m)
+    _check_cells(bound.n_rows, k)
     cells = _sample(rng, bound.n_rows, k, v)
     resamples = 0
     while (defect := first_defect(cells, v, t, m)) is not None:
@@ -168,7 +170,7 @@ def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
             raise IterationCap(f"hit resample cap {RESAMPLE_CAP} at t-set {defect.tset}")
         cells[:, defect.tset] = _sample(rng, bound.n_rows, t, v)
         resamples += 1
-    return _verified(params, Array(cells, v), bound, start, resamples, pca_m=m)
+    return _verified(params, cells, bound, resamples, pca_m=m)
 
 
 def build_pca_moser_tardos(params: PcaParams) -> BuildReport:
@@ -186,24 +188,24 @@ def algorithm_rows_apca(t: int, v: int, m: int, epsilon: float) -> int:
 def build_apca_randomized(params: PcaParams) -> BuildReport:
     """Sample-and-check builder for epsilon-almost partial m-coverage."""
     params = validate(params)
-    t, v, m, epsilon = params.t, params.v, params.m, params.epsilon
-    start = time.perf_counter()
+    t, k, v, m, epsilon = params.t, params.k, params.v, params.m, params.epsilon
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
+    _check_cells(n_rows, k)
     bound = bounds.bound_apca(t, v, m, epsilon)
     cells, attempts, defective = _restart(params, _pcg64(params.seed), n_rows, lambda c: c)
-    detail = {"allowed": _allowed(epsilon, params.k, t), "defective_tsets": defective}
-    return _verified(params, Array(cells, v), bound, start, attempts, apca_m=m, detail=detail)
+    detail = {"allowed": _allowed(epsilon, k, t), "defective_tsets": defective}
+    return _verified(params, cells, bound, attempts, apca_m=m, detail=detail)
 
 
 def _build_developed(
-    params: PcaParams, action: GroupAction, bound_fn: Callable[[int, int, float], BoundResult],
-    rng: np.random.Generator,
+    params: PcaParams, make_action: Callable[[int], GroupAction],
+    bound_fn: Callable[[int, int, float], BoundResult], rng: np.random.Generator,
 ) -> BuildReport:
-    """Restart on base arrays until their development over ``action`` covers
-    all v^t tuples in enough t-sets.
+    """Restart on base arrays until their development over the group
+    ``make_action(v)`` covers all v^t tuples in enough t-sets.
 
     ``bound_fn`` at epsilon/2 gives the base size and the developed row
-    count, which is checked against the cell cap before the first draw.  The
+    count, which is checked against the cell cap before the group is built.  The
     affine group also has a short orbit, its constant tuples, which the v
     constant rows appended after developing cover in every t-set.  A developed
     t-set covers all tuples exactly when the base with those rows covers every
@@ -212,9 +214,9 @@ def _build_developed(
     rows hold those constant rows, and the accepted buffer is returned as is.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
-    start = time.perf_counter()
     half = bound_fn(t, v, epsilon / 2)
     _check_cells(half.n_rows, k)
+    action = make_action(v)
     n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
     tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
     rows = np.empty((n_base * action.order + len(tail), k), dtype=np.int64)
@@ -223,9 +225,7 @@ def _build_developed(
         params, rng, n_base, lambda base: _develop_into(base, action.perms, rows)
     )
     detail = {"base_rows": n_base, "defective_tsets": defective}
-    return _verified(
-        params, Array._wrap(cells, v), bound, start, attempts, apca_m=v**t, detail=detail
-    )
+    return _verified(params, cells, bound, attempts, apca_m=v**t, detail=detail)
 
 
 def build_apca_cyclic(params: PcaParams) -> BuildReport:
@@ -237,9 +237,7 @@ def build_apca_cyclic(params: PcaParams) -> BuildReport:
     sample succeeds with probability >= 1/2.
     """
     params = _full_coverage(params, "cyclic development targets m = v^t")
-    return _build_developed(
-        params, cyclic_action(params.v), bounds.bound_apca_cyclic, _pcg64(params.seed)
-    )
+    return _build_developed(params, cyclic_action, bounds.bound_apca_cyclic, _pcg64(params.seed))
 
 
 def build_apca_frobenius(params: PcaParams) -> BuildReport:
@@ -249,8 +247,11 @@ def build_apca_frobenius(params: PcaParams) -> BuildReport:
     unconditionally.
     """
     params = _full_coverage(params, "affine development targets m = v^t")
-    action = frobenius_action(params.v)  # raises NotPrimePower for composite non-powers
-    return _build_developed(params, action, bounds.bound_apca_frobenius, _pcg64(params.seed))
+    # NotPrimePower and OrderTooLarge come before the cell cap; the table is small
+    action = frobenius_action(params.v)
+    return _build_developed(
+        params, lambda v: action, bounds.bound_apca_frobenius, _pcg64(params.seed)
+    )
 
 
 def build_concat(params: PcaParams) -> BuildReport:
@@ -263,14 +264,13 @@ def build_concat(params: PcaParams) -> BuildReport:
     """
     params = validate(params)
     t, k, v, m, epsilon = params.t, params.k, params.v, params.m, params.epsilon
-    start = time.perf_counter()
     bound = bounds.bound_concat(t, k, v, m, epsilon)
     _check_cells(bound.n_rows, k)
     m1 = bound.detail["m1"]
     seq1, seq2 = np.random.SeedSequence(params.seed).spawn(2)
     part1 = _moser_tardos(PcaParams(t, k, v, m1, 0.0, params.seed), _pcg64(seq1))
     part2 = _build_developed(
-        PcaParams(t, k, v, v**t, epsilon, params.seed), cyclic_action(v),
+        PcaParams(t, k, v, v**t, epsilon, params.seed), cyclic_action,
         bounds.bound_apca_cyclic, _pcg64(seq2),
     )
     detail = {
@@ -279,7 +279,7 @@ def build_concat(params: PcaParams) -> BuildReport:
         "component_iterations": (part1.iterations, part2.iterations),
     }
     return _verified(
-        params, part1.array.stack(part2.array), bound, start,
+        params, np.vstack([part1.array.cells, part2.array.cells]), bound,
         part1.iterations + part2.iterations, pca_m=m, apca_m=v**t, detail=detail,
     )
 
@@ -354,7 +354,6 @@ def build_apca_derandomized(params: PcaParams) -> BuildReport:
     """
     params = _full_coverage(params, "derandomization supports m = v^t only")
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
-    start = time.perf_counter()
     bound = bounds.bound_apca(t, v, v**t, epsilon)
     allowed = _allowed(epsilon, k, t)
     cells, trace = derandomize_rows(t, k, v, allowed, bound.n_rows)
@@ -363,4 +362,4 @@ def build_apca_derandomized(params: PcaParams) -> BuildReport:
     if defective > allowed:
         raise PcaForgeError(f"internal: {defective} t-sets short, {allowed} allowed")
     detail = {"missing_trace": trace, "defective_tsets": defective}
-    return _verified(params, Array(cells, v), bound, start, 0, apca_m=v**t, detail=detail)
+    return _verified(params, cells, bound, 0, apca_m=v**t, detail=detail)

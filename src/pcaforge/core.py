@@ -11,7 +11,9 @@ so a rule raises the same error class and message wherever it is enforced:
 ``_check_m`` (an integer 1 <= m <= v^t), ``_check_real`` (a real number,
 not a string, None or a complex), ``_check_fraction`` (a real epsilon or q
 in [0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
-``_check_full`` (m = v^t for the full-coverage constructions).
+``_check_full`` (m = v^t for the full-coverage constructions).  The integer
+checkers, ``_as_int``, ``_check_tkv`` and ``_check_m``, return the values they
+checked as Python ints, so a numpy integer never reaches a result.
 """
 
 from __future__ import annotations
@@ -80,10 +82,10 @@ def _check_v(v: int) -> None:
         raise AlphabetTooSmall(f"alphabet size v={v} must be at least 2")
 
 
-def _check_tkv(t: int, v: int, k: int | None = None) -> None:
-    """Raise unless t, v and k (when given) are integers, t >= 2, t <= k,
-    v >= 2, and v^t and k fit in a 64-bit integer; the shared domain of
-    :func:`validate` and the bounds."""
+def _check_tkv(t: int, v: int, k: int | None = None) -> tuple[int, int, int | None]:
+    """``(t, v, k)`` as Python ints, if t, v and k (when given) are integers,
+    t >= 2, t <= k, v >= 2, and v^t and k fit in a 64-bit integer; the shared
+    domain of :func:`validate` and the bounds."""
     t, v = _as_int(t, "t"), _as_int(v, "v")
     if k is not None:
         k = _as_int(k, "k")
@@ -96,11 +98,15 @@ def _check_tkv(t: int, v: int, k: int | None = None) -> None:
         raise Overflow(f"v^t = {v}^{t} exceeds the 64-bit range")
     if k is not None and k > WIDE_INT_MAX:
         raise Overflow(f"k={k} exceeds the 64-bit range")
+    return t, v, k
 
 
-def _check_m(m: int, vt: int) -> None:
-    if not 1 <= _as_int(m, "m") <= vt:
+def _check_m(m: int, vt: int) -> int:
+    """``m`` as a Python int, if it is an integer in [1, v^t]."""
+    m = _as_int(m, "m")
+    if not 1 <= m <= vt:
         raise MOutOfRange(f"m={m} outside [1, v^t={vt}]")
+    return m
 
 
 def _check_real(x: object, name: str) -> None:

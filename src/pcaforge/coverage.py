@@ -358,16 +358,13 @@ def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
     return None
 
 
-def count_defects(
-    cells: np.ndarray, v: int, t: int, m: int, *, stop_above: int | None = None
-) -> int:
-    """Number of t-sets covering < m tuples; ``stop_above + 1`` once past ``stop_above``."""
-    defects = 0
-    for _, counts in _scan(cells, v, t):
-        defects += int(np.count_nonzero(counts < m))
-        if stop_above is not None and defects > stop_above:
-            return stop_above + 1
-    return defects
+def count_defects(cells: np.ndarray, v: int, t: int, m: int) -> int:
+    """Exact number of t-sets covering fewer than m distinct tuples.
+
+    One full scan, no early exit: the restart builders accept on this count
+    and report it as their ``defective_tsets``.
+    """
+    return sum(int(np.count_nonzero(counts < m)) for _, counts in _scan(cells, v, t))
 
 
 def is_pca(a: Array, t: int, m: int) -> PcaCheck:
@@ -403,6 +400,9 @@ def completeness(a: Array, q: float, t: int) -> float:
     """Fraction of t-sets covering at least ``q * v^t`` distinct tuples.
 
     The threshold is ``ceil(q * v^t)`` with an exact-integer product not
-    rounded up (a count meeting the product exactly qualifies).
+    rounded up (a count meeting the product exactly qualifies).  t and q are
+    checked before the scan.
     """
+    t = _check_t(t, a.cols)
+    _check_fraction(q, "q")
     return coverage_profile(a, t).completeness(q)

@@ -488,6 +488,13 @@ class TestIntegerParameters:
         point = {**POINT, **{name: np.int64(POINT[name]) for name in ("t", "k", "v", "m")}}
         assert evaluate_formula(label, **point) == evaluate_formula(label, **POINT)
 
+    @pytest.mark.parametrize("label", [f.label for f in FORMULAS])
+    def test_numpy_integers_give_python_numbers(self, label):
+        # concat held np.float64 and np.int64 values, and json.dumps of its
+        # detail failed; results compare equal whatever their number types
+        point = {**POINT, **{name: np.int64(POINT[name]) for name in ("t", "k", "v", "m")}}
+        assert repr(evaluate_formula(label, **point)) == repr(evaluate_formula(label, **POINT))
+
 
 def _pin_grid():
     """Every t, v, edge m, k and epsilon of the pinned grid, m = v^t + 1 and

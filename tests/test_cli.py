@@ -160,6 +160,19 @@ class TestGenerateCommand:
         assert code == 2
         assert "NotPrimePower" in capsys.readouterr().err
 
+    def test_oversize_cyclic_exit_2(self, tmp_path, capsys):
+        # the cell cap refuses it before the 10^5 x 10^5 shift table is built,
+        # which ended in numpy's MemoryError and exit 1
+        code = main(["generate", "--alg", "cyclic", "--t", "2", "--k", "10",
+                     "--v", "100000", "--epsilon", "0.5", "--out", str(tmp_path / "x.pca")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: CapacityExceeded: N*k")
+
+    def test_elapsed_on_stderr(self, tmp_path, capsys):
+        assert main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
+                     "--m", "4", "--seed", "1", "--out", str(tmp_path / "x.pca")]) == 0
+        assert capsys.readouterr().err.startswith("elapsed: ")
+
     def test_iteration_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         # frobenius seed 7 needs a second attempt, which a cap of one forbids
         monkeypatch.setattr(construct, "RESTART_CAP", 1)

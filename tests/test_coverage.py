@@ -190,6 +190,18 @@ class TestCompleteness:
         # v constant rows cover exactly v tuples; q v^t = 2 exactly at q = 0.5
         assert completeness(constant_rows(4, 2), 0.5, 2) == 1.0
 
+    @pytest.mark.parametrize("q,t,error", [
+        (1.5, 2, EpsilonOutOfRange), ("1", 2, DomainError), (0.5, 2.0, DomainError),
+        (0.5, 7, StrengthTooSmall),
+    ])
+    def test_checks_arguments_before_scanning(self, monkeypatch, q, t, error):
+        # q = 1.5 used to be refused only after every t-set was counted
+        scans = []
+        monkeypatch.setattr(coverage, "_scan", lambda *args: scans.append(args))
+        with pytest.raises(error):
+            completeness(constant_rows(6, 3), q, t)
+        assert scans == []
+
     def test_nonincreasing_in_q(self):
         rng = np.random.default_rng(7)
         a = random_array(rng, 5, 5, 2)
@@ -247,8 +259,7 @@ class TestScanHelpers:
             else:
                 assert defect is None
 
-    def test_count_defects_early_exit(self):
+    def test_count_defects_counts_every_tset(self):
         a = constant_rows(6, 2)  # every pair covers 2 of 4 tuples
         total = math.comb(6, 2)
         assert count_defects(a.cells, 2, 2, 4) == total
-        assert count_defects(a.cells, 2, 2, 4, stop_above=3) == 4

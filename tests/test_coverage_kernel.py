@@ -62,7 +62,7 @@ def _ref_first_defect(cells, v, t, m):
     return None
 
 
-def _ref_count_defects(cells, v, t, m, *, stop_above=None):
+def _ref_count_defects(cells, v, t, m):
     weights = rank_weights(t, v)
     present = np.zeros(v**t, dtype=bool)
     defects = 0
@@ -73,8 +73,6 @@ def _ref_count_defects(cells, v, t, m, *, stop_above=None):
         present[ranks] = False
         if count < m:
             defects += 1
-            if stop_above is not None and defects > stop_above:
-                return defects
     return defects
 
 
@@ -91,7 +89,7 @@ def _ref_orbit_coverage(a, t, structure):
     return covered
 
 
-def _ref_count_orbit_defects(cells, v, t, structure, required, *, stop_above=None):
+def _ref_count_orbit_defects(cells, v, t, structure, required):
     weights = rank_weights(t, v)
     present = np.zeros(structure.n_orbits, dtype=bool)
     defects = 0
@@ -102,8 +100,6 @@ def _ref_count_orbit_defects(cells, v, t, structure, required, *, stop_above=Non
         present[oids] = False
         if covered < required:
             defects += 1
-            if stop_above is not None and defects > stop_above:
-                return defects
     return defects
 
 
@@ -208,13 +204,12 @@ def profile_cases(t, v, seed):
 
 @functools.cache
 def early_exit_cases(t, v, seed):
-    """``(a, m, first defect, {stop_above: defect count})`` from the reference loops."""
+    """``(a, m, first defect, defect count)`` from the reference loops."""
     cases = []
     for a in arrays(t, v, seed):
         for m in sorted({1, 2, min(a.rows, v**t), v**t}):
-            counts = {stop_above: _ref_count_defects(a.cells, v, t, m, stop_above=stop_above)
-                      for stop_above in (None, 0, 2)}
-            cases.append((a, m, _ref_first_defect(a.cells, v, t, m), counts))
+            defects = _ref_count_defects(a.cells, v, t, m)
+            cases.append((a, m, _ref_first_defect(a.cells, v, t, m), defects))
     return cases
 
 
@@ -236,8 +231,7 @@ class TestTupleScans:
     def test_early_exit_scans_match_reference(self, budget, packing, head, t, v):
         for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
             assert first_defect(a.cells, v, t, m) == defect
-            for stop_above, want in defects.items():
-                assert count_defects(a.cells, v, t, m, stop_above=stop_above) == want
+            assert count_defects(a.cells, v, t, m) == defects
 
 
 class TestChunks:
@@ -369,9 +363,7 @@ class TestHeadStage:
         )
         for m in range(1, self.VT + 1):
             assert first_defect(cells, v, t, m) == _ref_first_defect(cells, v, t, m)
-            for stop_above in (None, 0, 1, 2):
-                assert (count_defects(cells, v, t, m, stop_above=stop_above)
-                        == _ref_count_defects(cells, v, t, m, stop_above=stop_above))
+            assert count_defects(cells, v, t, m) == _ref_count_defects(cells, v, t, m)
 
     def test_default_head_rows(self):
         # ceil(9 * (ln 9 + 6)) = ceil(73.77)
@@ -409,15 +401,13 @@ class TestHeadStage:
         assert defect == coverage.Defect((0, 1), 5)
         self.assert_scans_match_reference(cells)
 
-    def test_stop_above_counts_recounted_defects(self):
+    def test_count_defects_counts_recounted_defects(self):
         # Two copied column pairs cover three tuples; the constant head of
         # column 0 sends its five pairs to a recount, where they are complete.
         cells = self.cells(self.HEAD * 3, seed=1)
         cells[:, 3], cells[:, 5] = cells[:, 2], cells[:, 4]
         cells[: self.HEAD, 0] = 1
         assert count_defects(cells, self.V, self.T, self.VT) == 2
-        assert count_defects(cells, self.V, self.T, self.VT, stop_above=0) == 1
-        assert count_defects(cells, self.V, self.T, self.VT, stop_above=1) == 2
         self.assert_scans_match_reference(cells)
 
     def test_sorted_counts_after_the_head(self):
@@ -543,12 +533,8 @@ class TestClassScans:
             tail = constant_rows(a.cols, v).cells[: v if action.kind == "frobenius" else 0]
             base = np.vstack((a.cells, tail))
             developed = np.vstack((develop(a, action).cells, tail))
-            for stop_above in (None, 0, 3):
-                want = _ref_count_orbit_defects(
-                    base, v, t, structure, structure.n_orbits, stop_above=stop_above
-                )
-                got = count_defects(developed, v, t, v**t, stop_above=stop_above)
-                assert got == want
+            want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits)
+            assert count_defects(developed, v, t, v**t) == want
 
 
 # -- generated arrays are the same as before the kernel ------------------------------
