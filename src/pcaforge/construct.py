@@ -8,9 +8,11 @@ equal parameters give equal reports, bit for bit on any platform.  Each
 builder validates its parameters once and sizes its output once.  A build
 whose output would exceed ``coverage.PROFILE_CAPACITY`` cells raises
 ``CapacityExceeded`` before any allocation, group tables included.  Every
-claim a report states was established by one full scan of the rows the
-builder returns: the scan that accepted them, not a second pass afterwards,
-and the returned array wraps those very rows.  Hitting an iteration cap
+claim a report states was established by the counts that accepted the rows
+the builder returns, not by a second pass afterwards, and the returned array
+wraps those very rows.  The Moser-Tardos builder accepts once every t-set
+was counted at >= m tuples after its columns last changed; the other
+builders accept on one full scan of their rows.  Hitting an iteration cap
 raises instead of returning a partial result.
 
 The epsilon-almost builders are one Las Vegas restart algorithm: sample a
@@ -28,11 +30,19 @@ Moser-Tardos build needing more than :data:`RESAMPLE_CAP` resamples.
 Builders:
 
 * :func:`build_pca_moser_tardos` — start from a uniform random array at the
-  local-lemma row count, then repeatedly rescan column t-sets in lexicographic
-  order and, at the first t-set covering fewer than m tuples, redraw all N*t
-  entries of those t columns; the scan that finds no such t-set is the proof.
-  (The classic resampling scheme redraws only the violating event's
-  variables; redrawing whole columns is what this variant prescribes.)
+  local-lemma row count, then repeatedly take the lexicographically first
+  t-set covering fewer than m tuples and redraw all N*t entries of those t
+  columns.  (The classic resampling scheme redraws only the violating
+  event's variables; redrawing whole columns is what this variant
+  prescribes.)  Only the events sharing variables with a resampled one can
+  change, so after a resample only the t-sets through its columns, and the
+  ones last found short, are recounted before the frontier where the scan
+  stopped; the scan goes on from there when none is short.  The defects come
+  in the order a full rescan after every resample would find them, so a seed
+  builds the array such a rescan would.  The proof is the invariant the loop
+  keeps: when it ends, every t-set was counted at >= m after its columns
+  last changed.  Each resample emits one DEBUG record on the ``pcaforge``
+  logger: the t-set, its count and the number of stale t-sets recounted.
 * :func:`build_apca_randomized` — the restart loop on whole arrays, sized by
   :func:`pcaforge.bounds.bound_apca` at epsilon/2.
 * :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — the restart loop
@@ -60,15 +70,18 @@ Builders:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable
+from itertools import chain, combinations
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import bounds
-from .coverage import PROFILE_CAPACITY, _allowed, count_defects, first_defect
+from .coverage import (
+    PROFILE_CAPACITY, Defect, _allowed, _count_tsets, count_defects, first_defect,
+)
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, rank_weights, validate,
 )
@@ -79,6 +92,8 @@ from .galois import GroupAction, _develop_into, constant_rows, cyclic_action, fr
 # restart-loop attempts per build.
 RESAMPLE_CAP = 1_000_000
 RESTART_CAP = 64
+
+_log = logging.getLogger("pcaforge")
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,9 @@ def _verified(
     pca_m: int | None = None, apca_m: int | None = None, detail: dict | None = None,
 ) -> BuildReport:
     """Wrap the rows a builder drew, neither copied nor rescanned, in a report
-    stating the claims its scans have proved.
+    stating the claims its counts have proved: one full scan for the restart
+    builders, and for Moser-Tardos every t-set counted at >= m after its
+    columns last changed.
 
     ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
     but ``floor(epsilon * C(k,t))`` do.
@@ -158,6 +175,81 @@ def _full_coverage(params: PcaParams, what: str) -> PcaParams:
     return params
 
 
+def _binomials(k: int, t: int) -> np.ndarray:
+    """The ``(k+1, t+1)`` table of C(n, r) for n <= k and r <= t."""
+    return np.array([[math.comb(n, r) for r in range(t + 1)] for n in range(k + 1)],
+                    dtype=np.int64)
+
+
+def _lex_ranks(tsets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Lex ranks, among the t-sets of ``range(k)``, of the rows of a ``(B, t)`` array.
+
+    ``binom`` is :func:`_binomials` of (k, t).  The t-sets after
+    c_0 < ... < c_(t-1) in lex order number the sum of C(k-1-c_i, t-i)
+    (the combinatorial number system on the columns k-1-c_i), so its rank
+    is C(k,t) - 1 less that sum.
+    """
+    k, t = binom.shape[0] - 1, tsets.shape[1]
+    return binom[k, t] - 1 - binom[k - 1 - tsets, t - np.arange(t)].sum(axis=1)
+
+
+def _stale(
+    others: np.ndarray, binom: np.ndarray, columns: tuple[int, ...], short: np.ndarray,
+    limit: int,
+) -> np.ndarray:
+    """The t-sets through ``columns``, and the t-sets ``short``, of lex rank
+    below ``limit``: a ``(B, t)`` array in lex order without repeats.
+
+    ``others`` holds the (t-1)-sets of ``range(k-1)``: moving each entry at or
+    above column c up by one and adding c gives every t-set through c once.
+    """
+    c = np.array(columns)[:, None, None]
+    through = others + (others >= c)
+    through = np.concatenate([through, np.broadcast_to(c, (*through.shape[:2], 1))], axis=2)
+    tsets = np.concatenate([np.sort(through.reshape(-1, len(columns)), axis=1), short])
+    ranks = _lex_ranks(tsets, binom)
+    below = ranks < limit
+    _, first = np.unique(ranks[below], return_index=True)
+    return tsets[below][first]
+
+
+def _defects(cells: np.ndarray, v: int, t: int, m: int) -> Iterator[Defect]:
+    """The defects Moser-Tardos resamples, in the order of a full lex rescan.
+
+    The caller redraws each defect's columns in ``cells`` before taking the
+    next.  Each defect is the lex-first short t-set of the cells at that
+    moment.  The frontier is the defect where the last kernel scan stopped.
+    Every t-set before it was counted at >= m after its columns last changed,
+    except the stale ones: those through the columns just resampled, and
+    those the last recount found short.  So the lex-first short stale t-set,
+    if any, is the lex-first short t-set overall; if none is short, the
+    kernel scan goes on from the frontier.  Scratch stays O(t C(k-1, t-1))
+    besides the kernel's.
+    """
+    defect = first_defect(cells, v, t, m)
+    if defect is None:
+        return
+    # built once that scan has checked C(k,t) against PROFILE_CAPACITY
+    k = cells.shape[1]
+    others = np.fromiter(chain.from_iterable(combinations(range(k - 1), t - 1)),
+                         dtype=np.int64).reshape(-1, t - 1)
+    binom, short = _binomials(k, t), np.empty((0, t), dtype=np.int64)
+    while defect is not None:  # found by the kernel scan: the new frontier
+        frontier = defect.tset
+        limit = _lex_ranks(np.array([frontier]), binom)[0]
+        while defect is not None:
+            yield defect
+            stale = _stale(others, binom, defect.tset, short, limit)
+            counts = _count_tsets(cells, v, stale)
+            _log.debug("resampled t-set %s covering %d tuples; recounted %d stale t-sets",
+                       defect.tset, defect.count, len(stale))
+            below = np.flatnonzero(counts < m)
+            short = stale[below[1:]]
+            defect = (Defect(tuple(stale[below[0]].tolist()), int(counts[below[0]]))
+                      if len(below) else None)
+        defect = first_defect(cells, v, t, m, frontier)
+
+
 def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
     """The Moser-Tardos build of validated ``params``, drawing from ``rng``."""
     t, k, v, m = params.t, params.k, params.v, params.m
@@ -165,7 +257,7 @@ def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:
     _check_cells(bound.n_rows, k)
     cells = _sample(rng, bound.n_rows, k, v)
     resamples = 0
-    while (defect := first_defect(cells, v, t, m)) is not None:
+    for defect in _defects(cells, v, t, m):
         if resamples >= RESAMPLE_CAP:
             raise IterationCap(f"hit resample cap {RESAMPLE_CAP} at t-set {defect.tset}")
         cells[:, defect.tset] = _sample(rng, bound.n_rows, t, v)

@@ -291,7 +291,7 @@ def tuple_unrank(r: int, t: int, v: int) -> tuple[int, ...]:
 
 def project(a: Array, columns: Sequence[int]) -> Array:
     """Restrict ``a`` to the given strictly increasing column indices."""
-    cols = [int(c) for c in columns]
+    cols = [_as_int(c, "column") for c in columns]
     for c in cols:
         if not 0 <= c < a.cols:
             raise ColumnOutOfRange(f"column {c} outside [0, {a.cols})")

@@ -7,10 +7,12 @@ order.  Each batch (a chunk) is a run of consecutive t-sets described by
 which t-sets share a chunk: either part of one long (t-1)-prefix's t-sets, or
 the whole t-set runs of several short prefixes, those spanning fewer than
 ``_CHUNK_BUDGET // 8`` ranks.  One rank builder, :func:`_ranks`, turns a
-chunk's pieces into a block of tuple ranks, which is counted.  Its scratch
-memory stays within the one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's
-N ranks if that is more, whatever N and v^t are.  Early-exit callers stop
-taking chunks.
+chunk's pieces into a block of tuple ranks, which :func:`_count` counts.  Its
+scratch memory stays within the one budget, ``_CHUNK_BUDGET`` ranks, or one
+t-set's N ranks if that is more, whatever N and v^t are.  Early-exit callers
+stop taking chunks, and a scan may start at any t-set.  The same counter
+serves :func:`_count_tsets`, which counts an explicit array of t-sets, in
+chunks within the same budget, for the resampling builder.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, dropwhile
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -217,9 +219,18 @@ def _runs_at(pieces: list[_Piece], positions: np.ndarray) -> list[_Piece]:
     return runs
 
 
-def _prefix_runs(k: int, t: int) -> Iterator[_Piece]:
-    """Every t-set of ``range(k)`` in lex order, one run per (t-1)-prefix."""
-    for prefix in combinations(range(k - 1), t - 1):
+def _prefix_runs(k: int, t: int, start: tuple[int, ...] | None = None) -> Iterator[_Piece]:
+    """Every t-set of ``range(k)`` in lex order, one run per (t-1)-prefix.
+
+    With a ``start`` t-set, the runs begin at it: its own prefix's run is cut
+    to the t-sets from ``start`` on.
+    """
+    prefixes = combinations(range(k - 1), t - 1)
+    if start is not None:
+        before, first = tuple(start[:-1]), start[-1]
+        yield before, first, k - first
+        prefixes = dropwhile(lambda p: p <= before, prefixes)
+    for prefix in prefixes:
         first = prefix[-1] + 1 if prefix else 0
         yield prefix, first, k - first
 
@@ -257,20 +268,41 @@ def _chunks(n: int, runs: Iterable[_Piece]) -> Iterator[list[_Piece]]:
         yield pieces
 
 
-def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
+def _count(ranks: np.ndarray, vt: int) -> np.ndarray:
+    """Distinct values in each row of a ``(B, N)`` block of tuple ranks below ``vt``.
+
+    Tuples are counted by OR-reducing one-hot bits (v^t at most 64) or else
+    by sorting rows.
+    """
+    if vt <= 64:
+        bit = np.dtype(f"uint{max(8, 1 << (vt - 1).bit_length())}").type(1)
+        bits = np.left_shift(bit, ranks, dtype=bit.dtype)
+        counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
+    else:
+        # numpy sorts 16-bit rows far faster than 8-bit ones
+        ranks = ranks.astype(np.promote_types(ranks.dtype, np.uint16), copy=False)
+        ranks = np.sort(ranks, axis=1)
+        distinct = np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
+        counts = (ranks.shape[1] > 0) + distinct
+    return counts.astype(np.int64)
+
+
+def _scan(
+    cells: np.ndarray, v: int, t: int, start: tuple[int, ...] | None = None
+) -> _Chunks:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
-    Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
+    The scan covers every t-set, or with a ``start`` t-set the t-sets from it
+    on.  Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
     chunks follow the plan of :func:`_chunks` and each holds at most
     ``_CHUNK_BUDGET`` ranks.  Every chunk, head or recount, is counted as
-    ``count(_ranks(cols, v, pieces))`` on a column-major copy: the head
+    ``_count(_ranks(cols, v, pieces), vt)`` on a column-major copy: the head
     chunks on one of the head rows, the recounts on one of all N rows whose
     columns :func:`_fill` copies the first time a recount reads them.
     A one-piece chunk broadcasts its prefix's ranks against a ``(B, N)``
     slice of later columns; the runs of several short prefixes are gathered
     into one chunk, so that narrow or short arrays pay the per-chunk cost
-    once per chunk, not per prefix.  Tuples are counted by OR-reducing
-    one-hot bits (v^t at most 64) or else by sorting rows.
+    once per chunk, not per prefix.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
@@ -288,34 +320,41 @@ def _scan(cells: np.ndarray, v: int, t: int) -> _Chunks:
     if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
         raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
     dtype = np.min_scalar_type(vt - 1)
-    if vt <= 64:
-        bit = np.dtype(f"uint{max(8, 1 << (vt - 1).bit_length())}").type(1)
-
-    def count(ranks: np.ndarray) -> np.ndarray:
-        if vt <= 64:
-            bits = np.left_shift(bit, ranks, dtype=bit.dtype)
-            counts = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1))
-        else:
-            # numpy sorts 16-bit rows far faster than 8-bit ones
-            ranks = ranks.astype(np.promote_types(ranks.dtype, np.uint16), copy=False)
-            ranks = np.sort(ranks, axis=1)
-            distinct = np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
-            counts = (ranks.shape[1] > 0) + distinct
-        return counts.astype(np.int64)
-
     head = min(n, _head_rows(vt))
     head_cols = np.ascontiguousarray(cells[:head].T, dtype)
     if head < n:  # the recount's columns, each filled when a recount first reads it
         cols, filled = np.empty((k, n), dtype), np.zeros(k, dtype=bool)
-    for pieces in _chunks(head, _prefix_runs(k, t)):
-        counts = count(_ranks(head_cols, v, pieces))
+    for pieces in _chunks(head, _prefix_runs(k, t, start)):
+        counts = _count(_ranks(head_cols, v, pieces), vt)
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
             plan = _chunks(n, _runs_at(pieces, short))
             counts[short] = np.concatenate(
-                [count(_ranks(_fill(cols, filled, cells, p), v, p)) for p in plan]
+                [_count(_ranks(_fill(cols, filled, cells, p), v, p), vt) for p in plan]
             )
         yield pieces, counts
+
+
+def _count_tsets(cells: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
+    """Distinct tuples covered by each t-set of the ``(B, t)`` array ``tsets``.
+
+    Every count is exact, over all N rows, with no head stage.  The t-sets'
+    columns are gathered from a column-major copy of the cells, in chunks of
+    at most ``_CHUNK_BUDGET`` ranks (or one t-set's N if that is more).
+    """
+    n, t = cells.shape[0], tsets.shape[1]
+    vt = v**t
+    cols = np.ascontiguousarray(cells.T, np.min_scalar_type(vt - 1))
+    step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
+    counts = np.empty(len(tsets), dtype=np.int64)
+    for lo in range(0, len(tsets), step):
+        chunk = tsets[lo : lo + step]
+        ranks = cols[chunk[:, 0]]
+        for j in range(1, t):
+            ranks *= v
+            ranks += cols[chunk[:, j]]
+        counts[lo : lo + step] = _count(ranks, vt)
+    return counts
 
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
@@ -345,12 +384,15 @@ def naive_oracle(a: Array, t: int) -> CoverageProfile:
     return CoverageProfile(t=t, v=a.v, k=a.cols, counts=np.array(counts, dtype=np.int64))
 
 
-def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
+def first_defect(
+    cells: np.ndarray, v: int, t: int, m: int, start: tuple[int, ...] | None = None
+) -> Defect | None:
     """Lexicographically first t-set covering < m distinct tuples, else None.
 
-    Early-exit scan used by the resampling builder.
+    Early-exit scan used by the resampling builder.  With a ``start`` t-set
+    (increasing columns of ``cells``) only the t-sets from it on are scanned.
     """
-    for pieces, counts in _scan(cells, v, t):
+    for pieces, counts in _scan(cells, v, t, start):
         below = np.flatnonzero(counts < m)
         if len(below):
             [(prefix, first, _)] = _runs_at(pieces, below[:1])

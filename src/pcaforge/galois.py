@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _check_v, rank_weights
+from .core import Array, _as_int, _check_v, rank_weights
 from .errors import (
     CapacityExceeded,
     NotPrimePower,
@@ -75,8 +75,8 @@ def _prime_power(v: int) -> tuple[int, int]:
 
 
 def is_prime_power(v: int) -> bool:
-    """Whether v = p^n for a prime p and n >= 1."""
-    return _factor_prime_power(v) is not None
+    """Whether v = p^n for a prime p and n >= 1; v must be an integer."""
+    return _factor_prime_power(_as_int(v, "v")) is not None
 
 
 @dataclass(frozen=True, eq=False)

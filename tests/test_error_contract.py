@@ -16,7 +16,7 @@ from pcaforge.core import (
 )
 from pcaforge.coverage import completeness, coverage_profile, is_apca, is_pca, naive_oracle
 from pcaforge.errors import DomainError, PcaForgeError, StrengthTooSmall
-from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
+from pcaforge.galois import cyclic_action, develop, frobenius_action, is_prime_power, orbits
 
 small = st.integers(-3, 9)
 # sizes past the 64-bit range and past the double range
@@ -215,3 +215,17 @@ def test_orbits_rejects_negative_strength():
     # v ** -1 is a float, which numpy refused with a TypeError
     with pytest.raises(PcaForgeError):
         orbits(-1, 2, cyclic_action(2))
+
+
+@pytest.mark.parametrize("columns", [(0, 1.9), ("0", "2")])
+def test_project_rejects_non_integer_columns(columns):
+    # int(c) read (0, 1.9) as columns 0 and 1 and accepted ("0", "2")
+    with pytest.raises(DomainError, match="must be an integer"):
+        project(Array([[0, 1, 0]], 2), columns)
+
+
+@pytest.mark.parametrize("v", [4.0, "4", None])
+def test_is_prime_power_rejects_non_integers(v):
+    # these raised a builtin TypeError from the factoring loop
+    with pytest.raises(DomainError, match="must be an integer"):
+        is_prime_power(v)
