@@ -167,8 +167,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.defects_csv is not None and args.m is None:
-        print("error: --defects-csv needs --m", file=sys.stderr)
+    # the defects CSV and the apca claim of a nonzero epsilon both read --m
+    if args.m is None and (args.defects_csv is not None or args.epsilon != 0):
+        flag = "--defects-csv" if args.defects_csv is not None else "--epsilon"
+        print(f"error: {flag} needs --m", file=sys.stderr)
         return EXIT_USAGE
     array, _header = artifact_io.read_array(args.infile)
     profile = coverage.coverage_profile(array, args.t)

@@ -264,10 +264,10 @@ def rank_weights(t: int, v: int) -> np.ndarray:
 
 def tuple_rank(x: Iterable[int], v: int) -> int:
     """Rank of a tuple over ``{0..v-1}`` in [0, v^t), coordinate 0 most significant."""
+    v, coords = _as_int(v, "v"), [_as_int(c, "coordinate") for c in x]
     _check_v(v)
     r = 0
-    for c in x:
-        c = int(c)
+    for c in coords:
         if not 0 <= c < v:
             raise SymbolOutOfRange(f"coordinate {c} outside [0, {v})")
         r = r * v + c
@@ -276,7 +276,7 @@ def tuple_rank(x: Iterable[int], v: int) -> int:
 
 def tuple_unrank(r: int, t: int, v: int) -> tuple[int, ...]:
     """Inverse of :func:`tuple_rank`: the t-tuple with the given rank."""
-    r = int(r)
+    r, t, v = _as_int(r, "rank"), _as_int(t, "t"), _as_int(v, "v")
     _check_v(v)
     if t < 0:
         raise StrengthTooSmall(f"tuple length t={t} is negative")

@@ -10,19 +10,23 @@ the whole t-set runs of several short prefixes, those spanning fewer than
 chunk's pieces into a block of tuple ranks, which :func:`_count` counts.  Its
 scratch memory stays within the one budget, ``_CHUNK_BUDGET`` ranks, or one
 t-set's N ranks if that is more, whatever N and v^t are.  Early-exit callers
-stop taking chunks, and a scan may start at any t-set.  The same counter
-serves :func:`_count_tsets`, which counts an explicit array of t-sets, in
-chunks within the same budget, for the resampling builder.
+stop taking chunks, and a scan may start at any t-set.
+
+An explicit ``(B, t)`` array of t-sets is counted on all N rows by one gather
+loop, :func:`_gather_counts`, in chunks within the same budget.  It serves
+both the kernel's recounts below and :func:`_count_tsets`, which counts the
+t-sets a resample may have changed for the resampling builder.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
 nearly all of them already cover every tuple.  Only the t-sets short of v^t
-in the head are recounted on all N rows before their chunk is yielded.  A
-t-set that covers all v^t tuples in the head covers them in the whole array,
-so every count the kernel yields is exact, as if all N rows had been counted.
-Only the head rows are transposed for the head counts; a column's N rows are
-transposed the first time a recount reads it, so an array whose t-sets all
-cover v^t tuples in the head is read no further than the head.
+in the head are expanded from their chunk's pieces and recounted on all N
+rows before their chunk is yielded.  A t-set that covers all v^t tuples in
+the head covers them in the whole array, so every count the kernel yields is
+exact, as if all N rows had been counted.  Only the head rows are transposed
+for the head counts; a column's N rows are transposed the first time a
+recount reads it, so an array whose t-sets all cover v^t tuples in the head
+is read no further than the head.
 
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
@@ -51,11 +55,12 @@ PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
 # Scratch elements per kernel chunk, packed or broadcast: B*N ranks.  Runs of
-# t-sets (a prefix's, or a recount's) spanning fewer than an eighth of it are
-# packed into shared chunks; longer ones are ranked against a broadcast base
-# without gathers.  At 2^18, packed chunks scan the t=3 k=60 v=3 N=201 shape as
-# fast as at 2^20 without raising the peak RSS, and broadcast slices of tall,
-# wide arrays run no slower than at 2^20.
+# a prefix's t-sets spanning fewer than an eighth of it are packed into shared
+# chunks; longer ones are ranked against a broadcast base without gathers.
+# Explicit t-sets are gathered in chunks of _CHUNK_BUDGET // N t-sets.  At
+# 2^18, packed chunks scan the t=3 k=60 v=3 N=201 shape as fast as at 2^20
+# without raising the peak RSS, and broadcast slices of tall, wide arrays run
+# no slower than at 2^20.
 _CHUNK_BUDGET = 2**18
 # Head rows beyond the coupon-collector mean.  With N above
 # head = v^t * (ln v^t + _HEAD_SLACK) rows, every t-set is counted on the head
@@ -163,6 +168,21 @@ def _prefix_base(cols: np.ndarray, v: int, prefix: np.ndarray) -> np.ndarray | i
     return base
 
 
+def _lasts(firsts: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
+    """The last column of each t-set of pieces with these firsts and lengths."""
+    # The j-th t-set of piece i ends in column firsts[i] + j.
+    offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
+    return np.arange(lengths.sum()) + np.repeat(offsets, lengths)
+
+
+def _tsets(pieces: list[_Piece]) -> np.ndarray:
+    """The pieces' t-sets as one ``(B, t)`` array, in order."""
+    prefixes, firsts, lengths = zip(*pieces)
+    lengths = np.array(lengths)
+    heads = np.repeat(np.array(prefixes, dtype=np.int64), lengths, axis=0)
+    return np.column_stack((heads, _lasts(firsts, lengths)))
+
+
 def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     """Tuple ranks of the pieces' t-sets as one ``(B, N)`` block, in order.
 
@@ -176,47 +196,27 @@ def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     if len(pieces) == 1:
         return base + cols[firsts[0] : firsts[0] + lengths[0]]
     lengths = np.array(lengths)
-    # The j-th t-set of piece i ends in column firsts[i] + j.
-    offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
-    ranks = cols[np.arange(lengths.sum()) + np.repeat(offsets, lengths)]
+    ranks = cols[_lasts(firsts, lengths)]
     if prefixes[0]:  # t > 1
         ranks += np.repeat(base, lengths, axis=0)
     return ranks
 
 
 def _fill(
-    cols: np.ndarray, filled: np.ndarray, cells: np.ndarray, pieces: list[_Piece]
+    cols: np.ndarray, filled: np.ndarray, cells: np.ndarray, tsets: np.ndarray
 ) -> np.ndarray:
-    """``cols`` once it holds every column the pieces read, as rows of ``cells.T``.
+    """``cols`` once it holds every column of the ``(B, t)`` array ``tsets``,
+    as rows of ``cells.T``.
 
     Each column not yet ``filled`` is copied from ``cells`` on its own and
     marked filled; the others are left as they are.
     """
     wanted = np.zeros_like(filled)
-    for prefix, first, length in pieces:
-        wanted[list(prefix)] = True
-        wanted[first : first + length] = True
+    wanted[tsets] = True
     for c in np.flatnonzero(wanted & ~filled):
         cols[c] = cells[:, c]
     filled |= wanted
     return cols
-
-
-def _runs_at(pieces: list[_Piece], positions: np.ndarray) -> list[_Piece]:
-    """The t-sets at the ascending ``positions`` of a chunk made of ``pieces``.
-
-    They come back as runs of consecutive t-sets within one piece each.
-    """
-    starts = np.cumsum([0] + [length for _, _, length in pieces])
-    piece = np.searchsorted(starts, positions, side="right") - 1
-    cuts = np.flatnonzero((np.diff(positions) > 1) | (np.diff(piece) > 0)) + 1
-    bounds = [0, *cuts.tolist(), len(positions)]
-    runs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):  # positions[lo:hi] is one run
-        i = int(piece[lo])
-        prefix, first, _ = pieces[i]
-        runs.append((prefix, first + int(positions[lo] - starts[i]), hi - lo))
-    return runs
 
 
 def _prefix_runs(k: int, t: int, start: tuple[int, ...] | None = None) -> Iterator[_Piece]:
@@ -244,11 +244,13 @@ def _packs(n: int, length: int) -> bool:
 
 
 def _chunks(n: int, runs: Iterable[_Piece]) -> Iterator[list[_Piece]]:
-    """The plan of a scan on ``n`` rows: the runs' t-sets in chunks of pieces, in order.
+    """The plan of a scan's head: the runs' t-sets in chunks of pieces, in order.
 
-    Runs where :func:`_packs` holds share chunks; longer ones are cut into
-    one-piece chunks.  Every chunk holds at most ``_CHUNK_BUDGET`` ranks, or
-    one t-set's ``n`` if that is more.
+    Runs where :func:`_packs` holds on ``n`` rows share chunks; longer ones
+    are cut into one-piece chunks.  Every chunk holds at most
+    ``_CHUNK_BUDGET`` ranks, or one t-set's ``n`` if that is more.  Recounts
+    are not planned here: :func:`_gather_counts` takes their t-sets in
+    chunks of the same budget.
     """
     step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
     pieces: list[_Piece] = []
@@ -295,22 +297,21 @@ def _scan(
     The scan covers every t-set, or with a ``start`` t-set the t-sets from it
     on.  Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
     chunks follow the plan of :func:`_chunks` and each holds at most
-    ``_CHUNK_BUDGET`` ranks.  Every chunk, head or recount, is counted as
-    ``_count(_ranks(cols, v, pieces), vt)`` on a column-major copy: the head
-    chunks on one of the head rows, the recounts on one of all N rows whose
-    columns :func:`_fill` copies the first time a recount reads them.
-    A one-piece chunk broadcasts its prefix's ranks against a ``(B, N)``
-    slice of later columns; the runs of several short prefixes are gathered
-    into one chunk, so that narrow or short arrays pay the per-chunk cost
-    once per chunk, not per prefix.
+    ``_CHUNK_BUDGET`` ranks.  Every chunk is counted as
+    ``_count(_ranks(head_cols, v, pieces), vt)`` on a column-major copy of
+    the head rows.  A one-piece chunk broadcasts its prefix's ranks against a
+    ``(B, N)`` slice of later columns; the runs of several short prefixes are
+    gathered into one chunk, so that narrow or short arrays pay the per-chunk
+    cost once per chunk, not per prefix.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
     is yielded, its t-sets that covered fewer than v^t tuples in the head are
-    recounted over all N rows, as runs of consecutive t-sets that the same
-    plan packs or cuts as it does the prefixes.  A t-set that covers all v^t
-    tuples in the head covers them in the whole array, so every yielded count
-    is exact.
+    expanded into a ``(B, t)`` array and recounted over all N rows by
+    :func:`_gather_counts`, on a column-major store whose columns
+    :func:`_fill` copies the first time a recount reads them.  A t-set that
+    covers all v^t tuples in the head covers them in the whole array, so
+    every yielded count is exact.
     """
     n, k = cells.shape
     t = _check_t(t, k)
@@ -328,23 +329,21 @@ def _scan(
         counts = _count(_ranks(head_cols, v, pieces), vt)
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
-            plan = _chunks(n, _runs_at(pieces, short))
-            counts[short] = np.concatenate(
-                [_count(_ranks(_fill(cols, filled, cells, p), v, p), vt) for p in plan]
-            )
+            tsets = _tsets(pieces)[short]
+            counts[short] = _gather_counts(_fill(cols, filled, cells, tsets), v, tsets)
         yield pieces, counts
 
 
-def _count_tsets(cells: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
+def _gather_counts(cols: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
     """Distinct tuples covered by each t-set of the ``(B, t)`` array ``tsets``.
 
-    Every count is exact, over all N rows, with no head stage.  The t-sets'
-    columns are gathered from a column-major copy of the cells, in chunks of
-    at most ``_CHUNK_BUDGET`` ranks (or one t-set's N if that is more).
+    ``cols`` holds the cells column-major, in a dtype that holds v^t - 1;
+    only the columns the t-sets name are read.  Every count is exact, over
+    all N rows.  The t-sets' columns are gathered in chunks of at most
+    ``_CHUNK_BUDGET`` ranks (or one t-set's N if that is more).
     """
-    n, t = cells.shape[0], tsets.shape[1]
+    n, t = cols.shape[1], tsets.shape[1]
     vt = v**t
-    cols = np.ascontiguousarray(cells.T, np.min_scalar_type(vt - 1))
     step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
     counts = np.empty(len(tsets), dtype=np.int64)
     for lo in range(0, len(tsets), step):
@@ -355,6 +354,13 @@ def _count_tsets(cells: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
             ranks += cols[chunk[:, j]]
         counts[lo : lo + step] = _count(ranks, vt)
     return counts
+
+
+def _count_tsets(cells: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
+    """:func:`_gather_counts` of the ``(B, t)`` array ``tsets`` on a
+    column-major copy of all of ``cells``, with no head stage."""
+    vt = v ** tsets.shape[1]
+    return _gather_counts(np.ascontiguousarray(cells.T, np.min_scalar_type(vt - 1)), v, tsets)
 
 
 def coverage_profile(a: Array, t: int) -> CoverageProfile:
@@ -395,8 +401,8 @@ def first_defect(
     for pieces, counts in _scan(cells, v, t, start):
         below = np.flatnonzero(counts < m)
         if len(below):
-            [(prefix, first, _)] = _runs_at(pieces, below[:1])
-            return Defect((*prefix, first), int(counts[below[0]]))
+            tset = _tsets(pieces)[below[0]]
+            return Defect(tuple(tset.tolist()), int(counts[below[0]]))
     return None
 
 

@@ -78,7 +78,8 @@ class MConditionViolated(PcaForgeError):
 
 class DomainError(PcaForgeError, ValueError):
     """Argument outside the domain a function accepts: a non-integer t, k, v,
-    m, seed, sweep value, array cell or ``PCAFORGE_SEED``, an epsilon or q
+    m, seed, tuple rank or coordinate, sweep value, array cell or
+    ``PCAFORGE_SEED``, a negative k for constant rows, an epsilon or q
     that is not a real number, an informational formula's mathematical
     domain, an unknown formula or axis label, a file base other than 0 or 1
     or a malformed value list."""

@@ -25,6 +25,7 @@ import numpy as np
 from .core import Array, _as_int, _check_v, rank_weights
 from .errors import (
     CapacityExceeded,
+    DomainError,
     NotPrimePower,
     OrderTooLarge,
     StrengthTooSmall,
@@ -98,6 +99,7 @@ class Field:
 
 def field_make(v: int) -> Field:
     """Build the field of order v from its fixed irreducible polynomial."""
+    v = _as_int(v, "v")
     p, n = _prime_power(v)
     if v > 64:
         raise OrderTooLarge(f"field order {v} above the supported maximum 64")
@@ -139,6 +141,7 @@ class GroupAction:
 
 def cyclic_action(v: int) -> GroupAction:
     """The v shifts ``x -> x + c (mod v)``, c = 0..v-1."""
+    v = _as_int(v, "v")
     _check_v(v)
     x = np.arange(v, dtype=np.int64)
     perms = (x[None, :] + np.arange(v, dtype=np.int64)[:, None]) % v
@@ -153,6 +156,7 @@ def frobenius_action(v: int) -> GroupAction:
     the identity and comes first.
     """
     field = field_make(v)
+    v = field.v
     perms = field.add[field.mul[1:, None, :], np.arange(v)[None, :, None]].reshape(-1, v)
     perms.setflags(write=False)
     return GroupAction(kind="frobenius", v=v, perms=perms)
@@ -189,6 +193,7 @@ class OrbitStructure:
 
 def orbits(t: int, v: int, action: GroupAction) -> OrbitStructure:
     """Enumerate all orbits of ``[v]^t``, representatives in increasing rank."""
+    t, v = _as_int(t, "t"), _as_int(v, "v")
     if action.v != v:
         raise StructureMismatch(f"action is over v={action.v}, asked for v={v}")
     if t < 1:
@@ -249,5 +254,8 @@ def _develop_into(cells: np.ndarray, perms: np.ndarray, out: np.ndarray) -> np.n
 
 def constant_rows(k: int, v: int) -> Array:
     """The v rows (i, i, ..., i); they cover the constant tuple of every t-set."""
+    k, v = _as_int(k, "k"), _as_int(v, "v")
+    if k < 0:
+        raise DomainError(f"k={k} must be nonnegative")
     _check_v(v)
     return Array._wrap(np.repeat(np.arange(v, dtype=np.int64), k).reshape(v, k), v)

@@ -11,10 +11,10 @@ with every run that fits a chunk packed, and with none packed, and with the
 head stage at its default size, at the coupon-collector mean with no slack,
 which recounts most t-sets, and above every row count, which never splits the
 rows.  The chunk plan, ``coverage._chunks``, is checked on its own; scans that
-look at the blocks of ranks they count spy on the one rank builder,
-``coverage._ranks``, where a one-piece chunk broadcasts and a chunk of several
-pieces is gathered.  Scans of tall arrays spy on ``coverage._fill``, which
-copies a column's rows past the head only when a recount first reads it.
+look at the blocks of ranks they count spy on ``coverage._count``, which
+counts head chunks and recounts alike.  Scans of tall arrays spy on
+``coverage._fill``, which takes the array of t-sets a recount reads and copies
+a column's rows past the head only when a recount first reads it.
 """
 
 import functools
@@ -152,40 +152,41 @@ SMALL_ARRAY_HEAD = pytest.mark.parametrize(
 
 
 def spy_blocks(monkeypatch):
-    """Record ``(pieces, B, width)`` for each block of ranks ``_scan`` counts."""
+    """Record ``(B, width)`` for each block of ranks ``_scan`` counts, head
+    chunk or recount."""
     blocks = []
-    ranks = coverage._ranks
+    count = coverage._count
 
-    def spy_ranks(cols, v, pieces):
-        block = ranks(cols, v, pieces)
-        blocks.append((pieces, *block.shape))
-        return block
+    def spy(ranks, vt):
+        blocks.append(ranks.shape)
+        return count(ranks, vt)
 
-    monkeypatch.setattr(coverage, "_ranks", spy_ranks)
+    monkeypatch.setattr(coverage, "_count", spy)
     return blocks
 
 
 def spy_fill(monkeypatch):
-    """Record each column ``_scan`` copies into its recount store, in order.
+    """Record each column ``_scan`` copies into its recount store, in order,
+    and each t-set a recount reads.
 
-    Every call must leave each column its pieces read filled with that
+    Every call must leave each column its t-sets read filled with that
     column of the cells.
     """
-    copied = []
+    copied, recounted = [], []
     fill = coverage._fill
 
-    def spy(cols, filled, cells, pieces):
+    def spy(cols, filled, cells, tsets):
         before = filled.copy()
-        out = fill(cols, filled, cells, pieces)
+        out = fill(cols, filled, cells, tsets)
         copied.extend(np.flatnonzero(filled & ~before).tolist())
-        for prefix, first, length in pieces:
-            for c in (*prefix, *range(first, first + length)):
-                assert filled[c]
-                np.testing.assert_array_equal(out[c], cells[:, c])
+        recounted.extend(map(tuple, tsets.tolist()))
+        for c in np.unique(tsets).tolist():
+            assert filled[c]
+            np.testing.assert_array_equal(out[c], cells[:, c])
         return out
 
     monkeypatch.setattr(coverage, "_fill", spy)
-    return copied
+    return copied, recounted
 
 
 def arrays(t, v, seed):
@@ -252,12 +253,14 @@ class TestChunks:
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
-        for pieces, b, width in blocks:
-            assert b == sum(length for _, _, length in pieces)
+        # The head blocks are the chunks; a width-n block is a recount.
+        head_blocks = [b for b, width in blocks if width == rows]
+        assert head_blocks == [sum(length for _, _, length in pieces) for pieces, _ in chunks]
+        for b, width in blocks:
             assert width in (rows, n)
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
         if head == 0 and n > rows:  # a head with no slack leaves some t-set short
-            assert any(width == n for *_, width in blocks)
+            assert any(width == n for _, width in blocks)
         if packing == "none":
             assert all(len(pieces) == 1 for pieces, _ in chunks)
         elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
@@ -377,9 +380,10 @@ class TestHeadStage:
         cells[: self.HEAD, :2] = np.resize(eight, (self.HEAD, 2))
         cells[self.HEAD, :2] = (2, 2)
         blocks = spy_blocks(monkeypatch)
+        _, recounted = spy_fill(monkeypatch)
         assert coverage_profile(Array(cells, self.V), self.T).counts[0] == self.VT
-        assert any(width == len(cells) and any(p == (0,) for p, _, _ in pieces)
-                   for pieces, _, width in blocks)
+        assert any(width == len(cells) for _, width in blocks)
+        assert any(tset[:-1] == (0,) for tset in recounted)
         self.assert_scans_match_reference(cells)
 
     def test_tset_complete_in_the_head_is_not_recounted(self, monkeypatch):
@@ -390,7 +394,7 @@ class TestHeadStage:
         blocks = spy_blocks(monkeypatch)
         counts = coverage_profile(Array(cells, self.V), self.T).counts
         np.testing.assert_array_equal(counts, np.full(6, self.VT))
-        assert not any(width == len(cells) for *_, width in blocks)
+        assert not any(width == len(cells) for _, width in blocks)
 
     def test_witness_count_found_by_a_recount(self):
         # (0, 1) covers one tuple in the head and five in the whole array.
@@ -442,21 +446,23 @@ class TestRecountColumns:
         # In the head, column t + 1 is the sum of columns 2..t mod v (0 at
         # t = 1), so the t-set (2, ..., t + 1) covers v^(t-1) tuples there.
         cells[:rows, t + 1] = cells[:rows, 2 : t + 1].sum(axis=1) % v
-        copied = spy_fill(monkeypatch)
+        copied, recounted = spy_fill(monkeypatch)
         counts = coverage_profile(Array(cells, v), t).counts
         want = _ref_distinct_counts(cells, v, t)
         np.testing.assert_array_equal(counts, want)
         if budget is None and packing is None:
             np.testing.assert_array_equal(naive_oracle(Array(cells, v), t).counts, want)
-        short = set()
+        short, short_tsets = set(), []
         if rows < self.N:
             head_counts = _ref_distinct_counts(cells[:rows], v, t)
             for tset, c in zip(combinations(range(k), t), head_counts):
                 if c < v**t:
                     short.update(tset)
+                    short_tsets.append(tset)
             assert short >= set(range(2, t + 2))
         assert len(copied) == len(set(copied))  # each column at most once
         assert set(copied) == short
+        assert recounted == short_tsets  # exactly the t-sets short in the head, in lex order
         assert first_defect(cells, v, t, v**t) == _ref_first_defect(cells, v, t, v**t)
         assert count_defects(cells, v, t, v**t) == _ref_count_defects(cells, v, t, v**t)
 
@@ -468,7 +474,7 @@ class TestRecountColumns:
         a, b = np.divmod(np.arange(9), 3)
         cells = np.random.default_rng(3).integers(0, 3, size=(self.N, 4))
         cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
-        copied = spy_fill(monkeypatch)
+        copied, _ = spy_fill(monkeypatch)
         counts = coverage_profile(Array(cells, 3), 2).counts
         np.testing.assert_array_equal(counts, np.full(6, 9))
         np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts)

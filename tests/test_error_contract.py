@@ -16,7 +16,10 @@ from pcaforge.core import (
 )
 from pcaforge.coverage import completeness, coverage_profile, is_apca, is_pca, naive_oracle
 from pcaforge.errors import DomainError, PcaForgeError, StrengthTooSmall
-from pcaforge.galois import cyclic_action, develop, frobenius_action, is_prime_power, orbits
+from pcaforge.galois import (
+    GroupAction, constant_rows, cyclic_action, develop, field_make, frobenius_action,
+    is_prime_power, orbits,
+)
 
 small = st.integers(-3, 9)
 # sizes past the 64-bit range and past the double range
@@ -40,12 +43,21 @@ def _contained(call, *args, **kwargs):
         pass
 
 
-def _validated(*fields):
-    """The bundle :func:`validate` returns, or the class of the error it raises."""
+def _outcome(call, *args):
+    """``call(*args)``, or the class of the package error it raises."""
     try:
-        return validate(PcaParams(*fields))
+        return call(*args)
     except PcaForgeError as exc:
         return type(exc)
+
+
+def _integral(*xs):
+    return all(isinstance(x, numbers.Integral) for x in xs)
+
+
+def _validated(*fields):
+    """The bundle :func:`validate` returns, or the class of the error it raises."""
+    return _outcome(validate, PcaParams(*fields))
 
 
 @FUZZ
@@ -98,10 +110,7 @@ COVERED = Array(np.random.default_rng(0).integers(0, 3, size=(12, 4)), 3)
 
 def _coverage_outcome(call, t, m):
     """A coverage entry point's result on ``COVERED``, or its error class."""
-    try:
-        return call(COVERED, t, m)
-    except PcaForgeError as exc:
-        return type(exc)
+    return _outcome(call, COVERED, t, m)
 
 
 @FUZZ
@@ -149,10 +158,21 @@ def test_coverage_fractions(name, x):
 
 
 @FUZZ
-@given(st.lists(small, max_size=4), small, small, small)
+@given(st.lists(loose(small), max_size=4), loose(small), loose(small), loose(small))
+@example([1, 0], 0, 2, 2.5)  # returned 2.5 and (0.0, 0.0)
+@example([1.5, 0], 0, 2.0, 2)  # truncated to 2; raised a builtin TypeError
 def test_tuple_rank_unrank(x, r, t, v):
-    _contained(tuple_rank, x, v)
-    _contained(tuple_unrank, r, t, v)
+    rank, tup = _outcome(tuple_rank, x, v), _outcome(tuple_unrank, r, t, v)
+    if not _integral(*x, v):
+        assert rank is DomainError
+    else:  # numpy integers behave exactly like the equal Python ints
+        assert rank == _outcome(tuple_rank, [int(c) for c in x], int(v))
+        assert isinstance(rank, type) or type(rank) is int
+    if not _integral(r, t, v):
+        assert tup is DomainError
+    else:
+        assert tup == _outcome(tuple_unrank, int(r), int(t), int(v))
+        assert isinstance(tup, type) or all(type(c) is int for c in tup)
 
 
 # array cells: integers, floats, None, strings and the first values past int64
@@ -179,16 +199,47 @@ def test_array_and_project(cells, v, columns):
 
 
 @FUZZ
-@given(st.integers(-2, 3), st.integers(2, 6), st.integers(2, 6), st.booleans(),
+@given(loose(st.integers(-2, 3)), loose(st.integers(2, 6)), loose(st.integers(2, 6)),
+       st.booleans(),
        st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=3))
+@example(2, 3, 2.5, False, [[0, 1, 2]])  # cyclic_action returned a float group
+@example(2, 4, 4.0, True, [[0, 1, 2]])  # these two raised a builtin TypeError
+@example(2.0, 3, 3, False, [[0, 1, 2]])
 def test_orbits_and_develop_with_any_action(t, v, action_v, affine, rows):
+    action = _outcome(frobenius_action if affine else cyclic_action, action_v)
+    if not isinstance(action, GroupAction):
+        assert _integral(action_v) or action is DomainError
+        return
+    assert type(action.v) is int
+    structure = _outcome(orbits, t, v, action)
+    if not _integral(t, v):
+        assert structure is DomainError
     try:
-        action = frobenius_action(action_v) if affine else cyclic_action(action_v)
         a = Array(rows, v)
     except PcaForgeError:
         return
-    _contained(orbits, t, v, action)
     _contained(develop, a, action)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tuple_unrank(0, 2, 2.5),
+    lambda: tuple_rank((1, 0), 2.5),
+    lambda: tuple_rank((1.5, 0), 2),
+    lambda: cyclic_action(2.5),
+    lambda: tuple_unrank(0, 2.0, 2),
+    lambda: field_make(4.0),
+    lambda: frobenius_action(4.0),
+    lambda: constant_rows(2.5, 2),
+    lambda: constant_rows(-1, 2),
+    lambda: orbits(2.0, 3, cyclic_action(3)),
+], ids=["tuple_unrank(0, 2, 2.5)", "tuple_rank((1, 0), 2.5)", "tuple_rank((1.5, 0), 2)",
+        "cyclic_action(2.5)", "tuple_unrank(0, 2.0, 2)", "field_make(4.0)",
+        "frobenius_action(4.0)", "constant_rows(2.5, 2)", "constant_rows(-1, 2)",
+        "orbits(2.0, 3, cyclic_action(3))"])
+def test_sizes_ranks_and_coordinates_must_be_integers(call):
+    # each returned a float result or raised a builtin TypeError or ValueError
+    with pytest.raises(DomainError):
+        call()
 
 
 @FUZZ

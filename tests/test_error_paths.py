@@ -229,6 +229,7 @@ class TestCliEdges:
         ["--m", "0"],
         ["--epsilon", "-0.5"],
         ["--m", "3", "--q", "2"],
+        ["--epsilon", "0.1"],  # no apca claim is checked without --m
     ])
     def test_verify_rejects_flags_before_printing(self, tmp_path, capsys, flags):
         path = tmp_path / "const.pca"
@@ -300,6 +301,15 @@ class TestCliEdges:
         assert out == ""
         assert err == "error: --defects-csv needs --m\n"
         assert not csv_path.exists()
+
+    def test_verify_epsilon_needs_m_before_reading(self, tmp_path, capsys):
+        # refused before the file is opened: this one does not exist
+        code = main(["verify", "--in", str(tmp_path / "missing.pca"), "--t", "2",
+                     "--epsilon", "0.1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --epsilon needs --m\n"
 
     def test_generate_non_integer_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCAFORGE_SEED", "abc")
