@@ -46,7 +46,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BoundResult, _as_int, _check_fraction, _check_full, _check_m, _check_tkv
+from .core import (
+    BoundResult, _as_int, _check_fraction, _check_full, _check_m, _check_tkv, _snap,
+)
 from .errors import (
     DomainError,
     EmptyRange,
@@ -57,9 +59,6 @@ from .errors import (
     SOutOfRange,
 )
 from .galois import _prime_power
-
-# Relative slack used to recognize an exact-integer boundary in a real bound.
-_BOUNDARY_RTOL = 1e-9
 
 # n from which log_binomial leaves the log-gamma difference.  There lgamma(n+1)
 # is about 6.6e5 while ln C(n, 1) is about 11, so for r = 1 the difference is
@@ -94,18 +93,14 @@ def _min_int(log_constant: float, log_ratio: float, *, strict: bool) -> tuple[fl
     """Minimal integer N with ``N * log_ratio {>, >=} log_constant``.
 
     Returns ``(real_bound, n)`` where ``real_bound = log_constant / log_ratio``.
-    When the real bound sits on an integer (to relative tolerance), a strict
+    When the real bound sits on an integer (``core._snap``), a strict
     inequality pushes one step past it and a non-strict one accepts it.
     """
     if log_ratio <= 0:
         raise DomainError("nonpositive log ratio")
     rb = log_constant / log_ratio
-    nearest = round(rb)
-    if abs(rb - nearest) <= _BOUNDARY_RTOL * max(1.0, abs(rb)):
-        n = nearest + 1 if strict else nearest
-    else:
-        n = math.ceil(rb)
-    return rb, n
+    snapped = _snap(rb)
+    return rb, math.floor(snapped) + 1 if strict else math.ceil(snapped)
 
 
 def _partial(

@@ -13,7 +13,9 @@ not a string, None or a complex), ``_check_fraction`` (a real epsilon or q
 in [0, 1], or in (0, 1] for the almost-coverage bounds and builders) and
 ``_check_full`` (m = v^t for the full-coverage constructions).  The integer
 checkers, ``_as_int``, ``_check_tkv`` and ``_check_m``, return the values they
-checked as Python ints, so a numpy integer never reaches a result.
+checked as Python ints, so a numpy integer never reaches a result.  One rule,
+``_snap``, decides when a real value sits on an integer: the bounds' row
+counts, the defects epsilon allows and the completeness threshold all use it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .errors import (
 
 # v^t must stay below this for parameters to be accepted at all (64-bit safe).
 WIDE_INT_MAX = 2**63 - 1
+# Relative slack used to recognize an exact-integer boundary in a real value.
+_BOUNDARY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,17 @@ def _check_fraction(x: float, name: str = "epsilon", *, positive: bool = False) 
         raise EpsilonZero(f"{name} must be positive")
     if not 0.0 <= x <= 1.0:  # also rejects NaN
         raise EpsilonOutOfRange(f"{name}={x} outside {'(0, 1]' if positive else '[0, 1]'}")
+
+
+def _snap(x: float) -> int | float:
+    """The integer ``x`` sits on, to a relative :data:`_BOUNDARY_RTOL`, else ``x``.
+
+    A product or bound that is an integer in exact arithmetic may land a
+    rounding error to either side of it; floors and ceilings of the snapped
+    value treat it as that integer.
+    """
+    nearest = round(x)
+    return nearest if abs(x - nearest) <= _BOUNDARY_RTOL * max(1.0, abs(x)) else x
 
 
 def _check_full(m: int, vt: int, what: str) -> None:

@@ -3,14 +3,14 @@
 Every scan runs through one counting kernel, :func:`_scan`, which counts the
 distinct tuples of column t-sets in batches and yields them in lexicographic
 order.  Each batch (a chunk) is a run of consecutive t-sets described by
-``(prefix, first, length)`` pieces.  A pure plan, :func:`_chunks`, decides
-which t-sets share a chunk: either part of one long (t-1)-prefix's t-sets, or
-the whole t-set runs of several short prefixes, those spanning fewer than
-``_CHUNK_BUDGET // 8`` ranks.  One rank builder, :func:`_ranks`, turns a
-chunk's pieces into a block of tuple ranks, which :func:`_count` counts.  Its
-scratch memory stays within the one budget, ``_CHUNK_BUDGET`` ranks, or one
-t-set's N ranks if that is more, whatever N and v^t are.  Early-exit callers
-stop taking chunks, and a scan may start at any t-set.
+``(prefix, first, length)`` pieces.  A pure plan, :func:`_chunks`, cuts the
+lex-ordered t-sets into chunks of one size, ``_CHUNK_BUDGET // N`` t-sets
+(the last may be shorter), whatever the (t-1)-prefix runs they come from.
+One rank builder, :func:`_ranks`, gathers a chunk's columns into a block of
+tuple ranks, which :func:`_count` counts.  Its scratch memory stays within
+the one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
+more, whatever N and v^t are.  Early-exit callers stop taking chunks, and a
+scan may start at any t-set.
 
 An explicit ``(B, t)`` array of t-sets is counted on all N rows by one gather
 loop, :func:`_gather_counts`, in chunks within the same budget.  It serves
@@ -47,20 +47,16 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Array, _as_int, _check_fraction, _check_m
+from .core import Array, _as_int, _check_fraction, _check_m, _snap
 from .errors import CapacityExceeded, StrengthTooSmall
 
 # Guard on v^t and on C(k,t) for every exhaustive scan.
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
-# Scratch elements per kernel chunk, packed or broadcast: B*N ranks.  Runs of
-# a prefix's t-sets spanning fewer than an eighth of it are packed into shared
-# chunks; longer ones are ranked against a broadcast base without gathers.
-# Explicit t-sets are gathered in chunks of _CHUNK_BUDGET // N t-sets.  At
-# 2^18, packed chunks scan the t=3 k=60 v=3 N=201 shape as fast as at 2^20
-# without raising the peak RSS, and broadcast slices of tall, wide arrays run
-# no slower than at 2^20.
+# Scratch elements per kernel chunk: B*N ranks, so every chunk, head chunk or
+# explicit t-sets, holds _CHUNK_BUDGET // N t-sets.  At 2^18 the t=3 k=60 v=3
+# N=201 shape scans as fast as at 2^20 without raising the peak RSS.
 _CHUNK_BUDGET = 2**18
 # Head rows beyond the coupon-collector mean.  With N above
 # head = v^t * (ln v^t + _HEAD_SLACK) rows, every t-set is counted on the head
@@ -130,8 +126,7 @@ class CoverageProfile:
     def completeness(self, q: float) -> float:
         """The :func:`completeness` fraction."""
         _check_fraction(q, "q")
-        target = q * self.v**self.t
-        threshold = math.ceil(target - 1e-9 * max(1.0, target))
+        threshold = math.ceil(_snap(q * self.v**self.t))
         return float(np.count_nonzero(self.counts >= threshold)) / len(self.counts)
 
     def __eq__(self, other: object) -> bool:
@@ -156,18 +151,6 @@ def _head_rows(vt: int) -> int:
     return math.ceil(vt * (math.log(vt) + _HEAD_SLACK))
 
 
-def _prefix_base(cols: np.ndarray, v: int, prefix: np.ndarray) -> np.ndarray | int:
-    """Ranks of the prefixes' tuples, times v: the bases a last column adds to.
-
-    ``prefix`` holds one index array per prefix column, one index per prefix;
-    with no prefix columns (t = 1) the base is 0.
-    """
-    base = 0
-    for c in prefix:
-        base = (base + cols[c]) * v
-    return base
-
-
 def _lasts(firsts: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
     """The last column of each t-set of pieces with these firsts and lengths."""
     # The j-th t-set of piece i ends in column firsts[i] + j.
@@ -186,18 +169,17 @@ def _tsets(pieces: list[_Piece]) -> np.ndarray:
 def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
     """Tuple ranks of the pieces' t-sets as one ``(B, N)`` block, in order.
 
-    One piece broadcasts its prefix base against ``cols[first : first + length]``.
-    Several pieces are gathered: one row gather per prefix column builds the
-    bases, each base is repeated once per t-set of its piece, and one more
-    gather adds the last columns.
+    One gather takes the last column of every t-set.  For t > 1, one row
+    gather per prefix column builds each piece's prefix rank times v (its
+    base), and each base is repeated once per t-set of its piece and added.
     """
     prefixes, firsts, lengths = zip(*pieces)
-    base = _prefix_base(cols, v, np.array(prefixes).T)
-    if len(pieces) == 1:
-        return base + cols[firsts[0] : firsts[0] + lengths[0]]
     lengths = np.array(lengths)
     ranks = cols[_lasts(firsts, lengths)]
     if prefixes[0]:  # t > 1
+        base = 0
+        for c in np.array(prefixes).T:
+            base = (base + cols[c]) * v
         ranks += np.repeat(base, lengths, axis=0)
     return ranks
 
@@ -235,37 +217,26 @@ def _prefix_runs(k: int, t: int, start: tuple[int, ...] | None = None) -> Iterat
         yield prefix, first, k - first
 
 
-def _packs(n: int, length: int) -> bool:
-    """Does a run of ``length`` t-sets on ``n`` rows share packed chunks?
-
-    It does when it spans fewer than ``_CHUNK_BUDGET // 8`` ranks.
-    """
-    return n * length < _CHUNK_BUDGET // 8
-
-
 def _chunks(n: int, runs: Iterable[_Piece]) -> Iterator[list[_Piece]]:
     """The plan of a scan's head: the runs' t-sets in chunks of pieces, in order.
 
-    Runs where :func:`_packs` holds on ``n`` rows share chunks; longer ones
-    are cut into one-piece chunks.  Every chunk holds at most
-    ``_CHUNK_BUDGET`` ranks, or one t-set's ``n`` if that is more.  Recounts
-    are not planned here: :func:`_gather_counts` takes their t-sets in
-    chunks of the same budget.
+    Every chunk but the last holds exactly ``step = max(1, _CHUNK_BUDGET // n)``
+    t-sets: ``_CHUNK_BUDGET`` ranks' worth, or one t-set if its ``n`` ranks
+    are more.  The last may hold fewer, and a run may be cut between chunks.
+    Recounts are not planned here: :func:`_gather_counts` takes their t-sets
+    in chunks of the same size.
     """
     step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
     pieces: list[_Piece] = []
     held = 0
     for prefix, first, length in runs:
-        packs = _packs(n, length)  # a packed run always fits one chunk
-        if pieces and (not packs or held + length > step):
-            yield pieces
-            pieces, held = [], 0
-        if packs:
-            pieces.append((prefix, first, length))
-            held += length
-            continue
-        for lo in range(first, first + length, step):
-            yield [(prefix, lo, min(step, first + length - lo))]
+        while length:
+            take = min(length, step - held)
+            pieces.append((prefix, first, take))
+            first, length, held = first + take, length - take, held + take
+            if held == step:
+                yield pieces
+                pieces, held = [], 0
     if pieces:
         yield pieces
 
@@ -296,13 +267,11 @@ def _scan(
 
     The scan covers every t-set, or with a ``start`` t-set the t-sets from it
     on.  Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
-    chunks follow the plan of :func:`_chunks` and each holds at most
-    ``_CHUNK_BUDGET`` ranks.  Every chunk is counted as
-    ``_count(_ranks(head_cols, v, pieces), vt)`` on a column-major copy of
-    the head rows.  A one-piece chunk broadcasts its prefix's ranks against a
-    ``(B, N)`` slice of later columns; the runs of several short prefixes are
-    gathered into one chunk, so that narrow or short arrays pay the per-chunk
-    cost once per chunk, not per prefix.
+    chunks follow the plan of :func:`_chunks`: each holds ``_CHUNK_BUDGET``
+    ranks' worth of t-sets (the last may hold fewer), so that narrow or short
+    arrays pay the per-chunk cost once per chunk, not per prefix.  Every
+    chunk is counted as ``_count(_ranks(head_cols, v, pieces), vt)`` on a
+    column-major copy of the head rows.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
@@ -427,8 +396,12 @@ def is_pca(a: Array, t: int, m: int) -> PcaCheck:
 
 
 def _allowed(epsilon: float, k: int, t: int) -> int:
-    """``floor(epsilon * C(k,t))``: the defective t-sets epsilon allows."""
-    return math.floor(epsilon * math.comb(k, t))
+    """``floor(epsilon * C(k,t))``: the defective t-sets epsilon allows.
+
+    A product that sits on an integer (``core._snap``) counts as that integer,
+    so 0.57 * C(25, 2) allows 171 although the double product is just below.
+    """
+    return math.floor(_snap(epsilon * math.comb(k, t)))
 
 
 def is_apca(a: Array, t: int, m: int, epsilon: float) -> ApcaCheck:

@@ -264,6 +264,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "apca(m=3, epsilon=1.0): pass" in capsys.readouterr().out
 
+    def test_apca_allows_the_exact_floor(self, tmp_path, capsys):
+        # 0.57 * C(25, 2) is 171 exactly, though the double product is just below
+        path = tmp_path / "const.pca"
+        write_array(constant_rows(25, 2), path)
+        code = main(["verify", "--in", str(path), "--t", "2", "--m", "4",
+                     "--epsilon", "0.57"])
+        assert code == 1
+        assert "(300 defective, 171 allowed)" in capsys.readouterr().out
+
     def test_one_scan_answers_every_claim(self, tmp_path, capsys, monkeypatch):
         scans = []
         kernel = coverage._scan

@@ -1,6 +1,7 @@
 """Tests for coverage profiles, predicates, and the naive cross-check oracle."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -176,6 +177,18 @@ class TestPredicates:
         check = is_apca(a, 2, 2, 1.0)
         assert check.ok
         assert [d.tset for d in check.defects] == [(0, 1), (0, 2), (1, 2)]
+
+    def test_allowed_is_the_exact_floor_at_two_decimal_epsilons(self):
+        # eps * C(k,t) in doubles lands just below an integer at 24 of these
+        # points, such as 0.57 * C(25, 2) = 171; each must still allow it.
+        below = []
+        for t, k, j in product((2, 3), range(4, 60), range(101)):
+            exact = math.floor(Fraction(j, 100) * math.comb(k, t))
+            assert coverage._allowed(j / 100, k, t) == exact
+            if math.floor(j / 100 * math.comb(k, t)) != exact:
+                below.append((j, k, t))
+        assert len(below) == 24
+        assert (57, 25, 2) in below and coverage._allowed(0.57, 25, 2) == 171
 
 
 class TestCompleteness:

@@ -4,15 +4,14 @@ The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
 table of an undeveloped base that the development identity is checked
 against.  Every case runs under the default chunk budget and under tiny ones.
-The default budget packs every prefix of the small arrays into shared chunks;
-the tiny ones cut most prefixes into one-piece chunks, since a run packs only
-below an eighth of the budget.  Each budget runs with runs packed by that rule,
-with every run that fits a chunk packed, and with none packed, and with the
-head stage at its default size, at the coupon-collector mean with no slack,
-which recounts most t-sets, and above every row count, which never splits the
-rows.  The chunk plan, ``coverage._chunks``, is checked on its own; scans that
-look at the blocks of ranks they count spy on ``coverage._count``, which
-counts head chunks and recounts alike.  Scans of tall arrays spy on
+The default budget holds every t-set of the small arrays in one chunk; the
+tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
+end of one prefix's t-sets and the start of the next.  Each budget runs with
+the head stage at its default size, at the coupon-collector mean with no
+slack, which recounts most t-sets, and above every row count, which never
+splits the rows.  The chunk plan, ``coverage._chunks``, is checked on its own;
+scans that look at the blocks of ranks they count spy on ``coverage._count``,
+which counts head chunks and recounts alike.  Scans of tall arrays spy on
 ``coverage._fill``, which takes the array of t-sets a recount reads and copies
 a column's rows past the head only when a recount first reads it.
 """
@@ -118,19 +117,6 @@ def budget(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[None, "all", "none"], ids=["default-packing", "pack-all", "pack-none"])
-def packing(request, monkeypatch):
-    # pack-all packs every run that fits a chunk; pack-none sends every run
-    # down the broadcast path.
-    if request.param == "all":
-        monkeypatch.setattr(
-            coverage, "_packs", lambda n, length: n * length < coverage._CHUNK_BUDGET
-        )
-    elif request.param == "none":
-        monkeypatch.setattr(coverage, "_packs", lambda n, length: False)
-    return request.param
-
-
 @pytest.fixture(params=[None, 0, 2**40], ids=["default-head", "short-head", "head-none"])
 def head(request, monkeypatch):
     if request.param is not None:
@@ -138,12 +124,6 @@ def head(request, monkeypatch):
     return request.param
 
 
-# On arrays of at most 40 rows the default budget already packs every run
-# that fits a chunk, as pack-all does, so reference checks skip pack-all; under
-# the tiny budgets TestChunks runs it.
-SMALL_ARRAY_PACKING = pytest.mark.parametrize(
-    "packing", [None, "none"], ids=["default-packing", "pack-none"], indirect=True
-)
 # The default head splits arrays of at most 40 rows only at v^t = 2,
 # so the tuple scans skip head-none; developed arrays are taller and keep it.
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
@@ -214,22 +194,21 @@ def early_exit_cases(t, v, seed):
     return cases
 
 
-@SMALL_ARRAY_PACKING
 @SMALL_ARRAY_HEAD
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, packing, head, t, v):
+    def test_profile_matches_reference_and_oracle(self, budget, head, t, v):
         for a, want in profile_cases(t, v, seed=t * 100 + v):
             counts = coverage_profile(a, t).counts
             assert counts.dtype == np.int64
             np.testing.assert_array_equal(counts, want)
         # the oracle is slow and blind to chunking
-        if budget is None and packing is None and head is None:
+        if budget is None and head is None:
             for a, want in profile_cases(t, v, seed=t * 100 + v):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, packing, head, t, v):
+    def test_early_exit_scans_match_reference(self, budget, head, t, v):
         for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
             assert first_defect(a.cells, v, t, m) == defect
             assert count_defects(a.cells, v, t, m) == defects
@@ -239,7 +218,7 @@ class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
     def test_chunks_tile_tsets_in_lex_order_within_budget(
-        self, budget, packing, head, monkeypatch, t, n
+        self, budget, head, monkeypatch, t, n
     ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
@@ -261,42 +240,11 @@ class TestChunks:
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
         if head == 0 and n > rows:  # a head with no slack leaves some t-set short
             assert any(width == n for _, width in blocks)
-        if packing == "none":
-            assert all(len(pieces) == 1 for pieces, _ in chunks)
-        elif budget is None and n < 3000:  # every prefix is short and all fit one chunk
+        if budget is None and n < 3000:  # every t-set fits one chunk
             assert len(chunks) == 1
 
-    def test_budget_grid_runs_packed_and_broadcast_blocks(self, budget):
-        # The plan of each scan: every chunk is packed runs or one cut of a
-        # longer run.  The default budget packs every run of the small arrays;
-        # the tiny ones pack only the runs of 0 or 1 rows, or a few short t-sets.
-        kinds = set()
-        for t, v in SHAPES:
-            for a, _ in profile_cases(t, v, seed=t * 100 + v):
-                n = min(a.rows, coverage._head_rows(v**t))
-                for pieces in coverage._chunks(n, coverage._prefix_runs(a.cols, t)):
-                    packed = [coverage._packs(n, length) for _, _, length in pieces]
-                    assert all(packed) or len(pieces) == 1
-                    kinds.add(all(packed))
-        assert kinds == ({True} if budget is None else {True, False})
-
-    @pytest.mark.parametrize("k,packed", [(63, True), (64, False)])
-    def test_runs_pack_below_an_eighth_of_the_budget(self, k, packed):
-        # A run of k t-sets on 512 rows spans 512 * k ranks, against
-        # 2^15 = 512 * 64: two such runs share a chunk only below that.
-        assert coverage._CHUNK_BUDGET // 8 == 2**15
-        run = ((), 0, k)
-        plan = list(coverage._chunks(512, [run, run]))
-        assert plan == ([[run, run]] if packed else [[run], [run]])
-        # At t = 1 the one run is one chunk either way; the v = 64 head
-        # (651 rows) holds all 512 rows, so nothing is recounted.
-        cells = np.random.default_rng(k).integers(0, 64, size=(512, k))
-        [(pieces, counts)] = coverage._scan(cells, 64, 1)
-        assert pieces == [run]
-        np.testing.assert_array_equal(counts, _ref_distinct_counts(cells, 64, 1))
-
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, packing, t):
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, t):
         # Two equal columns j1 < j2 leave every t-set holding both with at
         # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
         k, j1, j2 = t + 12, t + 2, t + 6
@@ -308,7 +256,7 @@ class TestChunks:
         assert defect == _ref_first_defect(cells, 2, t, m)
         assert defect.tset == tset
         assert count_defects(cells, 2, t, m) == math.comb(k - 2, t - 2)
-        if budget is None and packing != "none":
+        if budget is None:  # every t-set shares one chunk
             [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
                         if any(p == tset[:-1] for p, _, _ in pieces)]
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
@@ -338,16 +286,12 @@ def test_chunk_plan_tiles_runs_within_budget(budget, n, lengths, firsts):
         else:
             tiled.append((prefix, first, length))
     assert tiled == runs
+    # Every chunk but the last holds exactly step t-sets, and each fits the budget.
+    step = max(1, coverage._CHUNK_BUDGET // max(n, 1))
     held = [sum(length for _, _, length in chunk) for chunk in plan]
-    packed = [all(piece in runs and coverage._packs(n, piece[2]) for piece in chunk)
-              for chunk in plan]
-    for chunk, b, whole in zip(plan, held, packed):
-        assert b * n <= max(coverage._CHUNK_BUDGET, n)
-        assert whole or len(chunk) == 1  # only whole runs that pack share a chunk
-    # A chunk of packed runs closes only when the next run would not fit it.
-    for i in range(len(plan) - 1):
-        if packed[i] and packed[i + 1]:
-            assert (held[i] + plan[i + 1][0][2]) * max(n, 1) > coverage._CHUNK_BUDGET
+    assert all(b == step for b in held[:-1])
+    assert all(0 < b <= step for b in held)
+    assert all(b * n <= max(coverage._CHUNK_BUDGET, n) for b in held)
 
 
 class TestHeadStage:
@@ -438,7 +382,7 @@ class TestRecountColumns:
 
     @pytest.mark.parametrize("t,v", [(1, 3), (2, 3), (3, 2)])
     def test_only_columns_of_short_tsets_are_filled(
-        self, budget, packing, head, monkeypatch, t, v
+        self, budget, head, monkeypatch, t, v
     ):
         k = t + 6
         cells = np.random.default_rng(t * 10 + v).integers(0, v, size=(self.N, k))
@@ -450,7 +394,7 @@ class TestRecountColumns:
         counts = coverage_profile(Array(cells, v), t).counts
         want = _ref_distinct_counts(cells, v, t)
         np.testing.assert_array_equal(counts, want)
-        if budget is None and packing is None:
+        if budget is None:
             np.testing.assert_array_equal(naive_oracle(Array(cells, v), t).counts, want)
         short, short_tsets = set(), []
         if rows < self.N:
@@ -467,7 +411,7 @@ class TestRecountColumns:
         assert count_defects(cells, v, t, v**t) == _ref_count_defects(cells, v, t, v**t)
 
     def test_no_column_filled_when_the_head_covers_every_tset(
-        self, budget, packing, head, monkeypatch
+        self, budget, head, monkeypatch
     ):
         # Nine rows (a, b, a + b, a + 2b) mod 3 cover every pair of columns,
         # within the head at every head size.
@@ -512,11 +456,10 @@ ACTIONS = [
 ]
 
 
-@SMALL_ARRAY_PACKING
 class TestClassScans:
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, packing, head, t, v, make_action
+        self, budget, head, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
@@ -527,7 +470,7 @@ class TestClassScans:
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, packing, head, t, v, make_action
+        self, budget, head, t, v, make_action
     ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
