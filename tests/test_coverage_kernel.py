@@ -9,7 +9,11 @@ tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
 end of one prefix's t-sets and the start of the next.  Each budget runs with
 the head stage at its default size, at the coupon-collector mean with no
 slack, which recounts most t-sets, and above every row count, which never
-splits the rows.  The chunk plan, ``coverage._chunks``, is checked on its own;
+splits the rows.  Scans also start at a t-set past the first: the second,
+which cuts the first prefix's run by one t-set and so moves every later chunk
+boundary by one, or the middle one in lex order, which also skips whole
+prefixes; a scan from an explicit first t-set must match one with no start.
+The chunk plan, ``coverage._chunks``, is checked on its own;
 scans that look at the blocks of ranks they count spy on ``coverage._count``,
 which counts head chunks and recounts alike.  Scans of tall arrays spy on
 ``coverage._fill``, which takes the array of t-sets a recount reads and copies
@@ -48,10 +52,15 @@ def _ref_distinct_counts(cells, v, t):
     return counts
 
 
-def _ref_first_defect(cells, v, t, m):
+def _ref_tsets(k, t, start=None):
+    """The t-sets of ``range(k)`` in lex order, from ``start`` on if given."""
+    return [tset for tset in combinations(range(k), t) if start is None or tset >= start]
+
+
+def _ref_first_defect(cells, v, t, m, start=None):
     weights = rank_weights(t, v)
     present = np.zeros(v**t, dtype=bool)
-    for tset in combinations(range(cells.shape[1]), t):
+    for tset in _ref_tsets(cells.shape[1], t, start):
         ranks = cells[:, tset] @ weights
         present[ranks] = True
         count = int(np.count_nonzero(present))
@@ -61,11 +70,11 @@ def _ref_first_defect(cells, v, t, m):
     return None
 
 
-def _ref_count_defects(cells, v, t, m):
+def _ref_count_defects(cells, v, t, m, start=None):
     weights = rank_weights(t, v)
     present = np.zeros(v**t, dtype=bool)
     defects = 0
-    for tset in combinations(range(cells.shape[1]), t):
+    for tset in _ref_tsets(cells.shape[1], t, start):
         ranks = cells[:, tset] @ weights
         present[ranks] = True
         count = int(np.count_nonzero(present))
@@ -88,11 +97,11 @@ def _ref_orbit_coverage(a, t, structure):
     return covered
 
 
-def _ref_count_orbit_defects(cells, v, t, structure, required):
+def _ref_count_orbit_defects(cells, v, t, structure, required, start=None):
     weights = rank_weights(t, v)
     present = np.zeros(structure.n_orbits, dtype=bool)
     defects = 0
-    for tset in combinations(range(cells.shape[1]), t):
+    for tset in _ref_tsets(cells.shape[1], t, start):
         oids = structure.orbit_index[cells[:, tset] @ weights]
         present[oids] = True
         covered = int(np.count_nonzero(present))
@@ -124,10 +133,56 @@ def head(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[None, "second", "middle"], ids=["no-start", "start-second", "start-middle"])
+def start(request):
+    """Which t-set a scan starts at; :func:`start_at` names it for each array."""
+    return request.param
+
+
+def start_at(where, k, t):
+    """``(start, i)``: the start t-set ``where`` names among the t-sets of
+    ``range(k)``, and its lex index; ``(None, 0)`` for no start.
+
+    With one t-set only, "second" is the first.
+    """
+    if where is None:
+        return None, 0
+    tsets = list(combinations(range(k), t))
+    i = {"first": 0, "second": min(1, len(tsets) - 1), "middle": len(tsets) // 2}[where]
+    return tsets[i], i
+
+
+def profile_from(a, t, start):
+    """The profile's counts, or with a ``start`` t-set the counts the kernel
+    yields from it on."""
+    if start is None:
+        return coverage_profile(a, t).counts
+    return np.concatenate([counts for _, counts in coverage._scan(a.cells, a.v, t, start)])
+
+
+def defects_from(cells, v, t, m, start):
+    """``count_defects``, or with a ``start`` t-set the t-sets from it on that
+    the kernel counts below m."""
+    if start is None:
+        return count_defects(cells, v, t, m)
+    return sum(int(np.count_nonzero(c < m)) for _, c in coverage._scan(cells, v, t, start))
+
+
 # The default head splits arrays of at most 40 rows only at v^t = 2,
 # so the tuple scans skip head-none; developed arrays are taller and keep it.
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
     "head", [None, 0], ids=["default-head", "short-head"], indirect=True
+)
+# Scans of random arrays start at no t-set or the middle one; the second is
+# left to the chunk and recount tests.
+RANDOM_ARRAY_START = pytest.mark.parametrize(
+    "start", [None, "middle"], ids=["no-start", "start-middle"], indirect=True
+)
+# The recount tests make a t-set past the second short, so they start at no
+# t-set, the explicit first one or the second.
+RECOUNT_START = pytest.mark.parametrize(
+    "start", [None, "first", "second"], ids=["no-start", "start-first", "start-second"],
+    indirect=True,
 )
 
 
@@ -184,54 +239,62 @@ def profile_cases(t, v, seed):
 
 
 @functools.cache
-def early_exit_cases(t, v, seed):
-    """``(a, m, first defect, defect count)`` from the reference loops."""
+def early_exit_cases(t, v, seed, where):
+    """``(a, m, start, first defect, defect count)`` from the reference loops,
+    from the start t-set ``where`` names on."""
     cases = []
     for a in arrays(t, v, seed):
+        start, _ = start_at(where, a.cols, t)
         for m in sorted({1, 2, min(a.rows, v**t), v**t}):
-            defects = _ref_count_defects(a.cells, v, t, m)
-            cases.append((a, m, _ref_first_defect(a.cells, v, t, m), defects))
+            defects = _ref_count_defects(a.cells, v, t, m, start)
+            cases.append((a, m, start, _ref_first_defect(a.cells, v, t, m, start), defects))
     return cases
 
 
 @SMALL_ARRAY_HEAD
+@RANDOM_ARRAY_START
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, head, t, v):
+    def test_profile_matches_reference_and_oracle(self, budget, head, start, t, v):
         for a, want in profile_cases(t, v, seed=t * 100 + v):
-            counts = coverage_profile(a, t).counts
+            tset, i = start_at(start, a.cols, t)
+            counts = profile_from(a, t, tset)
             assert counts.dtype == np.int64
-            np.testing.assert_array_equal(counts, want)
+            np.testing.assert_array_equal(counts, want[i:])
         # the oracle is slow and blind to chunking
-        if budget is None and head is None:
+        if budget is None and head is None and start is None:
             for a, want in profile_cases(t, v, seed=t * 100 + v):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, head, t, v):
-        for a, m, defect, defects in early_exit_cases(t, v, seed=t * 100 + v + 1):
-            assert first_defect(a.cells, v, t, m) == defect
-            assert count_defects(a.cells, v, t, m) == defects
+    def test_early_exit_scans_match_reference(self, budget, head, start, t, v):
+        for a, m, tset, defect, defects in early_exit_cases(t, v, t * 100 + v + 1, start):
+            assert first_defect(a.cells, v, t, m, tset) == defect
+            assert defects_from(a.cells, v, t, m, tset) == defects
 
 
 class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
     def test_chunks_tile_tsets_in_lex_order_within_budget(
-        self, budget, head, monkeypatch, t, n
+        self, budget, head, start, monkeypatch, t, n
     ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
         blocks = spy_blocks(monkeypatch)
-        chunks = list(coverage._scan(cells, 2, t))
-        tsets = [(*prefix, first + i)
-                 for pieces, _ in chunks for prefix, first, length in pieces for i in range(length)]
-        assert tsets == list(combinations(range(k), t))
+        begin, i = start_at(start, k, t)
+        chunks = list(coverage._scan(cells, 2, t, begin))
+        tsets = [(*prefix, first + j)
+                 for pieces, _ in chunks for prefix, first, length in pieces for j in range(length)]
+        assert tsets == list(combinations(range(k), t))[i:]
         # Chunks are counted on the head rows, every recount on all n rows.
         rows = min(n, coverage._head_rows(2**t))
         for pieces, counts in chunks:
             assert len(counts) == sum(length for _, _, length in pieces)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
+        # Every chunk but the last holds step t-sets, wherever the scan starts.
+        step = max(1, coverage._CHUNK_BUDGET // max(rows, 1))
+        assert all(len(counts) == step for _, counts in chunks[:-1])
         # The head blocks are the chunks; a width-n block is a recount.
         head_blocks = [b for b, width in blocks if width == rows]
         assert head_blocks == [sum(length for _, _, length in pieces) for pieces, _ in chunks]
@@ -244,22 +307,48 @@ class TestChunks:
             assert len(chunks) == 1
 
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, t):
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, start, t):
         # Two equal columns j1 < j2 leave every t-set holding both with at
         # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
         k, j1, j2 = t + 12, t + 2, t + 6
         cells = np.random.default_rng(t).integers(0, 2, size=(64, k))
         cells[:, j2] = cells[:, j1]
         m = 2 ** (t - 1) + 1
-        tset = (*range(t - 2), j1, j2)  # the lex-first t-set holding both
-        defect = first_defect(cells, 2, t, m)
-        assert defect == _ref_first_defect(cells, 2, t, m)
-        assert defect.tset == tset
-        assert count_defects(cells, 2, t, m) == math.comb(k - 2, t - 2)
-        if budget is None:  # every t-set shares one chunk
-            [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t)
+        holding = [s for s in combinations(range(k), t) if j1 in s and j2 in s]
+        assert holding[0] == (*range(t - 2), j1, j2)  # the lex-first t-set holding both
+        assert len(holding) == math.comb(k - 2, t - 2)
+        begin, _ = start_at(start, k, t)
+        scanned = [s for s in holding if begin is None or s >= begin]
+        defect = first_defect(cells, 2, t, m, begin)
+        assert defect == _ref_first_defect(cells, 2, t, m, begin)
+        assert defect.tset == scanned[0]
+        assert defects_from(cells, 2, t, m, begin) == len(scanned)
+        if budget is None:  # every t-set from the start shares one chunk
+            tset = defect.tset
+            [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t, begin)
                         if any(p == tset[:-1] for p, _, _ in pieces)]
             assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
+
+    def test_budget_grid_chunks_hold_step_tsets(self, budget):
+        # The plan of each scan of the grid: every chunk but the last holds
+        # step t-sets.  The default budget holds all of a small array's t-sets
+        # in one chunk; the tiny ones also cut prefix runs between chunks.
+        shared = cut = False
+        for t, v in SHAPES:
+            for a, _ in profile_cases(t, v, seed=t * 100 + v):
+                n = min(a.rows, coverage._head_rows(v**t))
+                step = max(1, coverage._CHUNK_BUDGET // max(n, 1))
+                plan = list(coverage._chunks(n, coverage._prefix_runs(a.cols, t)))
+                held = [sum(length for _, _, length in chunk) for chunk in plan]
+                assert all(b == step for b in held[:-1])
+                assert 0 < held[-1] <= step
+                if budget is None:
+                    assert len(plan) == 1
+                # a chunk holds t-sets of two prefixes; a run goes on in the next chunk
+                shared |= any(len({p for p, _, _ in chunk}) > 1 for chunk in plan)
+                cut |= any(c[-1][0] == d[0][0] for c, d in zip(plan, plan[1:]))
+        assert shared
+        assert cut == (budget is not None)
 
 
 @given(
@@ -380,9 +469,10 @@ class TestRecountColumns:
 
     N = 200  # above the default head at every v^t here (74 rows at most)
 
+    @RECOUNT_START
     @pytest.mark.parametrize("t,v", [(1, 3), (2, 3), (3, 2)])
     def test_only_columns_of_short_tsets_are_filled(
-        self, budget, head, monkeypatch, t, v
+        self, budget, head, start, monkeypatch, t, v
     ):
         k = t + 6
         cells = np.random.default_rng(t * 10 + v).integers(0, v, size=(self.N, k))
@@ -390,16 +480,17 @@ class TestRecountColumns:
         # In the head, column t + 1 is the sum of columns 2..t mod v (0 at
         # t = 1), so the t-set (2, ..., t + 1) covers v^(t-1) tuples there.
         cells[:rows, t + 1] = cells[:rows, 2 : t + 1].sum(axis=1) % v
+        begin, i = start_at(start, k, t)
         copied, recounted = spy_fill(monkeypatch)
-        counts = coverage_profile(Array(cells, v), t).counts
+        counts = profile_from(Array(cells, v), t, begin)
         want = _ref_distinct_counts(cells, v, t)
-        np.testing.assert_array_equal(counts, want)
-        if budget is None:
+        np.testing.assert_array_equal(counts, want[i:])
+        if budget is None and start is None:
             np.testing.assert_array_equal(naive_oracle(Array(cells, v), t).counts, want)
         short, short_tsets = set(), []
         if rows < self.N:
-            head_counts = _ref_distinct_counts(cells[:rows], v, t)
-            for tset, c in zip(combinations(range(k), t), head_counts):
+            head_counts = _ref_distinct_counts(cells[:rows], v, t)[i:]
+            for tset, c in zip(_ref_tsets(k, t, begin), head_counts):
                 if c < v**t:
                     short.update(tset)
                     short_tsets.append(tset)
@@ -407,21 +498,24 @@ class TestRecountColumns:
         assert len(copied) == len(set(copied))  # each column at most once
         assert set(copied) == short
         assert recounted == short_tsets  # exactly the t-sets short in the head, in lex order
-        assert first_defect(cells, v, t, v**t) == _ref_first_defect(cells, v, t, v**t)
-        assert count_defects(cells, v, t, v**t) == _ref_count_defects(cells, v, t, v**t)
+        vt = v**t
+        assert first_defect(cells, v, t, vt, begin) == _ref_first_defect(cells, v, t, vt, begin)
+        assert defects_from(cells, v, t, vt, begin) == _ref_count_defects(cells, v, t, vt, begin)
 
+    @RECOUNT_START
     def test_no_column_filled_when_the_head_covers_every_tset(
-        self, budget, head, monkeypatch
+        self, budget, head, start, monkeypatch
     ):
         # Nine rows (a, b, a + b, a + 2b) mod 3 cover every pair of columns,
         # within the head at every head size.
         a, b = np.divmod(np.arange(9), 3)
         cells = np.random.default_rng(3).integers(0, 3, size=(self.N, 4))
         cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
+        begin, i = start_at(start, 4, 2)
         copied, _ = spy_fill(monkeypatch)
-        counts = coverage_profile(Array(cells, 3), 2).counts
-        np.testing.assert_array_equal(counts, np.full(6, 9))
-        np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts)
+        counts = profile_from(Array(cells, 3), 2, begin)
+        np.testing.assert_array_equal(counts, np.full(6 - i, 9))
+        np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts[i:])
         assert copied == []
 
 
@@ -456,21 +550,23 @@ ACTIONS = [
 ]
 
 
+@RANDOM_ARRAY_START
 class TestClassScans:
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, head, t, v, make_action
+        self, budget, head, start, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
         for a in arrays(t, v, seed=v):
             covered = _ref_orbit_coverage(a, t, structure)
-            counts = coverage_profile(develop(a, action), t).counts
-            np.testing.assert_array_equal(counts, covered @ structure.lengths)
+            begin, i = start_at(start, a.cols, t)
+            counts = profile_from(develop(a, action), t, begin)
+            np.testing.assert_array_equal(counts, (covered @ structure.lengths)[i:])
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, head, t, v, make_action
+        self, budget, head, start, t, v, make_action
     ):
         # The developed builders accept on the tuple count of the rows they
         # return.  Counting every orbit on the base, with the v constant rows
@@ -482,8 +578,9 @@ class TestClassScans:
             tail = constant_rows(a.cols, v).cells[: v if action.kind == "frobenius" else 0]
             base = np.vstack((a.cells, tail))
             developed = np.vstack((develop(a, action).cells, tail))
-            want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits)
-            assert count_defects(developed, v, t, v**t) == want
+            begin, _ = start_at(start, a.cols, t)
+            want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits, begin)
+            assert defects_from(developed, v, t, v**t, begin) == want
 
 
 # -- generated arrays are the same as before the kernel ------------------------------
