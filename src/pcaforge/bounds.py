@@ -247,6 +247,8 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
     """(r, m1) for the concatenated construction: deficiency r and the partial
     coverage target ``m1 = v^t - r + 1`` of the first component.
 
+    r is the floor of ``ln k / ln(v/eps^(1/(t-1)))``, at least 1; a ratio
+    within ``core._snap``'s tolerance of an integer floors to that integer.
     Checks the admissibility condition ``m <= v^t + 1 - ln k / ln(v/eps^(1/(t-1)))``.
     """
     t, v, k = _check_tkv(t, v, k)
@@ -260,7 +262,7 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
         raise MConditionViolated(
             f"m={m} exceeds v^t + 1 - ln k/ln(v/eps^(1/(t-1))) = {vt + 1 - r_real:.6g}"
         )
-    r = max(1, math.floor(r_real))
+    r = max(1, math.floor(_snap(r_real)))
     return r, vt - r + 1
 
 

@@ -62,10 +62,12 @@ Builders:
   uniformly random, ties going to the smallest symbol.  Rows are added until
   at most ``floor(epsilon * C(k,t))`` t-sets miss a tuple, which happens
   within the union-bound row count; one scan of the rows then proves the
-  claim.  Each choice costs O(C(k-1,t-1) v) and
-  each row one pass over the C(k,t) x v^t table of missing pairs; sizes whose
-  table would exceed ``coverage.PROFILE_CAPACITY`` raise ``CapacityExceeded``
-  before allocating.  Supports full coverage targets (m = v^t) only.
+  claim.  The missing pairs are counted per t-set and tuple prefix, so each
+  choice reads v counts per t-set through its column, O(C(k-1,t-1) v), and
+  each row's covered pairs update t+1 counts per t-set; sizes whose
+  C(k,t) x v^t pairs would exceed ``coverage.PROFILE_CAPACITY`` raise
+  ``CapacityExceeded`` before allocating.  Supports full coverage targets
+  (m = v^t) only.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .coverage import (
     PROFILE_CAPACITY, Defect, _allowed, _count_tsets, count_defects, first_defect,
 )
 from .core import (
-    Array, BoundResult, PcaParams, _check_fraction, _check_full, rank_weights, validate,
+    Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
 )
 from .errors import CapacityExceeded, IterationCap, PcaForgeError
 from .galois import GroupAction, _develop_into, constant_rows, cyclic_action, frobenius_action
@@ -384,15 +386,20 @@ def derandomize_rows(
     """Add rows, each fixed cell by cell, until at most ``allowed`` t-sets
     miss a tuple.
 
-    A boolean table holds the (t-set, tuple) pairs no row covers yet.  Each
-    row is filled left to right.  Cell j takes the symbol s that maximizes the
+    One table counts the (t-set, tuple) pairs no row covers yet, by prefix.
+    Level q, for q = 0..t, holds C(k,t) v^q counts from ``base[q]`` on: at
+    ``base[q] + i v^q + r``, how many missing tuples of t-set i start with
+    the q-symbol prefix r.  Level 0 is each t-set's count of missing tuples
+    and level t the 0/1 table of missing pairs.  Each row is
+    filled left to right.  Cell j takes the symbol s that maximizes the
     expected number of pairs the row newly covers, given the row's cells left
     of j and with the cells right of j uniformly random; ties go to the
     smallest symbol.  Scaled by v^(t-1) that expectation is an exact integer:
     a t-set holding j at position p contributes the number of its missing
     tuples that agree with the row on its first p columns and have s at
-    position p, times v^p.  Those tuples form one block of consecutive ranks,
-    so each count is a difference of prefix sums over the table.
+    position p, times v^p.  That number is the level-(p+1) count of the row's
+    prefix extended by s, so a cell reads the v children of one prefix per
+    t-set.  A covered pair then lowers the t+1 counts on its path by one.
 
     The chosen row covers at least the expectation of a uniform row,
     ``missing / v^t`` pairs, so after N rows at most ``C(k,t) v^t
@@ -409,29 +416,29 @@ def derandomize_rows(
         raise CapacityExceeded(f"C(k,t)*v^t = {n_tsets}*{vt} or N*k = {max_rows}*{k} "
                                f"exceeds {PROFILE_CAPACITY}")
     tsets = np.array(list(combinations(range(k), t)), dtype=np.int64)
-    place = rank_weights(t, v)
-    # Per column: the t-sets through it, at position p; its place value
-    # v^(t-1-p) times 0..v (the edges of the v blocks it splits); and v^p.
+    level = np.arange(t + 1)
+    base = np.concatenate(([0], np.cumsum(n_tsets * v**level)))
+    missing = np.repeat((vt // v**level).astype(np.min_scalar_type(vt)), n_tsets * v**level)
+    children = np.lib.stride_tricks.sliding_window_view(missing, v)
+    # Per column: the t-sets i through it, at position p; where their
+    # level-(p+1) counts start; and v^p.
     hits = [np.nonzero(tsets == j) for j in range(k)]
-    columns = [(i, place[p, None] * np.arange(v + 1), vt // v // place[p]) for i, p in hits]
-    missing = np.ones(n_tsets * vt, dtype=bool)  # pair (i, r) at i * v^t + r
-    short = np.full(n_tsets, vt)  # missing tuples per t-set
+    columns = [(i, base[p + 1] + i * v ** (p + 1), v**p) for i, p in hits]
     cells = np.zeros((max_rows, k), dtype=np.int64)
     trace = [n_tsets * vt]
-    while np.count_nonzero(short) > allowed:
+    while np.count_nonzero(missing[:n_tsets]) > allowed:
         if len(trace) > max_rows:
             raise PcaForgeError(f"internal: {max_rows} rows leave over {allowed} t-sets short")
         row = cells[len(trace) - 1]
-        prefix = np.concatenate(([0], np.cumsum(missing)))
-        # Start of each t-set's block of tuples that agree with the row so far.
-        at = np.arange(0, n_tsets * vt, vt)
-        for j, (idx, edges, weight) in enumerate(columns):
-            row[j] = s = int(np.argmax(np.diff(weight @ prefix[at[idx, None] + edges])))
-            at[idx] += edges[:, s]
-        covered = missing[at]
-        missing[at] = False
-        short -= covered
-        trace.append(trace[-1] - int(np.count_nonzero(covered)))
+        prefix = np.zeros(n_tsets, dtype=np.int64)  # each t-set's tuple so far
+        for j, (i, start, weight) in enumerate(columns):
+            row[j] = s = int(np.argmax(weight @ children[start + v * prefix[i]]))
+            prefix[i] = v * prefix[i] + s
+        # the covered tuple's prefixes, one per level; its count at level t is
+        # 1 if the pair was missing, else 0
+        path = base[:-1, None] + (prefix + vt * np.arange(n_tsets)) // (vt // v**level)[:, None]
+        missing[path] -= missing[path[t]]
+        trace.append(int(missing[:n_tsets].sum()))  # level 0 sums every missing pair
     return cells[:len(trace) - 1], trace
 
 

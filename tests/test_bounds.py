@@ -25,6 +25,7 @@ from pcaforge.bounds import (
     bound_pca_cyclic,
     bound_pca_lll,
     bound_pca_union,
+    concat_split,
     evaluate_formula,
     log_binomial,
     sweep,
@@ -401,6 +402,14 @@ class TestConcatBound:
         eps = v ** (t - 1) / k ** (1 / v)
         res = bound_concat(t, k, v, 2, eps)
         assert res.detail["m1"] == v**t - res.detail["r"] + 1
+
+    def test_deficiency_exact_where_ratio_is_an_integer(self):
+        # at epsilon = 1 and k = v^n, r = ln k / ln v is exactly n; the double
+        # lands just below n at 1000 = 10^3 and 243 = 3^5, among others
+        assert concat_split(2, 1000, 10, 90, 1.0) == (3, 98)
+        for t, v, n in itertools.product(range(2, 5), range(2, 17), range(1, 50)):
+            if t <= v**n <= 10**15 and n <= v**t:
+                assert concat_split(t, v**n, v, 1, 1.0) == (n, v**t - n + 1), (t, v, n)
 
 
 class TestCanReference:
