@@ -248,8 +248,9 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
     coverage target ``m1 = v^t - r + 1`` of the first component.
 
     r is the floor of ``ln k / ln(v/eps^(1/(t-1)))``, at least 1; a ratio
-    within ``core._snap``'s tolerance of an integer floors to that integer.
-    Checks the admissibility condition ``m <= v^t + 1 - ln k / ln(v/eps^(1/(t-1)))``.
+    within ``core._snap``'s tolerance of an integer counts as that integer,
+    both in the floor and in the admissibility condition
+    ``m <= v^t + 1 - ln k / ln(v/eps^(1/(t-1)))``, which is checked.
     """
     t, v, k = _check_tkv(t, v, k)
     vt = v**t
@@ -257,12 +258,12 @@ def concat_split(t: int, k: int, v: int, m: int, epsilon: float) -> tuple[int, i
     _check_fraction(epsilon, positive=True)
     # epsilon <= 1 keeps the denominator at least ln v >= ln 2
     denom = math.log(v) - math.log(epsilon) / (t - 1)
-    r_real = math.log(k) / denom
+    r_real = _snap(math.log(k) / denom)
     if m > vt + 1 - r_real:
         raise MConditionViolated(
             f"m={m} exceeds v^t + 1 - ln k/ln(v/eps^(1/(t-1))) = {vt + 1 - r_real:.6g}"
         )
-    r = max(1, math.floor(_snap(r_real)))
+    r = max(1, math.floor(r_real))
     return r, vt - r + 1
 
 

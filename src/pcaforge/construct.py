@@ -82,7 +82,8 @@ import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY, Defect, _allowed, _count_tsets, count_defects, first_defect,
+    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, count_defects,
+    first_defect,
 )
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
@@ -175,24 +176,6 @@ def _full_coverage(params: PcaParams, what: str) -> PcaParams:
     _check_full(params.m, params.vt, what)
     _check_fraction(params.epsilon, positive=True)
     return params
-
-
-def _binomials(k: int, t: int) -> np.ndarray:
-    """The ``(k+1, t+1)`` table of C(n, r) for n <= k and r <= t."""
-    return np.array([[math.comb(n, r) for r in range(t + 1)] for n in range(k + 1)],
-                    dtype=np.int64)
-
-
-def _lex_ranks(tsets: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Lex ranks, among the t-sets of ``range(k)``, of the rows of a ``(B, t)`` array.
-
-    ``binom`` is :func:`_binomials` of (k, t).  The t-sets after
-    c_0 < ... < c_(t-1) in lex order number the sum of C(k-1-c_i, t-i)
-    (the combinatorial number system on the columns k-1-c_i), so its rank
-    is C(k,t) - 1 less that sum.
-    """
-    k, t = binom.shape[0] - 1, tsets.shape[1]
-    return binom[k, t] - 1 - binom[k - 1 - tsets, t - np.arange(t)].sum(axis=1)
 
 
 def _stale(

@@ -2,31 +2,33 @@
 
 Every scan runs through one counting kernel, :func:`_scan`, which counts the
 distinct tuples of column t-sets in batches and yields them in lexicographic
-order.  Each batch (a chunk) is a run of consecutive t-sets described by
-``(prefix, first, length)`` pieces.  A pure plan, :func:`_chunks`, cuts the
-lex-ordered t-sets into chunks of one size, ``_CHUNK_BUDGET // N`` t-sets
-(the last may be shorter), whatever the (t-1)-prefix runs they come from.
-One rank builder, :func:`_ranks`, gathers a chunk's columns into a block of
-tuple ranks, which :func:`_count` counts.  Its scratch memory stays within
-the one budget, ``_CHUNK_BUDGET`` ranks, or one t-set's N ranks if that is
-more, whatever N and v^t are.  Early-exit callers stop taking chunks, and a
-scan may start at any t-set.
+order.  Each batch (a chunk) is a range of consecutive lex ranks, ``step =
+max(1, _CHUNK_BUDGET // max(N, t))`` of them for N rows counted (the last
+range may be shorter), which :func:`_unrank` turns into an explicit
+``(B, t)`` array of t-sets by the combinatorial number system.  A chunk's
+ranks and its t-sets thus hold at most ``_CHUNK_BUDGET`` entries each, or
+one t-set's N ranks if that is more, whatever N and v^t are.  Early-exit
+callers stop taking chunks, and a scan may start at any t-set.
+:func:`_binomials` and :func:`_lex_ranks` are the one lex numbering of
+t-sets; the resampling builder ranks its stale t-sets with them too.
 
-An explicit ``(B, t)`` array of t-sets is counted on all N rows by one gather
-loop, :func:`_gather_counts`, in chunks within the same budget.  It serves
-both the kernel's recounts below and :func:`_count_tsets`, which counts the
-t-sets a resample may have changed for the resampling builder.
+Every ``(B, t)`` array of t-sets is counted by one gather loop,
+:func:`_gather_counts`, which builds its tuple ranks column by column, in
+chunks within the same budget, for :func:`_count` to count.  It serves the
+kernel's chunks, the kernel's recounts below, and :func:`_count_tsets`,
+which counts on all N rows the t-sets a resample may have changed for the
+resampling builder.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
-nearly all of them already cover every tuple.  Only the t-sets short of v^t
-in the head are expanded from their chunk's pieces and recounted on all N
-rows before their chunk is yielded.  A t-set that covers all v^t tuples in
-the head covers them in the whole array, so every count the kernel yields is
-exact, as if all N rows had been counted.  Only the head rows are transposed
-for the head counts; a column's N rows are transposed the first time a
-recount reads it, so an array whose t-sets all cover v^t tuples in the head
-is read no further than the head.
+nearly all of them already cover every tuple.  Only the t-sets of a chunk
+short of v^t in the head are recounted on all N rows before their chunk is
+yielded.  A t-set that covers all v^t tuples in the head covers them in the
+whole array, so every count the kernel yields is exact, as if all N rows had
+been counted.  Only the head rows are transposed for the head counts; a
+column's N rows are transposed the first time a recount reads it, so an
+array whose t-sets all cover v^t tuples in the head is read no further than
+the head.
 
 :func:`naive_oracle` recomputes the same profile by materializing projected
 rows as Python tuples in a set — a deliberately different code path kept for
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, dropwhile
-from typing import Iterable, Iterator, NamedTuple
+from itertools import combinations, compress
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,9 +56,10 @@ from .errors import CapacityExceeded, StrengthTooSmall
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
-# Scratch elements per kernel chunk: B*N ranks, so every chunk, head chunk or
-# explicit t-sets, holds _CHUNK_BUDGET // N t-sets.  At 2^18 the t=3 k=60 v=3
-# N=201 shape scans as fast as at 2^20 without raising the peak RSS.
+# Scratch elements per kernel chunk: B*N ranks and B*t t-set entries, so every
+# chunk, head chunk or explicit t-sets, holds _CHUNK_BUDGET // max(N, t)
+# t-sets.  At 2^18 the t=3 k=60 v=3 N=201 shape scans as fast as at 2^20
+# without raising the peak RSS.
 _CHUNK_BUDGET = 2**18
 # Head rows beyond the coupon-collector mean.  With N above
 # head = v^t * (ln v^t + _HEAD_SLACK) rows, every t-set is counted on the head
@@ -69,11 +72,6 @@ _CHUNK_BUDGET = 2**18
 # to 4 rows per tuple, 14 ms at 6 and 8 ms at 8, against 46 ms unsplit (2 cores,
 # best of 9).
 _HEAD_SLACK = 6
-
-# (prefix, first, length): the t-sets prefix + (first + i,) for i < length.
-_Piece = tuple[tuple[int, ...], int, int]
-# (pieces, counts): counts holds the pieces' t-sets in order.
-_Chunks = Iterator[tuple[list[_Piece], np.ndarray]]
 
 
 class Defect(NamedTuple):
@@ -151,39 +149,6 @@ def _head_rows(vt: int) -> int:
     return math.ceil(vt * (math.log(vt) + _HEAD_SLACK))
 
 
-def _lasts(firsts: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
-    """The last column of each t-set of pieces with these firsts and lengths."""
-    # The j-th t-set of piece i ends in column firsts[i] + j.
-    offsets = np.array(firsts) - (np.cumsum(lengths) - lengths)
-    return np.arange(lengths.sum()) + np.repeat(offsets, lengths)
-
-
-def _tsets(pieces: list[_Piece]) -> np.ndarray:
-    """The pieces' t-sets as one ``(B, t)`` array, in order."""
-    prefixes, firsts, lengths = zip(*pieces)
-    lengths = np.array(lengths)
-    heads = np.repeat(np.array(prefixes, dtype=np.int64), lengths, axis=0)
-    return np.column_stack((heads, _lasts(firsts, lengths)))
-
-
-def _ranks(cols: np.ndarray, v: int, pieces: list[_Piece]) -> np.ndarray:
-    """Tuple ranks of the pieces' t-sets as one ``(B, N)`` block, in order.
-
-    One gather takes the last column of every t-set.  For t > 1, one row
-    gather per prefix column builds each piece's prefix rank times v (its
-    base), and each base is repeated once per t-set of its piece and added.
-    """
-    prefixes, firsts, lengths = zip(*pieces)
-    lengths = np.array(lengths)
-    ranks = cols[_lasts(firsts, lengths)]
-    if prefixes[0]:  # t > 1
-        base = 0
-        for c in np.array(prefixes).T:
-            base = (base + cols[c]) * v
-        ranks += np.repeat(base, lengths, axis=0)
-    return ranks
-
-
 def _fill(
     cols: np.ndarray, filled: np.ndarray, cells: np.ndarray, tsets: np.ndarray
 ) -> np.ndarray:
@@ -201,44 +166,49 @@ def _fill(
     return cols
 
 
-def _prefix_runs(k: int, t: int, start: tuple[int, ...] | None = None) -> Iterator[_Piece]:
-    """Every t-set of ``range(k)`` in lex order, one run per (t-1)-prefix.
+def _binomials(k: int, t: int) -> np.ndarray:
+    """The ``(k+1, t+1)`` table of C(n, r) for n <= k and r <= t.
 
-    With a ``start`` t-set, the runs begin at it: its own prefix's run is cut
-    to the t-sets from ``start`` on.
+    Column r is the running sum of column r-1 shifted down one row, since
+    C(n, r) is the sum of C(j, r-1) over j < n.
     """
-    prefixes = combinations(range(k - 1), t - 1)
-    if start is not None:
-        before, first = tuple(start[:-1]), start[-1]
-        yield before, first, k - first
-        prefixes = dropwhile(lambda p: p <= before, prefixes)
-    for prefix in prefixes:
-        first = prefix[-1] + 1 if prefix else 0
-        yield prefix, first, k - first
+    binom = np.zeros((k + 1, t + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for r in range(1, t + 1):
+        np.cumsum(binom[:-1, r - 1], out=binom[1:, r])
+    return binom
 
 
-def _chunks(n: int, runs: Iterable[_Piece]) -> Iterator[list[_Piece]]:
-    """The plan of a scan's head: the runs' t-sets in chunks of pieces, in order.
+def _lex_ranks(tsets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Lex ranks, among the t-sets of ``range(k)``, of the rows of a ``(B, t)`` array.
 
-    Every chunk but the last holds exactly ``step = max(1, _CHUNK_BUDGET // n)``
-    t-sets: ``_CHUNK_BUDGET`` ranks' worth, or one t-set if its ``n`` ranks
-    are more.  The last may hold fewer, and a run may be cut between chunks.
-    Recounts are not planned here: :func:`_gather_counts` takes their t-sets
-    in chunks of the same size.
+    ``binom`` is :func:`_binomials` of (k, t).  The t-sets after
+    c_0 < ... < c_(t-1) in lex order number the sum of C(k-1-c_i, t-i)
+    (the combinatorial number system on the columns k-1-c_i), so its rank
+    is C(k,t) - 1 less that sum.
     """
-    step = max(1, _CHUNK_BUDGET // max(n, 1))  # t-sets per chunk
-    pieces: list[_Piece] = []
-    held = 0
-    for prefix, first, length in runs:
-        while length:
-            take = min(length, step - held)
-            pieces.append((prefix, first, take))
-            first, length, held = first + take, length - take, held + take
-            if held == step:
-                yield pieces
-                pieces, held = [], 0
-    if pieces:
-        yield pieces
+    k, t = binom.shape[0] - 1, tsets.shape[1]
+    return binom[k, t] - 1 - binom[k - 1 - tsets, t - np.arange(t)].sum(axis=1)
+
+
+def _unrank(binom: np.ndarray, t: int, lo: int, hi: int) -> np.ndarray:
+    """The t-sets of lex ranks ``lo`` to ``hi - 1``, as a ``(hi - lo, t)`` array.
+
+    The inverse of :func:`_lex_ranks` on the same ``binom``: the rest
+    C(k,t) - 1 - rank is written greedily as the sum of C(k-1-c_i, t-i), each
+    k-1-c_i the largest n with C(n, t-i) within what is left, found by a
+    search of column t-i.  The last term is C(k-1-c_(t-1), 1) = k-1-c_(t-1).
+    """
+    k = binom.shape[0] - 1
+    rest = binom[k, t] - 1 - np.arange(lo, hi)
+    tsets = np.empty((hi - lo, t), dtype=np.int64)
+    for i in range(t - 1):
+        column = binom[:, t - i]
+        below = np.searchsorted(column, rest, side="right") - 1
+        tsets[:, i] = k - 1 - below
+        rest -= column[below]
+    tsets[:, t - 1] = k - 1 - rest
+    return tsets
 
 
 def _count(ranks: np.ndarray, vt: int) -> np.ndarray:
@@ -262,54 +232,62 @@ def _count(ranks: np.ndarray, vt: int) -> np.ndarray:
 
 def _scan(
     cells: np.ndarray, v: int, t: int, start: tuple[int, ...] | None = None
-) -> _Chunks:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
     The scan covers every t-set, or with a ``start`` t-set the t-sets from it
     on.  Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
-    chunks follow the plan of :func:`_chunks`: each holds ``_CHUNK_BUDGET``
-    ranks' worth of t-sets (the last may hold fewer), so that narrow or short
-    arrays pay the per-chunk cost once per chunk, not per prefix.  Every
-    chunk is counted as ``_count(_ranks(head_cols, v, pieces), vt)`` on a
-    column-major copy of the head rows.
+    chunks are the lex-rank ranges ``range(begin, C(k,t), step)``, where
+    ``begin`` is the rank of ``start`` (0 without one) and ``step =
+    max(1, _CHUNK_BUDGET // max(head, t))``, so a chunk's ranks and its t-sets
+    each hold at most ``_CHUNK_BUDGET`` entries, or one t-set's ``head``
+    ranks if that is more.  Every chunk's t-sets are built by :func:`_unrank`
+    and counted as ``_gather_counts(head_cols, v, tsets)`` on a column-major
+    copy of the head rows.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
     is yielded, its t-sets that covered fewer than v^t tuples in the head are
-    expanded into a ``(B, t)`` array and recounted over all N rows by
-    :func:`_gather_counts`, on a column-major store whose columns
-    :func:`_fill` copies the first time a recount reads them.  A t-set that
-    covers all v^t tuples in the head covers them in the whole array, so
-    every yielded count is exact.
+    recounted over all N rows by :func:`_gather_counts`, on a column-major
+    store whose columns :func:`_fill` copies the first time a recount reads
+    them.  A t-set that covers all v^t tuples in the head covers them in the
+    whole array, so every yielded count is exact.  Each chunk is yielded as
+    its ``(B, t)`` array of t-sets and their counts.
     """
     n, k = cells.shape
     t = _check_t(t, k)
     vt = v**t
     if vt > PROFILE_CAPACITY:
         raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
-    if math.comb(k, t) > PROFILE_CAPACITY:  # cheap: for v >= 2 the v^t check keeps t <= 26
+    total = math.comb(k, t)  # cheap: for v >= 2 the v^t check keeps t <= 26
+    if total > PROFILE_CAPACITY:
         raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
     dtype = np.min_scalar_type(vt - 1)
     head = min(n, _head_rows(vt))
     head_cols = np.ascontiguousarray(cells[:head].T, dtype)
     if head < n:  # the recount's columns, each filled when a recount first reads it
         cols, filled = np.empty((k, n), dtype), np.zeros(k, dtype=bool)
-    for pieces in _chunks(head, _prefix_runs(k, t, start)):
-        counts = _count(_ranks(head_cols, v, pieces), vt)
+    binom = _binomials(k, t)
+    begin = 0 if start is None else int(_lex_ranks(np.array([start]), binom)[0])
+    step = max(1, _CHUNK_BUDGET // max(head, t))  # t-sets per chunk
+    for lo in range(begin, total, step):
+        tsets = _unrank(binom, t, lo, min(lo + step, total))
+        counts = _gather_counts(head_cols, v, tsets)
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):
-            tsets = _tsets(pieces)[short]
-            counts[short] = _gather_counts(_fill(cols, filled, cells, tsets), v, tsets)
-        yield pieces, counts
+            recount = tsets[short]
+            counts[short] = _gather_counts(_fill(cols, filled, cells, recount), v, recount)
+        yield tsets, counts
 
 
 def _gather_counts(cols: np.ndarray, v: int, tsets: np.ndarray) -> np.ndarray:
     """Distinct tuples covered by each t-set of the ``(B, t)`` array ``tsets``.
 
     ``cols`` holds the cells column-major, in a dtype that holds v^t - 1;
-    only the columns the t-sets name are read.  Every count is exact, over
-    all N rows.  The t-sets' columns are gathered in chunks of at most
-    ``_CHUNK_BUDGET`` ranks (or one t-set's N if that is more).
+    only the columns the t-sets name are read, and each count is exact over
+    every row ``cols`` holds.  Each t-set's tuple ranks are built column by
+    column, one row gather per column, in chunks of at most ``_CHUNK_BUDGET``
+    ranks (or one t-set's N if that is more).
     """
     n, t = cols.shape[1], tsets.shape[1]
     vt = v**t
@@ -367,11 +345,10 @@ def first_defect(
     Early-exit scan used by the resampling builder.  With a ``start`` t-set
     (increasing columns of ``cells``) only the t-sets from it on are scanned.
     """
-    for pieces, counts in _scan(cells, v, t, start):
+    for tsets, counts in _scan(cells, v, t, start):
         below = np.flatnonzero(counts < m)
         if len(below):
-            tset = _tsets(pieces)[below[0]]
-            return Defect(tuple(tset.tolist()), int(counts[below[0]]))
+            return Defect(tuple(tsets[below[0]].tolist()), int(counts[below[0]]))
     return None
 
 

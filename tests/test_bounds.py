@@ -405,11 +405,15 @@ class TestConcatBound:
 
     def test_deficiency_exact_where_ratio_is_an_integer(self):
         # at epsilon = 1 and k = v^n, r = ln k / ln v is exactly n; the double
-        # lands just below n at 1000 = 10^3 and 243 = 3^5, among others
+        # lands just below n at 1000 = 10^3 and 243 = 3^5, and just above it
+        # at 5^12, among others, so m = v^t + 1 - n is admissible
         assert concat_split(2, 1000, 10, 90, 1.0) == (3, 98)
+        assert concat_split(2, 5**12, 5, 14, 1.0) == (12, 14)
         for t, v, n in itertools.product(range(2, 5), range(2, 17), range(1, 50)):
             if t <= v**n <= 10**15 and n <= v**t:
-                assert concat_split(t, v**n, v, 1, 1.0) == (n, v**t - n + 1), (t, v, n)
+                want = (n, v**t - n + 1)
+                assert concat_split(t, v**n, v, 1, 1.0) == want, (t, v, n)
+                assert concat_split(t, v**n, v, v**t + 1 - n, 1.0) == want, (t, v, n)
 
 
 class TestCanReference:

@@ -13,21 +13,24 @@ splits the rows.  Scans also start at a t-set past the first: the second,
 which cuts the first prefix's run by one t-set and so moves every later chunk
 boundary by one, or the middle one in lex order, which also skips whole
 prefixes; a scan from an explicit first t-set must match one with no start.
-The chunk plan, ``coverage._chunks``, is checked on its own;
-scans that look at the blocks of ranks they count spy on ``coverage._count``,
-which counts head chunks and recounts alike.  Scans of tall arrays spy on
-``coverage._fill``, which takes the array of t-sets a recount reads and copies
-a column's rows past the head only when a recount first reads it.
+The kernel's chunks are lex-rank ranges, whose t-sets ``coverage._unrank``
+builds; it is checked on its own against ``combinations`` and
+``coverage._lex_ranks``.  Scans that look at the blocks of ranks they count
+spy on ``coverage._count``, which counts head chunks and recounts alike.
+Scans of tall arrays spy on ``coverage._fill``, which takes the array of
+t-sets a recount reads and copies a column's rows past the head only when a
+recount first reads it.
 """
 
 import functools
 import hashlib
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcaforge import coverage
@@ -284,20 +287,20 @@ class TestChunks:
         blocks = spy_blocks(monkeypatch)
         begin, i = start_at(start, k, t)
         chunks = list(coverage._scan(cells, 2, t, begin))
-        tsets = [(*prefix, first + j)
-                 for pieces, _ in chunks for prefix, first, length in pieces for j in range(length)]
+        tsets = [tuple(tset) for tsets, _ in chunks for tset in tsets.tolist()]
         assert tsets == list(combinations(range(k), t))[i:]
         # Chunks are counted on the head rows, every recount on all n rows.
         rows = min(n, coverage._head_rows(2**t))
-        for pieces, counts in chunks:
-            assert len(counts) == sum(length for _, _, length in pieces)
+        for tsets, counts in chunks:
+            assert tsets.shape == (len(counts), t)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
+            assert tsets.size <= max(coverage._CHUNK_BUDGET, t)
         # Every chunk but the last holds step t-sets, wherever the scan starts.
-        step = max(1, coverage._CHUNK_BUDGET // max(rows, 1))
+        step = max(1, coverage._CHUNK_BUDGET // max(rows, t))
         assert all(len(counts) == step for _, counts in chunks[:-1])
         # The head blocks are the chunks; a width-n block is a recount.
         head_blocks = [b for b, width in blocks if width == rows]
-        assert head_blocks == [sum(length for _, _, length in pieces) for pieces, _ in chunks]
+        assert head_blocks == [len(counts) for _, counts in chunks]
         for b, width in blocks:
             assert width in (rows, n)
             assert b * width <= max(coverage._CHUNK_BUDGET, width)
@@ -324,63 +327,58 @@ class TestChunks:
         assert defect.tset == scanned[0]
         assert defects_from(cells, 2, t, m, begin) == len(scanned)
         if budget is None:  # every t-set from the start shares one chunk
-            tset = defect.tset
-            [pieces] = [pieces for pieces, _ in coverage._scan(cells, 2, t, begin)
-                        if any(p == tset[:-1] for p, _, _ in pieces)]
-            assert [p for p, _, _ in pieces].index(tset[:-1]) > 0
+            [tsets] = [tsets for tsets, _ in coverage._scan(cells, 2, t, begin)
+                       if defect.tset in map(tuple, tsets.tolist())]
+            assert tuple(tsets[0].tolist())[:-1] < defect.tset[:-1]
 
     def test_budget_grid_chunks_hold_step_tsets(self, budget):
-        # The plan of each scan of the grid: every chunk but the last holds
+        # The chunks of each scan of the grid: every chunk but the last holds
         # step t-sets.  The default budget holds all of a small array's t-sets
         # in one chunk; the tiny ones also cut prefix runs between chunks.
         shared = cut = False
         for t, v in SHAPES:
             for a, _ in profile_cases(t, v, seed=t * 100 + v):
                 n = min(a.rows, coverage._head_rows(v**t))
-                step = max(1, coverage._CHUNK_BUDGET // max(n, 1))
-                plan = list(coverage._chunks(n, coverage._prefix_runs(a.cols, t)))
-                held = [sum(length for _, _, length in chunk) for chunk in plan]
+                step = max(1, coverage._CHUNK_BUDGET // max(n, t))
+                chunks = [tsets for tsets, _ in coverage._scan(a.cells, v, t)]
+                held = [len(tsets) for tsets in chunks]
                 assert all(b == step for b in held[:-1])
                 assert 0 < held[-1] <= step
                 if budget is None:
-                    assert len(plan) == 1
+                    assert len(chunks) == 1
                 # a chunk holds t-sets of two prefixes; a run goes on in the next chunk
-                shared |= any(len({p for p, _, _ in chunk}) > 1 for chunk in plan)
-                cut |= any(c[-1][0] == d[0][0] for c, d in zip(plan, plan[1:]))
+                shared |= any(len({tuple(s[:-1]) for s in c.tolist()}) > 1 for c in chunks)
+                cut |= any((c[-1, :-1] == d[0, :-1]).all() for c, d in zip(chunks, chunks[1:]))
         assert shared
         assert cut == (budget is not None)
 
+    def test_peak_memory_within_the_chunk_budget(self):
+        # 593,775 t-sets on one row: the head is one row, so chunks are sized
+        # by t, and a chunk's t-sets hold at most _CHUNK_BUDGET entries.
+        cells = np.zeros((1, 30), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            defects = count_defects(cells, 2, 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defects == math.comb(30, 6)
+        assert peak < 4 * coverage._CHUNK_BUDGET * 8
 
-@given(
-    n=st.sampled_from([0, 1, 40, 3000, 40000]),
-    lengths=st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2000)), max_size=24),
-    firsts=st.lists(st.integers(0, 50), min_size=24, max_size=24),
-)
-# runs that fill a chunk to one t-set past the default and the tiniest budget
-@example(n=40, lengths=[819] * 8 + [2], firsts=[0] * 24)
-@example(n=1, lengths=[1] * 17, firsts=[0] * 24)
-@settings(max_examples=100, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_chunk_plan_tiles_runs_within_budget(budget, n, lengths, firsts):
-    # Run i has prefix (i,), so the pieces of one run are told from the next.
-    runs = [((i,), first, length) for i, (first, length) in enumerate(zip(firsts, lengths))]
-    plan = list(coverage._chunks(n, runs))
-    tiled = []  # the plan's pieces, each run's consecutive pieces joined
-    for prefix, first, length in (piece for chunk in plan for piece in chunk):
-        assert length > 0
-        if tiled and tiled[-1][0] == prefix:
-            _, lo, held = tiled[-1]
-            assert lo + held == first
-            tiled[-1] = (prefix, lo, held + length)
-        else:
-            tiled.append((prefix, first, length))
-    assert tiled == runs
-    # Every chunk but the last holds exactly step t-sets, and each fits the budget.
-    step = max(1, coverage._CHUNK_BUDGET // max(n, 1))
-    held = [sum(length for _, _, length in chunk) for chunk in plan]
-    assert all(b == step for b in held[:-1])
-    assert all(0 < b <= step for b in held)
-    assert all(b * n <= max(coverage._CHUNK_BUDGET, n) for b in held)
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_unrank_slices_combinations(t, data):
+    k = data.draw(st.integers(t, t + 15), label="k")
+    total = math.comb(k, t)
+    lo = data.draw(st.integers(0, total), label="lo")
+    hi = data.draw(st.integers(lo, total), label="hi")
+    binom = coverage._binomials(k, t)
+    tsets = coverage._unrank(binom, t, lo, hi)
+    assert tsets.shape == (hi - lo, t)
+    assert [tuple(s) for s in tsets.tolist()] == list(islice(combinations(range(k), t), lo, hi))
+    np.testing.assert_array_equal(coverage._lex_ranks(tsets, binom), np.arange(lo, hi))
 
 
 class TestHeadStage:

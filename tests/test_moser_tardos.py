@@ -91,7 +91,7 @@ class TestHelpers:
     def test_lex_ranks_enumerate_combinations(self, t):
         for k in range(t, 13):
             tsets = np.array(list(combinations(range(k), t)))
-            ranks = construct._lex_ranks(tsets, construct._binomials(k, t))
+            ranks = coverage._lex_ranks(tsets, coverage._binomials(k, t))
             np.testing.assert_array_equal(ranks, np.arange(math.comb(k, t)))
 
     @pytest.mark.parametrize("t,k", [(2, 7), (3, 9), (4, 10)])
@@ -99,7 +99,7 @@ class TestHelpers:
         rng = np.random.default_rng(t * k)
         every = list(combinations(range(k), t))
         others = np.array(list(combinations(range(k - 1), t - 1))).reshape(-1, t - 1)
-        binom = construct._binomials(k, t)
+        binom = coverage._binomials(k, t)
         for _ in range(20):
             columns = tuple(sorted(rng.choice(k, size=t, replace=False).tolist()))
             short = np.array(sorted(rng.choice(len(every), size=3, replace=False)))
