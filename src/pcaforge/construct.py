@@ -11,14 +11,16 @@ whose output would exceed ``coverage.PROFILE_CAPACITY`` cells raises
 claim a report states was established by the counts that accepted the rows
 the builder returns, not by a second pass afterwards, and the returned array
 wraps those very rows.  The Moser-Tardos builder accepts once every t-set
-was counted at >= m tuples after its columns last changed; the other
+was counted at >= m tuples after its columns last changed; the developed
+builders accept on one scan of their base's difference vectors, which
+decides as a scan of the developed rows would (see below); the other
 builders accept on one full scan of their rows.  Hitting an iteration cap
 raises instead of returning a partial result.
 
 The epsilon-almost builders are one Las Vegas restart algorithm: sample a
-uniform array at the row count whose union bound holds for epsilon/2, turn it
-into the rows the builder returns, accept them when at most
-``floor(epsilon * C(k,t))`` t-sets are defective, otherwise draw afresh.  At
+uniform array at the row count whose union bound holds for epsilon/2, accept
+it when at most ``floor(epsilon * C(k,t))`` t-sets of the rows the builder
+makes of it are defective, otherwise draw afresh.  At
 epsilon/2 the expected number of defective t-sets is at most half the
 allowance, so by Markov's inequality one attempt succeeds with probability
 >= 1/2 and the expected number of attempts is at most 2.  One private loop
@@ -46,12 +48,21 @@ Builders:
 * :func:`build_apca_randomized` — the restart loop on whole arrays, sized by
   :func:`pcaforge.bounds.bound_apca` at epsilon/2.
 * :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — the restart loop
-  on a small base array, developed over the group before the accept scan.
+  on a small base array, developed over the group once accepted.
   The base size is the ``base_rows`` of
   :func:`~pcaforge.bounds.bound_apca_cyclic` or
   :func:`~pcaforge.bounds.bound_apca_frobenius` at epsilon/2.  The affine
   group also has the short orbit of constant tuples, which the v constant
-  rows appended after developing cover in every t-set.
+  rows appended after developing cover in every t-set.  The accept count
+  rests on an identity.  For a t-set with first column c0 write
+  d(x) = (x_cj - x_c0) for j >= 1.  Over Z_v the developed row x + b covers
+  the tuple y exactly when d(y) = d(x); over the affine group x -> a*x + b
+  does exactly when d(y) = a*d(x), and the constant rows cover d(y) = 0.  So
+  a t-set is complete in the developed rows exactly when the base's
+  difference vectors, scaled by every multiplier a (a = 1 alone for Z_v) and
+  with one zero row for the affine group, cover all v^(t-1) classes.  The
+  count runs the coverage kernel once per c0 on those vectors, over
+  v^(t-1) classes, and never develops a rejected base.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component.  Each component's scan proves its claim, and
   the stack keeps both: m <= m1, and added rows never lower a t-set's count.
@@ -89,7 +100,7 @@ from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
 )
 from .errors import CapacityExceeded, IterationCap, PcaForgeError
-from .galois import GroupAction, _develop_into, constant_rows, cyclic_action, frobenius_action
+from .galois import GroupAction, constant_rows, cyclic_action, develop, frobenius_action
 
 # Iteration caps, read at call time: Moser-Tardos resamples per build and
 # restart-loop attempts per build.
@@ -130,19 +141,21 @@ def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
 
 def _restart(
     params: PcaParams, rng: np.random.Generator, n_rows: int,
-    make: Callable[[np.ndarray], np.ndarray],
+    count: Callable[[np.ndarray], int],
 ) -> tuple[np.ndarray, int, int]:
-    """Draw ``n_rows x k`` arrays until ``make`` turns one into rows in which
-    at most ``floor(epsilon * C(k,t))`` t-sets cover fewer than m tuples.
+    """Draw ``n_rows x k`` arrays until ``count`` finds at most
+    ``floor(epsilon * C(k,t))`` defective t-sets in one.
 
-    The exact defect count of the returned rows proves their apca claim.
-    Returns the rows, the attempt count (from 1) and that count.
+    ``count`` is the exact number of t-sets that cover fewer than m tuples in
+    the rows the builder makes of a draw, so its value on the accepted draw
+    proves their apca claim.  Returns that draw, the attempt count (from 1)
+    and its count.
     """
-    t, k, v, m = params.t, params.k, params.v, params.m
-    allowed = _allowed(params.epsilon, k, t)
+    k, v = params.k, params.v
+    allowed = _allowed(params.epsilon, k, params.t)
     for attempt in range(1, RESTART_CAP + 1):
-        cells = make(_sample(rng, n_rows, k, v))
-        defective = count_defects(cells, v, t, m)
+        cells = _sample(rng, n_rows, k, v)
+        defective = count(cells)
         if defective <= allowed:
             return cells, attempt, defective
     raise IterationCap(f"hit restart cap {RESTART_CAP}")
@@ -152,10 +165,11 @@ def _verified(
     params: PcaParams, cells: np.ndarray, bound: BoundResult, iterations: int, *,
     pca_m: int | None = None, apca_m: int | None = None, detail: dict | None = None,
 ) -> BuildReport:
-    """Wrap the rows a builder drew, neither copied nor rescanned, in a report
-    stating the claims its counts have proved: one full scan for the restart
-    builders, and for Moser-Tardos every t-set counted at >= m after its
-    columns last changed.
+    """Wrap the rows a builder made, neither copied nor rescanned, in a report
+    stating the claims its counts have proved: one full scan for the apca
+    restart builder and the derandomizer, one scan of the accepted base's
+    difference vectors for the developed builders, and for Moser-Tardos every
+    t-set counted at >= m after its columns last changed.
 
     ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
     but ``floor(epsilon * C(k,t))`` do.
@@ -269,9 +283,41 @@ def build_apca_randomized(params: PcaParams) -> BuildReport:
     n_rows = algorithm_rows_apca(t, v, m, epsilon)
     _check_cells(n_rows, k)
     bound = bounds.bound_apca(t, v, m, epsilon)
-    cells, attempts, defective = _restart(params, _pcg64(params.seed), n_rows, lambda c: c)
+    cells, attempts, defective = _restart(
+        params, _pcg64(params.seed), n_rows, lambda cells: count_defects(cells, v, t, m)
+    )
     detail = {"allowed": _allowed(epsilon, k, t), "defective_tsets": defective}
     return _verified(params, cells, bound, attempts, apca_m=m, detail=detail)
+
+
+def _difference_defects(base: np.ndarray, action: GroupAction, t: int, constants: bool) -> int:
+    """``count_defects`` at m = v^t of the development of ``base`` over
+    ``action``, followed by the v constant rows when ``constants``, counted
+    on the base's difference vectors without developing it.
+
+    ``sub[x0, x]`` is x under the translation (one of ``perms[:v]``, the
+    a = 1 elements) that sends x0 to 0: x - x0 mod v over Z_v, digit-wise
+    mod p over GF(p^n) (XOR for p = 2).  The multipliers are the elements
+    fixing 0.  The t-sets with first column c0 are c0 with each (t-1)-set of
+    the later columns, and row x gives there the difference vector
+    ``sub[x_c0, x_j]`` (j > c0) under every multiplier; the constant rows
+    give the zero vector.  By the identity in the module docstring a t-set
+    is complete exactly when its (t-1)-set covers all v^(t-1) classes of
+    those vectors.  One :func:`count_defects` per c0 counts them, each on n
+    rows per multiplier (plus one zero row) of at most k - 1 columns.
+    """
+    n, k = base.shape
+    v = action.v
+    translations = action.perms[:v]
+    sub = translations[np.argmax(translations == 0, axis=0)]
+    scaled = action.perms[action.perms[:, 0] == 0][:, sub]  # [multiplier, x0, x]
+    developed = len(scaled) * n
+    defective = 0
+    for c0 in range(k - t + 1):
+        diffs = np.zeros((developed + int(constants), k - 1 - c0), dtype=np.int64)
+        diffs[:developed] = scaled[:, base[:, c0, None], base[:, c0 + 1:]].reshape(developed, -1)
+        defective += count_defects(diffs, v, t - 1, v ** (t - 1))
+    return defective
 
 
 def _build_developed(
@@ -279,28 +325,28 @@ def _build_developed(
     bound_fn: Callable[[int, int, float], BoundResult], rng: np.random.Generator,
 ) -> BuildReport:
     """Restart on base arrays until their development over the group
-    ``make_action(v)`` covers all v^t tuples in enough t-sets.
+    ``make_action(v)`` covers all v^t tuples in enough t-sets, as
+    :func:`_difference_defects` counts on each draw, then develop the
+    accepted base once.
 
     ``bound_fn`` at epsilon/2 gives the base size and the developed row
-    count, which is checked against the cell cap before the group is built.  The
-    affine group also has a short orbit, its constant tuples, which the v
-    constant rows appended after developing cover in every t-set.  A developed
-    t-set covers all tuples exactly when the base with those rows covers every
-    orbit, so the accept scan of the developed rows decides as an orbit count
-    on the base would.  Every draw is developed into one buffer whose last
-    rows hold those constant rows, and the accepted buffer is returned as is.
+    count, which is checked against the cell cap before the group is built;
+    every difference array the count scans is smaller than the developed
+    rows.  The affine group also has a short orbit, its constant tuples,
+    which the v constant rows appended after developing cover in every t-set.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     half = bound_fn(t, v, epsilon / 2)
     _check_cells(half.n_rows, k)
     action = make_action(v)
     n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
-    tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
-    rows = np.empty((n_base * action.order + len(tail), k), dtype=np.int64)
-    rows[n_base * action.order:] = tail
-    cells, attempts, defective = _restart(
-        params, rng, n_base, lambda base: _develop_into(base, action.perms, rows)
+    constants = action.kind == "frobenius"
+    base, attempts, defective = _restart(
+        params, rng, n_base, lambda base: _difference_defects(base, action, t, constants)
     )
+    cells = develop(Array._wrap(base, v), action).cells
+    if constants:
+        cells = np.vstack([cells, constant_rows(k, v).cells])
     detail = {"base_rows": n_base, "defective_tsets": defective}
     return _verified(params, cells, bound, attempts, apca_m=v**t, detail=detail)
 

@@ -238,18 +238,10 @@ def develop(a: Array, action: GroupAction) -> Array:
     """
     if action.v != a.v:
         raise StructureMismatch(f"action is over v={action.v}, array over v={a.v}")
-    out = np.empty((a.rows * action.order, a.cols), dtype=np.int64)
-    return Array._wrap(_develop_into(a.cells, action.perms, out), a.v)
-
-
-def _develop_into(cells: np.ndarray, perms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the development of ``cells`` under ``perms`` over the first
-    ``len(cells) * len(perms)`` rows of ``out`` and return ``out``; rows
-    past those keep their contents."""
-    blocks = out[: len(cells) * len(perms)].reshape(len(cells), len(perms), out.shape[1])
-    for block, row in zip(blocks, cells):
-        block[...] = perms[:, row]
-    return out
+    out = np.empty((a.rows, action.order, a.cols), dtype=np.int64)
+    for block, row in zip(out, a.cells):
+        block[...] = action.perms[:, row]
+    return Array._wrap(out.reshape(a.rows * action.order, a.cols), a.v)
 
 
 def constant_rows(k: int, v: int) -> Array:

@@ -1,6 +1,7 @@
 """Every builder's output checked by the independent oracle against the claim
 its report states, on a small grid that includes seeds needing a restart, and
-each claim proved by one kernel scan of the rows the builder returns."""
+each claim proved by one kernel scan of the rows the builder returns, or for
+a developed build by the scans of its base's difference vectors."""
 
 import math
 import re
@@ -17,9 +18,10 @@ from pcaforge.construct import (
     build_concat,
     build_pca_moser_tardos,
 )
-from pcaforge.core import PcaParams
+from pcaforge.core import Array, PcaParams
 from pcaforge.coverage import naive_oracle
 from pcaforge.errors import IterationCap
+from pcaforge.galois import constant_rows, cyclic_action, develop, field_make, frobenius_action
 
 CLAIM = re.compile(r"(a?pca)\(t=(\d+), m=(\d+)(?:, epsilon=([0-9.e-]+))?\)")
 
@@ -90,6 +92,28 @@ def test_restarting_seed_hits_restart_cap(monkeypatch, build, params):
         build(params)
 
 
+def _difference_arrays(base, v, t, affine):
+    """For each first column c0, the rows x_j - x_c0 (j > c0) of ``base``
+    under every multiplier, plus one zero row for the affine group; built
+    from the field tables or mod v, not from the group action."""
+    if affine:
+        field = field_make(v)
+        neg = np.argmax(field.add == 0, axis=1)
+        minus, multipliers = (lambda x, x0: field.add[x, neg[x0]]), field.mul[1:]
+    else:
+        minus, multipliers = (lambda x, x0: (x - x0) % v), [np.arange(v)]
+    arrays = []
+    for c0 in range(base.shape[1] - t + 1):
+        diffs = minus(base[:, c0 + 1:], base[:, c0, None])
+        zero = np.zeros((int(affine), diffs.shape[1]), dtype=np.int64)
+        arrays.append(np.concatenate([scale[diffs] for scale in multipliers] + [zero]))
+    return arrays
+
+
+def _sorted_rows(cells):
+    return cells[np.lexsort(cells.T[::-1])]
+
+
 @pytest.mark.parametrize("build,params", [
     (build_pca_moser_tardos, PcaParams(2, 8, 3, 9, 0.0, 0)),
     (build_pca_moser_tardos, PcaParams(2, 8, 2, 4, 0.0, 0)),  # 2 resamples
@@ -104,27 +128,52 @@ def test_restarting_seed_hits_restart_cap(monkeypatch, build, params):
 ], ids=["mt", "mt-resampling", "apca", "apca-restarting", "cyclic", "cyclic-restarting",
         "frobenius", "frobenius-restarting", "derand", "concat"])
 def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
-    scanned = []
-    scan = coverage._scan
+    scanned, drawn = [], []
+    scan, sample = coverage._scan, construct._sample
 
     def recording_scan(cells, *args, **kwargs):
         scanned.append(np.array(cells))  # a copy: resampling redraws cells in place
         return scan(cells, *args, **kwargs)
 
+    def recording_sample(*args):
+        drawn.append(sample(*args))
+        return drawn[-1]
+
     monkeypatch.setattr(coverage, "_scan", recording_scan)
+    monkeypatch.setattr(construct, "_sample", recording_sample)
     report = build(params)
     cells = report.array.cells
     if build is build_concat:
         mt_scans = report.detail["component_iterations"][0] + 1
         rows = report.detail["component_rows"][0]
-        assert len(scanned) == sum(report.detail["component_iterations"]) + 1
         np.testing.assert_array_equal(scanned[mt_scans - 1], cells[:rows])
-        np.testing.assert_array_equal(scanned[-1], cells[rows:])
-        return
-    if build is build_pca_moser_tardos:
-        assert len(scanned) == report.iterations + 1
-    elif build is build_apca_derandomized:
-        assert len(scanned) == 1
+        attempts = report.detail["component_iterations"][1]
+        scanned, cells = scanned[mt_scans:], cells[rows:]
+    elif build in (build_apca_cyclic, build_apca_frobenius):
+        attempts = report.iterations
     else:
-        assert len(scanned) == report.iterations
-    np.testing.assert_array_equal(scanned[-1], cells)
+        if build is build_pca_moser_tardos:
+            assert len(scanned) == report.iterations + 1
+        elif build is build_apca_derandomized:
+            assert len(scanned) == 1
+        else:
+            assert len(scanned) == report.iterations
+        np.testing.assert_array_equal(scanned[-1], cells)
+        return
+    # A developed claim rests on the difference vectors of the accepted base,
+    # the last one drawn, and on the identity that test_coverage_kernel.py
+    # checks: each attempt scans one difference array per first column, and
+    # no scan reads developed rows.
+    t, k, v = params.t, params.k, params.v
+    affine = build is build_apca_frobenius
+    assert len(scanned) == attempts * (k - t + 1)
+    assert all(scan.shape[1] < k for scan in scanned)
+    base = drawn[-1]
+    for got, want in zip(scanned[-(k - t + 1):], _difference_arrays(base, v, t, affine),
+                         strict=True):
+        np.testing.assert_array_equal(_sorted_rows(got), _sorted_rows(want))
+    action = frobenius_action(v) if affine else cyclic_action(v)
+    tail = constant_rows(k, v).cells[: v if affine else 0]
+    np.testing.assert_array_equal(
+        np.vstack([develop(Array(base, v), action).cells, tail]), cells
+    )

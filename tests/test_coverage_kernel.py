@@ -3,7 +3,8 @@
 The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
 table of an undeveloped base that the development identity is checked
-against.  Every case runs under the default chunk budget and under tiny ones.
+against.  The developed builders' count on a base's difference vectors is
+checked against the kernel's scan of the developed rows.  Every case runs under the default chunk budget and under tiny ones.
 The default budget holds every t-set of the small arrays in one chunk; the
 tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
 end of one prefix's t-sets and the start of the next.  Each budget runs with
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcaforge import coverage
+from pcaforge import bounds, construct, coverage
 from pcaforge.cli import main
 from pcaforge.core import Array, rank_weights
 from pcaforge.coverage import count_defects, coverage_profile, first_defect, naive_oracle
@@ -566,10 +567,10 @@ class TestClassScans:
     def test_developed_scan_matches_orbit_count_on_base(
         self, budget, head, start, t, v, make_action
     ):
-        # The developed builders accept on the tuple count of the rows they
-        # return.  Counting every orbit on the base, with the v constant rows
-        # appended for the affine group, must give the same count, so both
-        # accept tests take the same draws.
+        # Counting every orbit on the base, with the v constant rows appended
+        # for the affine group, gives the developed rows' defect count.  The
+        # developed builders accept on their base's difference vectors, which
+        # test_difference_count_matches_developed_scan holds to that count.
         action = make_action(v)
         structure = orbits(t, v, action)
         for a in arrays(t, v, seed=v + 1):
@@ -579,6 +580,54 @@ class TestClassScans:
             begin, _ = start_at(start, a.cols, t)
             want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits, begin)
             assert defects_from(developed, v, t, v**t, begin) == want
+
+
+DIFFERENCE_SHAPES = [
+    pytest.param(t, v, make_action, id=f"{make_action.__name__.split('_')[0]}-t{t}-v{v}")
+    for make_action, vs in ((cyclic_action, (2, 3, 4, 6)), (frobenius_action, (2, 3, 4, 5, 8)))
+    for v in vs for t in (2, 3, 4)
+]
+
+
+def developed_defects(base, action, t):
+    """``count_defects`` at m = v^t of ``base`` developed over ``action``,
+    with the v constant rows appended for the affine group, as the developed
+    builders return it."""
+    k, v = base.shape[1], action.v
+    tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
+    developed = np.vstack((develop(Array(base, v), action).cells, tail))
+    return count_defects(developed, v, t, v**t)
+
+
+@pytest.mark.parametrize("t,v,make_action", DIFFERENCE_SHAPES)
+def test_difference_count_matches_developed_scan(budget, head, t, v, make_action):
+    # The developed builders accept on their base's difference vectors and
+    # never scan the rows they return: the two counts must agree on 1-row,
+    # partial and full-size bases (the builders' base size at epsilon = 0.02),
+    # at k = t and k = t + 3.
+    action = make_action(v)
+    affine = action.kind == "frobenius"
+    bound = bounds.bound_apca_frobenius if affine else bounds.bound_apca_cyclic
+    full = bound(t, v, 0.01).detail["base_rows"]
+    rng = np.random.default_rng(100 * t + v)
+    seen = set()
+    for k in (t, t + 3):
+        for n in (1, max(1, full // 8), full):
+            base = rng.integers(0, v, size=(n, k))
+            want = developed_defects(base, action, t)
+            assert construct._difference_defects(base, action, t, affine) == want
+            seen.add(want > 0)
+    assert seen == {False, True}  # bases that are defective and bases that are not
+
+
+def test_difference_count_matches_developed_scan_gf64(budget, head):
+    # GF(64) subtracts by XOR.  One random row repeats symbols among 60
+    # columns, so 27 pairs are defective; a second row mends them all.
+    action = frobenius_action(64)
+    base = np.random.default_rng(64).integers(0, 64, size=(2, 60))
+    for n, want in ((1, 27), (2, 0)):
+        assert developed_defects(base[:n], action, 2) == want
+        assert construct._difference_defects(base[:n], action, 2, True) == want
 
 
 # -- generated arrays are the same as before the kernel ------------------------------
