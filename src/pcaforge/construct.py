@@ -93,8 +93,8 @@ import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, count_defects,
-    first_defect,
+    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, _scan_size,
+    count_defects, first_defect,
 )
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
@@ -290,9 +290,9 @@ def build_apca_randomized(params: PcaParams) -> BuildReport:
     return _verified(params, cells, bound, attempts, apca_m=m, detail=detail)
 
 
-def _difference_defects(base: np.ndarray, action: GroupAction, t: int, constants: bool) -> int:
+def _difference_defects(base: np.ndarray, action: GroupAction, t: int) -> int:
     """``count_defects`` at m = v^t of the development of ``base`` over
-    ``action``, followed by the v constant rows when ``constants``, counted
+    ``action``, followed for the affine group by the v constant rows, counted
     on the base's difference vectors without developing it.
 
     ``sub[x0, x]`` is x under the translation (one of ``perms[:v]``, the
@@ -304,17 +304,19 @@ def _difference_defects(base: np.ndarray, action: GroupAction, t: int, constants
     give the zero vector.  By the identity in the module docstring a t-set
     is complete exactly when its (t-1)-set covers all v^(t-1) classes of
     those vectors.  One :func:`count_defects` per c0 counts them, each on n
-    rows per multiplier (plus one zero row) of at most k - 1 columns.
+    rows per multiplier (plus one zero row) of at most k - 1 columns.  The
+    caller checks v^t and C(k,t) against the scan guard, as a scan of the
+    developed rows would.
     """
     n, k = base.shape
     v = action.v
     translations = action.perms[:v]
     sub = translations[np.argmax(translations == 0, axis=0)]
     scaled = action.perms[action.perms[:, 0] == 0][:, sub]  # [multiplier, x0, x]
-    developed = len(scaled) * n
+    developed, zero = len(scaled) * n, int(action.kind == "frobenius")
     defective = 0
     for c0 in range(k - t + 1):
-        diffs = np.zeros((developed + int(constants), k - 1 - c0), dtype=np.int64)
+        diffs = np.zeros((developed + zero, k - 1 - c0), dtype=np.int64)
         diffs[:developed] = scaled[:, base[:, c0, None], base[:, c0 + 1:]].reshape(developed, -1)
         defective += count_defects(diffs, v, t - 1, v ** (t - 1))
     return defective
@@ -330,23 +332,25 @@ def _build_developed(
     accepted base once.
 
     ``bound_fn`` at epsilon/2 gives the base size and the developed row
-    count, which is checked against the cell cap before the group is built;
-    every difference array the count scans is smaller than the developed
-    rows.  The affine group also has a short orbit, its constant tuples,
-    which the v constant rows appended after developing cover in every t-set.
+    count.  Before the group is built, that count is checked against the
+    cell cap, and v^t and C(k,t) against the guard a scan of the developed
+    rows applies, so the same sizes are refused as by such a scan; every
+    difference array the count scans is smaller than the developed rows.
+    The affine group also has a short orbit, its constant tuples, which the
+    v constant rows, written after the developed rows in one buffer, cover
+    in every t-set.
     """
     t, k, v, epsilon = params.t, params.k, params.v, params.epsilon
     half = bound_fn(t, v, epsilon / 2)
     _check_cells(half.n_rows, k)
+    _scan_size(k, v, t)
     action = make_action(v)
     n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
-    constants = action.kind == "frobenius"
     base, attempts, defective = _restart(
-        params, rng, n_base, lambda base: _difference_defects(base, action, t, constants)
+        params, rng, n_base, lambda base: _difference_defects(base, action, t)
     )
-    cells = develop(Array._wrap(base, v), action).cells
-    if constants:
-        cells = np.vstack([cells, constant_rows(k, v).cells])
+    tail = constant_rows(k, v) if action.kind == "frobenius" else None
+    cells = develop(Array._wrap(base, v), action, tail).cells
     detail = {"base_rows": n_base, "defective_tsets": defective}
     return _verified(params, cells, bound, attempts, apca_m=v**t, detail=detail)
 

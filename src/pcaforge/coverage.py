@@ -230,6 +230,18 @@ def _count(ranks: np.ndarray, vt: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _scan_size(k: int, v: int, t: int) -> tuple[int, int]:
+    """v^t and C(k,t), once both are checked against :data:`PROFILE_CAPACITY`:
+    the guard of every exhaustive scan of a k-column array over v symbols."""
+    vt = v**t
+    if vt > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
+    total = math.comb(k, t)  # cheap: for v >= 2 the v^t check keeps t <= 26
+    if total > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
+    return vt, total
+
+
 def _scan(
     cells: np.ndarray, v: int, t: int, start: tuple[int, ...] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -256,12 +268,7 @@ def _scan(
     """
     n, k = cells.shape
     t = _check_t(t, k)
-    vt = v**t
-    if vt > PROFILE_CAPACITY:
-        raise CapacityExceeded(f"v^t = {vt} exceeds {PROFILE_CAPACITY}")
-    total = math.comb(k, t)  # cheap: for v >= 2 the v^t check keeps t <= 26
-    if total > PROFILE_CAPACITY:
-        raise CapacityExceeded(f"C(k,t) = C({k},{t}) exceeds {PROFILE_CAPACITY}")
+    vt, total = _scan_size(k, v, t)
     dtype = np.min_scalar_type(vt - 1)
     head = min(n, _head_rows(vt))
     head_cols = np.ascontiguousarray(cells[:head].T, dtype)

@@ -25,6 +25,7 @@ import numpy as np
 from .core import Array, _as_int, _check_v, rank_weights
 from .errors import (
     CapacityExceeded,
+    DimensionMismatch,
     DomainError,
     NotPrimePower,
     OrderTooLarge,
@@ -230,18 +231,25 @@ def orbits(t: int, v: int, action: GroupAction) -> OrbitStructure:
     )
 
 
-def develop(a: Array, action: GroupAction) -> Array:
+def develop(a: Array, action: GroupAction, tail: Array | None = None) -> Array:
     """Replace each row by its images under every group element.
 
     Output has ``rows * |G|`` rows ordered input row first, then element order,
-    so results are byte-identical for a given input.
+    so results are byte-identical for a given input.  The rows of ``tail``,
+    if given, follow in the same buffer: ``develop(a, action, tail)`` equals
+    ``develop(a, action).stack(tail)`` without a second copy of the rows.
     """
     if action.v != a.v:
         raise StructureMismatch(f"action is over v={action.v}, array over v={a.v}")
-    out = np.empty((a.rows, action.order, a.cols), dtype=np.int64)
-    for block, row in zip(out, a.cells):
+    if tail is not None and (tail.v != a.v or tail.cols != a.cols):
+        raise DimensionMismatch("a tail must share the array's column count and alphabet")
+    n = a.rows * action.order
+    out = np.empty((n + (0 if tail is None else tail.rows), a.cols), dtype=np.int64)
+    for block, row in zip(out[:n].reshape(a.rows, action.order, a.cols), a.cells):
         block[...] = action.perms[:, row]
-    return Array._wrap(out.reshape(a.rows * action.order, a.cols), a.v)
+    if tail is not None:
+        out[n:] = tail.cells
+    return Array._wrap(out, a.v)
 
 
 def constant_rows(k: int, v: int) -> Array:

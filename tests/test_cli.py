@@ -168,6 +168,14 @@ class TestGenerateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: CapacityExceeded: N*k")
 
+    def test_too_many_tsets_cyclic_exit_2(self, tmp_path, capsys):
+        # C(10^6, 2) t-sets are past the scan guard that verify applies
+        code = main(["generate", "--alg", "cyclic", "--t", "2", "--k", "1000000",
+                     "--v", "2", "--epsilon", "0.1", "--out", str(tmp_path / "x.pca")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: CapacityExceeded: C(k,t)")
+        assert not (tmp_path / "x.pca").exists()
+
     def test_elapsed_on_stderr(self, tmp_path, capsys):
         assert main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2",
                      "--m", "4", "--seed", "1", "--out", str(tmp_path / "x.pca")]) == 0

@@ -285,6 +285,23 @@ class TestCapacityGuard:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("build,params", [
+        (build_apca_cyclic, PcaParams(t=2, k=10**6, v=2, m=4, epsilon=0.1)),
+        (build_apca_frobenius, PcaParams(t=2, k=10**6, v=2, m=4, epsilon=0.1)),
+        (build_apca_frobenius, PcaParams(t=3, k=800, v=2, m=8, epsilon=0.1)),
+        (build_concat, PcaParams(t=3, k=800, v=2, m=2, epsilon=0.1)),
+    ], ids=["cyclic", "frobenius", "frobenius-t3", "concat"])
+    def test_too_many_tsets_refused(self, build, params, monkeypatch):
+        # The developed rows fit the cell cap (cyclic's 7-row t = 2 base
+        # develops into 14 rows of 10^6 cells), but C(k,t) is past the scan
+        # guard.  The difference count never scans C(k,t) t-sets at once, so
+        # the guard must be applied by the builder itself: otherwise it would
+        # run 10^6 kernel calls and return rows that verify refuses.
+        monkeypatch.setattr(construct, "count_defects",
+                            lambda *args: pytest.fail("counted before the refusal"))
+        with pytest.raises(CapacityExceeded, match=r"C\(k,t\)"):
+            build(params)
+
 
 BUILDS = [
     (build_pca_moser_tardos, PcaParams(t=2, k=6, v=2, m=4, seed=99)),

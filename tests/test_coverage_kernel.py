@@ -606,8 +606,7 @@ def test_difference_count_matches_developed_scan(budget, head, t, v, make_action
     # partial and full-size bases (the builders' base size at epsilon = 0.02),
     # at k = t and k = t + 3.
     action = make_action(v)
-    affine = action.kind == "frobenius"
-    bound = bounds.bound_apca_frobenius if affine else bounds.bound_apca_cyclic
+    bound = bounds.bound_apca_frobenius if action.kind == "frobenius" else bounds.bound_apca_cyclic
     full = bound(t, v, 0.01).detail["base_rows"]
     rng = np.random.default_rng(100 * t + v)
     seen = set()
@@ -615,7 +614,7 @@ def test_difference_count_matches_developed_scan(budget, head, t, v, make_action
         for n in (1, max(1, full // 8), full):
             base = rng.integers(0, v, size=(n, k))
             want = developed_defects(base, action, t)
-            assert construct._difference_defects(base, action, t, affine) == want
+            assert construct._difference_defects(base, action, t) == want
             seen.add(want > 0)
     assert seen == {False, True}  # bases that are defective and bases that are not
 
@@ -627,7 +626,7 @@ def test_difference_count_matches_developed_scan_gf64(budget, head):
     base = np.random.default_rng(64).integers(0, 64, size=(2, 60))
     for n, want in ((1, 27), (2, 0)):
         assert developed_defects(base[:n], action, 2) == want
-        assert construct._difference_defects(base[:n], action, 2, True) == want
+        assert construct._difference_defects(base[:n], action, 2) == want
 
 
 # -- generated arrays are the same as before the kernel ------------------------------

@@ -9,7 +9,7 @@ import pytest
 from pcaforge.bounds import bound_apca_frobenius
 from pcaforge.core import Array, rank_weights, tuple_rank, tuple_unrank
 from pcaforge.coverage import coverage_profile
-from pcaforge.errors import CapacityExceeded, NotPrimePower, OrderTooLarge
+from pcaforge.errors import CapacityExceeded, DimensionMismatch, NotPrimePower, OrderTooLarge
 from pcaforge.galois import (
     _IRREDUCIBLE,
     act,
@@ -320,6 +320,17 @@ class TestDevelop:
         assert develop(Array(np.zeros((2, 0), dtype=np.int64), 3), cyclic_action(3)).rows == 6
         out = develop(Array([[0, 1]], 2), cyclic_action(2))
         assert not out.cells.flags.writeable
+
+    def test_tail_follows_developed_rows(self):
+        base = Array([[0, 1, 2], [1, 1, 0]], 3)
+        action = frobenius_action(3)
+        out = develop(base, action, constant_rows(3, 3))
+        assert out == develop(base, action).stack(constant_rows(3, 3))
+        assert not out.cells.flags.writeable
+        assert develop(base, action, Array(np.zeros((0, 3), dtype=np.int64), 3)).rows == 12
+        for tail in (constant_rows(2, 3), constant_rows(3, 2)):
+            with pytest.raises(DimensionMismatch):
+                develop(base, action, tail)
 
     def test_row_order_deterministic(self):
         base = Array([[0, 1], [1, 2]], 3)
