@@ -36,15 +36,15 @@ Builders:
   t-set covering fewer than m tuples and redraw all N*t entries of those t
   columns.  (The classic resampling scheme redraws only the violating
   event's variables; redrawing whole columns is what this variant
-  prescribes.)  Only the events sharing variables with a resampled one can
-  change, so after a resample only the t-sets through its columns, and the
-  ones last found short, are recounted before the frontier where the scan
-  stopped; the scan goes on from there when none is short.  The defects come
-  in the order a full rescan after every resample would find them, so a seed
-  builds the array such a rescan would.  The proof is the invariant the loop
-  keeps: when it ends, every t-set was counted at >= m after its columns
-  last changed.  Each resample emits one DEBUG record on the ``pcaforge``
-  logger: the t-set, its count and the number of stale t-sets recounted.
+  prescribes.)  One table marks each t-set, in lex order, short of m or
+  not: one kernel scan fills it, and after a resample the t-sets through the
+  redrawn columns, the only events sharing variables with it, are recounted.
+  The table is exact after every recount, so its first short t-set is the
+  one a full rescan would find, a seed builds the array such a rescan
+  would, and the build ends, proved, when no t-set is short.  The table
+  takes one byte per t-set.  Each resample emits one DEBUG record on the
+  ``pcaforge`` logger: the t-set, its count and the number of t-sets
+  recounted.
 * :func:`build_apca_randomized` — the restart loop on whole arrays, sized by
   :func:`pcaforge.bounds.bound_apca` at epsilon/2.
 * :func:`build_apca_cyclic` / :func:`build_apca_frobenius` — the restart loop
@@ -86,15 +86,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, _scan_size,
-    count_defects, first_defect,
+    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, _scan,
+    _scan_size, _unrank, count_defects,
 )
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
@@ -192,61 +192,57 @@ def _full_coverage(params: PcaParams, what: str) -> PcaParams:
     return params
 
 
-def _stale(
-    others: np.ndarray, binom: np.ndarray, columns: tuple[int, ...], short: np.ndarray,
-    limit: int,
-) -> np.ndarray:
-    """The t-sets through ``columns``, and the t-sets ``short``, of lex rank
-    below ``limit``: a ``(B, t)`` array in lex order without repeats.
+def _through(
+    others: np.ndarray, binom: np.ndarray, columns: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lex ranks and the ``(B, t)`` array of the t-sets through
+    ``columns``, in lex order without repeats.
 
     ``others`` holds the (t-1)-sets of ``range(k-1)``: moving each entry at or
-    above column c up by one and adding c gives every t-set through c once.
+    above column c up by one and putting c in front gives every t-set through
+    c once, and one bubble pass moves c to its place in the sorted rest.
     """
     c = np.array(columns)[:, None, None]
-    through = others + (others >= c)
-    through = np.concatenate([through, np.broadcast_to(c, (*through.shape[:2], 1))], axis=2)
-    tsets = np.concatenate([np.sort(through.reshape(-1, len(columns)), axis=1), short])
-    ranks = _lex_ranks(tsets, binom)
-    below = ranks < limit
-    _, first = np.unique(ranks[below], return_index=True)
-    return tsets[below][first]
+    lifted = others + (others >= c)
+    tsets = np.concatenate([np.broadcast_to(c, (*lifted.shape[:2], 1)), lifted], axis=2)
+    for i in range(1, len(columns)):
+        left = tsets[..., i - 1].copy()
+        np.minimum(left, tsets[..., i], out=tsets[..., i - 1])
+        np.maximum(left, tsets[..., i], out=tsets[..., i])
+    tsets = tsets.reshape(-1, len(columns))
+    ranks, first = np.unique(_lex_ranks(tsets, binom), return_index=True)
+    return ranks, tsets[first]
 
 
 def _defects(cells: np.ndarray, v: int, t: int, m: int) -> Iterator[Defect]:
     """The defects Moser-Tardos resamples, in the order of a full lex rescan.
 
     The caller redraws each defect's columns in ``cells`` before taking the
-    next.  Each defect is the lex-first short t-set of the cells at that
-    moment.  The frontier is the defect where the last kernel scan stopped.
-    Every t-set before it was counted at >= m after its columns last changed,
-    except the stale ones: those through the columns just resampled, and
-    those the last recount found short.  So the lex-first short stale t-set,
-    if any, is the lex-first short t-set overall; if none is short, the
-    kernel scan goes on from the frontier.  Scratch stays O(t C(k-1, t-1))
-    besides the kernel's.
+    next.  ``short`` marks, per t-set in lex order, whether it covers fewer
+    than m tuples: one kernel scan fills it, and after each redraw every
+    t-set through the redrawn columns is recounted, as no other count can
+    change.  The table is exact after every recount, so its first ``True`` is
+    the lex-first short t-set, the one a full rescan would find.
     """
-    defect = first_defect(cells, v, t, m)
-    if defect is None:
-        return
-    # built once that scan has checked C(k,t) against PROFILE_CAPACITY
     k = cells.shape[1]
-    others = np.fromiter(chain.from_iterable(combinations(range(k - 1), t - 1)),
-                         dtype=np.int64).reshape(-1, t - 1)
-    binom, short = _binomials(k, t), np.empty((0, t), dtype=np.int64)
-    while defect is not None:  # found by the kernel scan: the new frontier
-        frontier = defect.tset
-        limit = _lex_ranks(np.array([frontier]), binom)[0]
-        while defect is not None:
-            yield defect
-            stale = _stale(others, binom, defect.tset, short, limit)
-            counts = _count_tsets(cells, v, stale)
-            _log.debug("resampled t-set %s covering %d tuples; recounted %d stale t-sets",
-                       defect.tset, defect.count, len(stale))
-            below = np.flatnonzero(counts < m)
-            short = stale[below[1:]]
-            defect = (Defect(tuple(stale[below[0]].tolist()), int(counts[below[0]]))
-                      if len(below) else None)
-        defect = first_defect(cells, v, t, m, frontier)
+    short = np.empty(_scan_size(k, v, t)[1], dtype=bool)
+    lo = 0
+    for _, counts in _scan(cells, v, t):
+        np.less(counts, m, out=short[lo : lo + len(counts)])
+        lo += len(counts)
+    # built once the C(k,t) guard has passed
+    others = _unrank(_binomials(k - 1, t - 1), t - 1, 0, math.comb(k - 1, t - 1))
+    binom = _binomials(k, t)
+    rank = int(short.argmax())  # a bool argmax stops at the first True
+    while short[rank]:
+        tset = tuple(_unrank(binom, t, rank, rank + 1)[0].tolist())
+        count = int(_count_tsets(cells[:, tset], v, np.arange(t)[None])[0])
+        yield Defect(tset, count)
+        ranks, tsets = _through(others, binom, tset)
+        short[ranks] = _count_tsets(cells, v, tsets) < m
+        _log.debug("resampled t-set %s covering %d tuples; recounted %d t-sets",
+                   tset, count, len(ranks))
+        rank = int(short.argmax())
 
 
 def _moser_tardos(params: PcaParams, rng: np.random.Generator) -> BuildReport:

@@ -8,15 +8,15 @@ range may be shorter), which :func:`_unrank` turns into an explicit
 ``(B, t)`` array of t-sets by the combinatorial number system.  A chunk's
 ranks and its t-sets thus hold at most ``_CHUNK_BUDGET`` entries each, or
 one t-set's N ranks if that is more, whatever N and v^t are.  Early-exit
-callers stop taking chunks, and a scan may start at any t-set.
-:func:`_binomials` and :func:`_lex_ranks` are the one lex numbering of
-t-sets; the resampling builder ranks its stale t-sets with them too.
+callers stop taking chunks.  :func:`_binomials`, :func:`_lex_ranks` and
+:func:`_unrank` are the one lex numbering of t-sets; the resampling builder
+indexes its table of short t-sets with them too.
 
 Every ``(B, t)`` array of t-sets is counted by one gather loop,
 :func:`_gather_counts`, which builds its tuple ranks column by column, in
 chunks within the same budget, for :func:`_count` to count.  It serves the
 kernel's chunks, the kernel's recounts below, and :func:`_count_tsets`,
-which counts on all N rows the t-sets a resample may have changed for the
+which counts on all N rows the t-sets through a resample's columns for the
 resampling builder.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
@@ -242,15 +242,12 @@ def _scan_size(k: int, v: int, t: int) -> tuple[int, int]:
     return vt, total
 
 
-def _scan(
-    cells: np.ndarray, v: int, t: int, start: tuple[int, ...] | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _scan(cells: np.ndarray, v: int, t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
-    The scan covers every t-set, or with a ``start`` t-set the t-sets from it
-    on.  Both v^t and C(k,t) must stay within :data:`PROFILE_CAPACITY`.  The
-    chunks are the lex-rank ranges ``range(begin, C(k,t), step)``, where
-    ``begin`` is the rank of ``start`` (0 without one) and ``step =
+    The scan covers every t-set.  Both v^t and C(k,t) must stay within
+    :data:`PROFILE_CAPACITY`.  The chunks are the lex-rank ranges
+    ``range(0, C(k,t), step)``, where ``step =
     max(1, _CHUNK_BUDGET // max(head, t))``, so a chunk's ranks and its t-sets
     each hold at most ``_CHUNK_BUDGET`` entries, or one t-set's ``head``
     ranks if that is more.  Every chunk's t-sets are built by :func:`_unrank`
@@ -275,9 +272,8 @@ def _scan(
     if head < n:  # the recount's columns, each filled when a recount first reads it
         cols, filled = np.empty((k, n), dtype), np.zeros(k, dtype=bool)
     binom = _binomials(k, t)
-    begin = 0 if start is None else int(_lex_ranks(np.array([start]), binom)[0])
     step = max(1, _CHUNK_BUDGET // max(head, t))  # t-sets per chunk
-    for lo in range(begin, total, step):
+    for lo in range(0, total, step):
         tsets = _unrank(binom, t, lo, min(lo + step, total))
         counts = _gather_counts(head_cols, v, tsets)
         short = np.flatnonzero(counts < vt) if head < n else ()
@@ -344,15 +340,13 @@ def naive_oracle(a: Array, t: int) -> CoverageProfile:
     return CoverageProfile(t=t, v=a.v, k=a.cols, counts=np.array(counts, dtype=np.int64))
 
 
-def first_defect(
-    cells: np.ndarray, v: int, t: int, m: int, start: tuple[int, ...] | None = None
-) -> Defect | None:
+def first_defect(cells: np.ndarray, v: int, t: int, m: int) -> Defect | None:
     """Lexicographically first t-set covering < m distinct tuples, else None.
 
-    Early-exit scan used by the resampling builder.  With a ``start`` t-set
-    (increasing columns of ``cells``) only the t-sets from it on are scanned.
+    Early-exit scan for :func:`is_pca`: no chunk past the first defect's is
+    counted.
     """
-    for tsets, counts in _scan(cells, v, t, start):
+    for tsets, counts in _scan(cells, v, t):
         below = np.flatnonzero(counts < m)
         if len(below):
             return Defect(tuple(tsets[below[0]].tolist()), int(counts[below[0]]))

@@ -18,6 +18,7 @@ statistic (the orbit partitions are isomorphic either way).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +155,17 @@ def frobenius_action(v: int) -> GroupAction:
     """The v(v-1) affine maps ``x -> a*x + b``, a != 0, over the order-v field.
 
     Elements are listed a = 1..v-1 outer, b = 0..v-1 inner, so (a=1, b=0) is
-    the identity and comes first.
+    the identity and comes first.  One action per order is built and shared;
+    its table is read-only.
     """
+    return _frobenius_action(_as_int(v, "v"))
+
+
+# keyed on the int _as_int returns: a float v such as 2.0 hashes like 2 and
+# would find its entry instead of raising
+@functools.cache
+def _frobenius_action(v: int) -> GroupAction:
     field = field_make(v)
-    v = field.v
     perms = field.add[field.mul[1:, None, :], np.arange(v)[None, :, None]].reshape(-1, v)
     perms.setflags(write=False)
     return GroupAction(kind="frobenius", v=v, perms=perms)
@@ -246,7 +254,9 @@ def develop(a: Array, action: GroupAction, tail: Array | None = None) -> Array:
     n = a.rows * action.order
     out = np.empty((n + (0 if tail is None else tail.rows), a.cols), dtype=np.int64)
     for block, row in zip(out[:n].reshape(a.rows, action.order, a.cols), a.cells):
-        block[...] = action.perms[:, row]
+        # every symbol is in [0, v), so "clip" never moves an index; unlike
+        # "raise" it writes to ``out`` without a buffer
+        np.take(action.perms, row, axis=1, out=block, mode="clip")
     if tail is not None:
         out[n:] = tail.cells
     return Array._wrap(out, a.v)

@@ -1,10 +1,13 @@
 """Every builder's output checked by the independent oracle against the claim
 its report states, on a small grid that includes seeds needing a restart, and
-each claim proved by one kernel scan of the rows the builder returns, or for
-a developed build by the scans of its base's difference vectors."""
+each claim proved by one kernel scan of the rows the builder returns, for
+a developed build by the scans of its base's difference vectors, or for a
+Moser-Tardos build by one scan of its first draw and the recount of the
+t-sets through each resample's columns."""
 
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -114,6 +117,28 @@ def _sorted_rows(cells):
     return cells[np.lexsort(cells.T[::-1])]
 
 
+def _replay_resamples(scanned, drawn, resampled, counted, k):
+    """Check a Moser-Tardos build's proof step by step; return its final cells.
+
+    One kernel scan reads the first draw.  Each resample counts the defect on
+    its own t columns, then, once ``drawn`` has redrawn them, recounts exactly
+    the t-sets through those columns on the redrawn cells, in lex order.
+    """
+    cells = drawn[0].copy()
+    np.testing.assert_array_equal(scanned[0], cells)
+    assert len(counted) == 2 * len(resampled)
+    for i, tset in enumerate(resampled):
+        (own, own_tsets), (recounted, tsets) = counted[2 * i : 2 * i + 2]
+        t = len(tset)
+        np.testing.assert_array_equal(own, cells[:, tset])
+        np.testing.assert_array_equal(own_tsets, [list(range(t))])
+        cells[:, tset] = drawn[1 + i]
+        np.testing.assert_array_equal(recounted, cells)
+        through = [s for s in combinations(range(k), t) if set(s) & set(tset)]
+        assert [tuple(s) for s in tsets.tolist()] == through
+    return cells
+
+
 @pytest.mark.parametrize("build,params", [
     (build_pca_moser_tardos, PcaParams(2, 8, 3, 9, 0.0, 0)),
     (build_pca_moser_tardos, PcaParams(2, 8, 2, 4, 0.0, 0)),  # 2 resamples
@@ -128,33 +153,52 @@ def _sorted_rows(cells):
 ], ids=["mt", "mt-resampling", "apca", "apca-restarting", "cyclic", "cyclic-restarting",
         "frobenius", "frobenius-restarting", "derand", "concat"])
 def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
-    scanned, drawn = [], []
-    scan, sample = coverage._scan, construct._sample
+    scanned, drawn, resampled, counted = [], [], [], []
+    scan, sample, defects = coverage._scan, construct._sample, construct._defects
+    count_tsets = construct._count_tsets
 
     def recording_scan(cells, *args, **kwargs):
         scanned.append(np.array(cells))  # a copy: resampling redraws cells in place
         return scan(cells, *args, **kwargs)
 
     def recording_sample(*args):
-        drawn.append(sample(*args))
-        return drawn[-1]
+        cells = sample(*args)
+        drawn.append(cells.copy())
+        return cells
+
+    def recording_defects(*args):
+        for defect in defects(*args):
+            resampled.append(defect.tset)
+            yield defect
+
+    def recording_count_tsets(cells, v, tsets):
+        counted.append((np.array(cells), tsets.copy()))
+        return count_tsets(cells, v, tsets)
 
     monkeypatch.setattr(coverage, "_scan", recording_scan)
+    monkeypatch.setattr(construct, "_scan", recording_scan)
     monkeypatch.setattr(construct, "_sample", recording_sample)
+    monkeypatch.setattr(construct, "_defects", recording_defects)
+    monkeypatch.setattr(construct, "_count_tsets", recording_count_tsets)
     report = build(params)
-    cells = report.array.cells
+    cells, k = report.array.cells, params.k
     if build is build_concat:
-        mt_scans = report.detail["component_iterations"][0] + 1
+        resamples = report.detail["component_iterations"][0]
+        assert len(resampled) == resamples
         rows = report.detail["component_rows"][0]
-        np.testing.assert_array_equal(scanned[mt_scans - 1], cells[:rows])
+        final = _replay_resamples(scanned, drawn[: resamples + 1], resampled, counted, k)
+        np.testing.assert_array_equal(final, cells[:rows])
         attempts = report.detail["component_iterations"][1]
-        scanned, cells = scanned[mt_scans:], cells[rows:]
+        scanned, cells = scanned[1:], cells[rows:]
     elif build in (build_apca_cyclic, build_apca_frobenius):
         attempts = report.iterations
     else:
         if build is build_pca_moser_tardos:
-            assert len(scanned) == report.iterations + 1
-        elif build is build_apca_derandomized:
+            assert len(scanned) == 1 and len(resampled) == report.iterations
+            final = _replay_resamples(scanned, drawn, resampled, counted, k)
+            np.testing.assert_array_equal(final, cells)
+            return
+        if build is build_apca_derandomized:
             assert len(scanned) == 1
         else:
             assert len(scanned) == report.iterations

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcaforge import bounds, construct, coverage
+from pcaforge import bounds, cli, construct, coverage
 from pcaforge.artifact_io import read_array, write_array
 from pcaforge.cli import _build_parser, main
 from pcaforge.core import Array
@@ -190,6 +190,16 @@ class TestGenerateCommand:
         assert code == 3
         assert capsys.readouterr().err == "error: IterationCap: hit restart cap 1\n"
         assert not out.exists()
+
+    def test_builtin_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # package errors exit 2; a builtin ValueError is a bug and propagates
+        def broken(params):
+            raise ValueError("bug")
+
+        monkeypatch.setitem(cli._ALGORITHMS, "mt", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["generate", "--alg", "mt", "--t", "2", "--k", "4", "--v", "2", "--m", "4",
+                  "--out", str(tmp_path / "x.pca")])
 
     def test_same_seed_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.pca", tmp_path / "b.pca"

@@ -10,13 +10,14 @@ tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
 end of one prefix's t-sets and the start of the next.  Each budget runs with
 the head stage at its default size, at the coupon-collector mean with no
 slack, which recounts most t-sets, and above every row count, which never
-splits the rows.  Scans also start at a t-set past the first: the second,
-which cuts the first prefix's run by one t-set and so moves every later chunk
-boundary by one, or the middle one in lex order, which also skips whole
-prefixes; a scan from an explicit first t-set must match one with no start.
-The kernel's chunks are lex-rank ranges, whose t-sets ``coverage._unrank``
-builds; it is checked on its own against ``combinations`` and
-``coverage._lex_ranks``.  Scans that look at the blocks of ranks they count
+splits the rows.  Cases also redraw the columns of one t-set, the first or
+the middle one in lex order, as the Moser-Tardos builder redraws a defect's,
+and recount only the t-sets through those columns with
+``coverage._count_tsets``, as ``construct._defects`` updates its table of
+short t-sets: the counts of the first array so updated must be the reference
+counts of the redrawn one.  The kernel's chunks are lex-rank ranges, whose
+t-sets ``coverage._unrank`` builds; it is checked on its own against
+``combinations`` and ``coverage._lex_ranks``.  Scans that look at the blocks of ranks they count
 spy on ``coverage._count``, which counts head chunks and recounts alike.
 Scans of tall arrays spy on ``coverage._fill``, which takes the array of
 t-sets a recount reads and copies a column's rows past the head only when a
@@ -27,7 +28,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 
 import numpy as np
 import pytest
@@ -56,15 +57,10 @@ def _ref_distinct_counts(cells, v, t):
     return counts
 
 
-def _ref_tsets(k, t, start=None):
-    """The t-sets of ``range(k)`` in lex order, from ``start`` on if given."""
-    return [tset for tset in combinations(range(k), t) if start is None or tset >= start]
-
-
-def _ref_first_defect(cells, v, t, m, start=None):
+def _ref_first_defect(cells, v, t, m):
     weights = rank_weights(t, v)
     present = np.zeros(v**t, dtype=bool)
-    for tset in _ref_tsets(cells.shape[1], t, start):
+    for tset in combinations(range(cells.shape[1]), t):
         ranks = cells[:, tset] @ weights
         present[ranks] = True
         count = int(np.count_nonzero(present))
@@ -74,11 +70,11 @@ def _ref_first_defect(cells, v, t, m, start=None):
     return None
 
 
-def _ref_count_defects(cells, v, t, m, start=None):
+def _ref_count_defects(cells, v, t, m):
     weights = rank_weights(t, v)
     present = np.zeros(v**t, dtype=bool)
     defects = 0
-    for tset in _ref_tsets(cells.shape[1], t, start):
+    for tset in combinations(range(cells.shape[1]), t):
         ranks = cells[:, tset] @ weights
         present[ranks] = True
         count = int(np.count_nonzero(present))
@@ -101,11 +97,11 @@ def _ref_orbit_coverage(a, t, structure):
     return covered
 
 
-def _ref_count_orbit_defects(cells, v, t, structure, required, start=None):
+def _ref_count_orbit_defects(cells, v, t, structure, required):
     weights = rank_weights(t, v)
     present = np.zeros(structure.n_orbits, dtype=bool)
     defects = 0
-    for tset in _ref_tsets(cells.shape[1], t, start):
+    for tset in combinations(range(cells.shape[1]), t):
         oids = structure.orbit_index[cells[:, tset] @ weights]
         present[oids] = True
         covered = int(np.count_nonzero(present))
@@ -137,39 +133,35 @@ def head(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[None, "second", "middle"], ids=["no-start", "start-second", "start-middle"])
-def start(request):
-    """Which t-set a scan starts at; :func:`start_at` names it for each array."""
+@pytest.fixture(params=[None, "first", "middle"],
+                ids=["no-resample", "resample-first", "resample-middle"])
+def resample(request):
+    """Which t-set's columns a case redraws before it recounts; :func:`resampled`
+    redraws them for each array."""
     return request.param
 
 
-def start_at(where, k, t):
-    """``(start, i)``: the start t-set ``where`` names among the t-sets of
-    ``range(k)``, and its lex index; ``(None, 0)`` for no start.
-
-    With one t-set only, "second" is the first.
-    """
-    if where is None:
-        return None, 0
-    tsets = list(combinations(range(k), t))
-    i = {"first": 0, "second": min(1, len(tsets) - 1), "middle": len(tsets) // 2}[where]
-    return tsets[i], i
-
-
-def profile_from(a, t, start):
-    """The profile's counts, or with a ``start`` t-set the counts the kernel
-    yields from it on."""
-    if start is None:
-        return coverage_profile(a, t).counts
-    return np.concatenate([counts for _, counts in coverage._scan(a.cells, a.v, t, start)])
+def resampled(where, cells, v, t, seed=0):
+    """``(redrawn, through)``: ``cells`` with the columns of the t-set ``where``
+    names, the first or the middle one in lex order, redrawn, and the lex
+    indices of the t-sets through those columns, the only t-sets whose
+    counts the redraw can change."""
+    tsets = list(combinations(range(cells.shape[1]), t))
+    tset = tsets[{"first": 0, "middle": len(tsets) // 2}[where]]
+    redrawn = cells.copy()
+    redrawn[:, tset] = np.random.default_rng(seed).integers(0, v, size=(len(cells), t))
+    through = np.array([i for i, s in enumerate(tsets) if set(s) & set(tset)])
+    return redrawn, through
 
 
-def defects_from(cells, v, t, m, start):
-    """``count_defects``, or with a ``start`` t-set the t-sets from it on that
-    the kernel counts below m."""
-    if start is None:
-        return count_defects(cells, v, t, m)
-    return sum(int(np.count_nonzero(c < m)) for _, c in coverage._scan(cells, v, t, start))
+def recount(counts, redrawn, v, t, through):
+    """``counts`` with the t-sets at the lex indices ``through`` recounted on
+    ``redrawn`` by ``coverage._count_tsets``, as ``construct._defects``
+    updates its table of short t-sets after a resample."""
+    tsets = np.array(list(combinations(range(redrawn.shape[1]), t)))[through]
+    table = counts.copy()
+    table[through] = coverage._count_tsets(redrawn, v, tsets)
+    return table
 
 
 # The default head splits arrays of at most 40 rows only at v^t = 2,
@@ -177,16 +169,10 @@ def defects_from(cells, v, t, m, start):
 SMALL_ARRAY_HEAD = pytest.mark.parametrize(
     "head", [None, 0], ids=["default-head", "short-head"], indirect=True
 )
-# Scans of random arrays start at no t-set or the middle one; the second is
-# left to the chunk and recount tests.
-RANDOM_ARRAY_START = pytest.mark.parametrize(
-    "start", [None, "middle"], ids=["no-start", "start-middle"], indirect=True
-)
-# The recount tests make a t-set past the second short, so they start at no
-# t-set, the explicit first one or the second.
-RECOUNT_START = pytest.mark.parametrize(
-    "start", [None, "first", "second"], ids=["no-start", "start-first", "start-second"],
-    indirect=True,
+# Random arrays redraw no t-set or the middle one; the first is left to the
+# chunk and recount tests.
+RANDOM_ARRAY_RESAMPLE = pytest.mark.parametrize(
+    "resample", [None, "middle"], ids=["no-resample", "resample-middle"], indirect=True
 )
 
 
@@ -243,60 +229,92 @@ def profile_cases(t, v, seed):
 
 
 @functools.cache
-def early_exit_cases(t, v, seed, where):
-    """``(a, m, start, first defect, defect count)`` from the reference loops,
-    from the start t-set ``where`` names on."""
+def resample_cases(t, v, seed, where):
+    """``arrays(t, v, seed)`` with the t-set ``where`` names redrawn:
+    ``(redrawn, through, reference profile of redrawn)`` per array."""
     cases = []
     for a in arrays(t, v, seed):
-        start, _ = start_at(where, a.cols, t)
+        redrawn, through = resampled(where, a.cells, v, t, seed)
+        cases.append((redrawn, through, _ref_distinct_counts(redrawn, v, t)))
+    return cases
+
+
+@functools.cache
+def early_exit_cases(t, v, seed, where):
+    """``(a, redrawn, through, m, first defect, defect count)`` from the
+    reference loops, on the array, or with the t-set ``where`` names redrawn,
+    on ``redrawn``; ``redrawn`` and ``through`` are None without a redraw."""
+    cases = []
+    for a in arrays(t, v, seed):
+        redrawn, through = (None, None) if where is None else resampled(where, a.cells, v, t)
+        cells = a.cells if where is None else redrawn
         for m in sorted({1, 2, min(a.rows, v**t), v**t}):
-            defects = _ref_count_defects(a.cells, v, t, m, start)
-            cases.append((a, m, start, _ref_first_defect(a.cells, v, t, m, start), defects))
+            defects = _ref_count_defects(cells, v, t, m)
+            defect = _ref_first_defect(cells, v, t, m)
+            cases.append((a, redrawn, through, m, defect, defects))
     return cases
 
 
 @SMALL_ARRAY_HEAD
-@RANDOM_ARRAY_START
+@RANDOM_ARRAY_RESAMPLE
 class TestTupleScans:
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_profile_matches_reference_and_oracle(self, budget, head, start, t, v):
-        for a, want in profile_cases(t, v, seed=t * 100 + v):
-            tset, i = start_at(start, a.cols, t)
-            counts = profile_from(a, t, tset)
+    def test_profile_matches_reference_and_oracle(self, budget, head, resample, t, v):
+        seed = t * 100 + v
+        redraws = repeat(None) if resample is None else resample_cases(t, v, seed, resample)
+        for (a, want), redraw in zip(profile_cases(t, v, seed), redraws):
+            counts = coverage_profile(a, t).counts
             assert counts.dtype == np.int64
-            np.testing.assert_array_equal(counts, want[i:])
+            np.testing.assert_array_equal(counts, want)
+            if redraw is not None:
+                redrawn, through, redrawn_want = redraw
+                table = recount(counts, redrawn, v, t, through)
+                np.testing.assert_array_equal(table, redrawn_want)
         # the oracle is slow and blind to chunking
-        if budget is None and head is None and start is None:
-            for a, want in profile_cases(t, v, seed=t * 100 + v):
+        if budget is None and head is None and resample is None:
+            for a, want in profile_cases(t, v, seed):
                 np.testing.assert_array_equal(naive_oracle(a, t).counts, want)
 
     @pytest.mark.parametrize("t,v", SHAPES)
-    def test_early_exit_scans_match_reference(self, budget, head, start, t, v):
-        for a, m, tset, defect, defects in early_exit_cases(t, v, t * 100 + v + 1, start):
-            assert first_defect(a.cells, v, t, m, tset) == defect
-            assert defects_from(a.cells, v, t, m, tset) == defects
+    def test_early_exit_scans_match_reference(self, budget, head, resample, t, v):
+        cases = early_exit_cases(t, v, t * 100 + v + 1, resample)
+        for a, redrawn, through, m, defect, defects in cases:
+            if redrawn is None:
+                assert first_defect(a.cells, v, t, m) == defect
+                assert count_defects(a.cells, v, t, m) == defects
+                continue
+            # the table of short t-sets after the redraw, and its first defect
+            # with the count of its own t columns, as construct._defects takes it
+            short = recount(coverage_profile(a, t).counts, redrawn, v, t, through) < m
+            assert np.count_nonzero(short) == defects
+            rank = int(short.argmax())
+            if defect is None:
+                assert not short[rank]
+                continue
+            tset = next(islice(combinations(range(a.cols), t), rank, None))
+            count = coverage._count_tsets(redrawn[:, tset], v, np.arange(t)[None])
+            assert coverage.Defect(tset, int(count[0])) == defect
 
 
 class TestChunks:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 40, 3000])
     def test_chunks_tile_tsets_in_lex_order_within_budget(
-        self, budget, head, start, monkeypatch, t, n
+        self, budget, head, resample, monkeypatch, t, n
     ):
         k = t + 12
         cells = np.random.default_rng(t * 10 + n).integers(0, 2, size=(n, k))
         blocks = spy_blocks(monkeypatch)
-        begin, i = start_at(start, k, t)
-        chunks = list(coverage._scan(cells, 2, t, begin))
+        chunks = list(coverage._scan(cells, 2, t))
         tsets = [tuple(tset) for tsets, _ in chunks for tset in tsets.tolist()]
-        assert tsets == list(combinations(range(k), t))[i:]
+        assert tsets == list(combinations(range(k), t))
         # Chunks are counted on the head rows, every recount on all n rows.
         rows = min(n, coverage._head_rows(2**t))
         for tsets, counts in chunks:
             assert tsets.shape == (len(counts), t)
             assert len(counts) * rows <= max(coverage._CHUNK_BUDGET, rows)
             assert tsets.size <= max(coverage._CHUNK_BUDGET, t)
-        # Every chunk but the last holds step t-sets, wherever the scan starts.
+        # Every chunk but the last holds step t-sets.
         step = max(1, coverage._CHUNK_BUDGET // max(rows, t))
         assert all(len(counts) == step for _, counts in chunks[:-1])
         # The head blocks are the chunks; a width-n block is a recount.
@@ -309,9 +327,22 @@ class TestChunks:
             assert any(width == n for _, width in blocks)
         if budget is None and n < 3000:  # every t-set fits one chunk
             assert len(chunks) == 1
+        if resample is not None:
+            # The recount after a redraw counts the t-sets through the redrawn
+            # columns on all n rows, whatever the head, in lex order and in
+            # blocks of budget // n t-sets.
+            redrawn, through = resampled(resample, cells, 2, t, seed=n)
+            want = np.concatenate([counts for _, counts in coverage._scan(redrawn, 2, t)])
+            blocks.clear()
+            counts = np.concatenate([counts for _, counts in chunks])
+            np.testing.assert_array_equal(recount(counts, redrawn, 2, t, through), want)
+            step = max(1, coverage._CHUNK_BUDGET // max(n, 1))
+            assert blocks == [(min(step, len(through) - lo), n)
+                              for lo in range(0, len(through), step)]
+            assert all(b * n <= max(coverage._CHUNK_BUDGET, n) for b, _ in blocks)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, start, t):
+    def test_defect_in_a_later_prefix_of_a_packed_chunk(self, budget, resample, t):
         # Two equal columns j1 < j2 leave every t-set holding both with at
         # most 2^(t-1) tuples; 64 random rows cover more in every other t-set.
         k, j1, j2 = t + 12, t + 2, t + 6
@@ -321,16 +352,25 @@ class TestChunks:
         holding = [s for s in combinations(range(k), t) if j1 in s and j2 in s]
         assert holding[0] == (*range(t - 2), j1, j2)  # the lex-first t-set holding both
         assert len(holding) == math.comb(k - 2, t - 2)
-        begin, _ = start_at(start, k, t)
-        scanned = [s for s in holding if begin is None or s >= begin]
-        defect = first_defect(cells, 2, t, m, begin)
-        assert defect == _ref_first_defect(cells, 2, t, m, begin)
-        assert defect.tset == scanned[0]
-        assert defects_from(cells, 2, t, m, begin) == len(scanned)
-        if budget is None:  # every t-set from the start shares one chunk
-            [tsets] = [tsets for tsets, _ in coverage._scan(cells, 2, t, begin)
+        defect = first_defect(cells, 2, t, m)
+        assert defect == _ref_first_defect(cells, 2, t, m)
+        assert defect.tset == holding[0]
+        assert count_defects(cells, 2, t, m) == len(holding)
+        if budget is None:  # every t-set shares one chunk
+            [tsets] = [tsets for tsets, _ in coverage._scan(cells, 2, t)
                        if defect.tset in map(tuple, tsets.tolist())]
             assert tuple(tsets[0].tolist())[:-1] < defect.tset[:-1]
+        if resample is not None:
+            # The first and the middle t-set miss j1 and j2, so the redraw
+            # keeps every t-set holding both short, and at t >= 3 some of
+            # them are through the redrawn columns and recounted.
+            redrawn, through = resampled(resample, cells, 2, t, seed=t)
+            counts = coverage_profile(Array(cells, 2), t).counts
+            short = recount(counts, redrawn, 2, t, through) < m
+            np.testing.assert_array_equal(short, _ref_distinct_counts(redrawn, 2, t) < m)
+            tsets = list(combinations(range(k), t))
+            assert [tsets[i] for i in np.flatnonzero(short)] == holding
+            assert (t >= 3) == any(tsets[i] in holding for i in through)
 
     def test_budget_grid_chunks_hold_step_tsets(self, budget):
         # The chunks of each scan of the grid: every chunk but the last holds
@@ -468,10 +508,9 @@ class TestRecountColumns:
 
     N = 200  # above the default head at every v^t here (74 rows at most)
 
-    @RECOUNT_START
     @pytest.mark.parametrize("t,v", [(1, 3), (2, 3), (3, 2)])
     def test_only_columns_of_short_tsets_are_filled(
-        self, budget, head, start, monkeypatch, t, v
+        self, budget, head, resample, monkeypatch, t, v
     ):
         k = t + 6
         cells = np.random.default_rng(t * 10 + v).integers(0, v, size=(self.N, k))
@@ -479,17 +518,16 @@ class TestRecountColumns:
         # In the head, column t + 1 is the sum of columns 2..t mod v (0 at
         # t = 1), so the t-set (2, ..., t + 1) covers v^(t-1) tuples there.
         cells[:rows, t + 1] = cells[:rows, 2 : t + 1].sum(axis=1) % v
-        begin, i = start_at(start, k, t)
         copied, recounted = spy_fill(monkeypatch)
-        counts = profile_from(Array(cells, v), t, begin)
+        counts = coverage_profile(Array(cells, v), t).counts
         want = _ref_distinct_counts(cells, v, t)
-        np.testing.assert_array_equal(counts, want[i:])
-        if budget is None and start is None:
+        np.testing.assert_array_equal(counts, want)
+        if budget is None:
             np.testing.assert_array_equal(naive_oracle(Array(cells, v), t).counts, want)
         short, short_tsets = set(), []
         if rows < self.N:
-            head_counts = _ref_distinct_counts(cells[:rows], v, t)[i:]
-            for tset, c in zip(_ref_tsets(k, t, begin), head_counts):
+            head_counts = _ref_distinct_counts(cells[:rows], v, t)
+            for tset, c in zip(combinations(range(k), t), head_counts):
                 if c < v**t:
                     short.update(tset)
                     short_tsets.append(tset)
@@ -498,23 +536,34 @@ class TestRecountColumns:
         assert set(copied) == short
         assert recounted == short_tsets  # exactly the t-sets short in the head, in lex order
         vt = v**t
-        assert first_defect(cells, v, t, vt, begin) == _ref_first_defect(cells, v, t, vt, begin)
-        assert defects_from(cells, v, t, vt, begin) == _ref_count_defects(cells, v, t, vt, begin)
+        assert first_defect(cells, v, t, vt) == _ref_first_defect(cells, v, t, vt)
+        assert count_defects(cells, v, t, vt) == _ref_count_defects(cells, v, t, vt)
+        if resample is not None:
+            # The recount after a redraw reads all N rows of the cells and no
+            # column of the scan's store; at t = 3 the first t-set's redraw
+            # takes in column 2 of the t-set short in the head.
+            redrawn, through = resampled(resample, cells, v, t, seed=t)
+            fills = len(recounted)
+            table = recount(counts, redrawn, v, t, through)
+            np.testing.assert_array_equal(table, _ref_distinct_counts(redrawn, v, t))
+            assert len(recounted) == fills
 
-    @RECOUNT_START
     def test_no_column_filled_when_the_head_covers_every_tset(
-        self, budget, head, start, monkeypatch
+        self, budget, head, resample, monkeypatch
     ):
         # Nine rows (a, b, a + b, a + 2b) mod 3 cover every pair of columns,
         # within the head at every head size.
         a, b = np.divmod(np.arange(9), 3)
         cells = np.random.default_rng(3).integers(0, 3, size=(self.N, 4))
         cells[:9] = np.stack([a, b, (a + b) % 3, (a + 2 * b) % 3], axis=1)
-        begin, i = start_at(start, 4, 2)
         copied, _ = spy_fill(monkeypatch)
-        counts = profile_from(Array(cells, 3), 2, begin)
-        np.testing.assert_array_equal(counts, np.full(6 - i, 9))
-        np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts[i:])
+        counts = coverage_profile(Array(cells, 3), 2).counts
+        np.testing.assert_array_equal(counts, np.full(6, 9))
+        np.testing.assert_array_equal(counts, naive_oracle(Array(cells, 3), 2).counts)
+        if resample is not None:
+            redrawn, through = resampled(resample, cells, 3, 2)
+            table = recount(counts, redrawn, 3, 2, through)
+            np.testing.assert_array_equal(table, _ref_distinct_counts(redrawn, 3, 2))
         assert copied == []
 
 
@@ -549,23 +598,30 @@ ACTIONS = [
 ]
 
 
-@RANDOM_ARRAY_START
+@RANDOM_ARRAY_RESAMPLE
 class TestClassScans:
+    """Developed arrays; a redraw redraws base columns, so that the developed
+    counts can change only on the t-sets through them."""
+
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_profile_sums_covered_orbit_lengths(
-        self, budget, head, start, t, v, make_action
+        self, budget, head, resample, t, v, make_action
     ):
         action = make_action(v)
         structure = orbits(t, v, action)
         for a in arrays(t, v, seed=v):
             covered = _ref_orbit_coverage(a, t, structure)
-            begin, i = start_at(start, a.cols, t)
-            counts = profile_from(develop(a, action), t, begin)
-            np.testing.assert_array_equal(counts, (covered @ structure.lengths)[i:])
+            counts = coverage_profile(develop(a, action), t).counts
+            np.testing.assert_array_equal(counts, covered @ structure.lengths)
+            if resample is not None:
+                redrawn, through = resampled(resample, a.cells, v, t, seed=v)
+                table = recount(counts, develop(Array(redrawn, v), action).cells, v, t, through)
+                covered = _ref_orbit_coverage(Array(redrawn, v), t, structure)
+                np.testing.assert_array_equal(table, covered @ structure.lengths)
 
     @pytest.mark.parametrize("t,v,make_action", ACTIONS)
     def test_developed_scan_matches_orbit_count_on_base(
-        self, budget, head, start, t, v, make_action
+        self, budget, head, resample, t, v, make_action
     ):
         # Counting every orbit on the base, with the v constant rows appended
         # for the affine group, gives the developed rows' defect count.  The
@@ -577,9 +633,17 @@ class TestClassScans:
             tail = constant_rows(a.cols, v).cells[: v if action.kind == "frobenius" else 0]
             base = np.vstack((a.cells, tail))
             developed = np.vstack((develop(a, action).cells, tail))
-            begin, _ = start_at(start, a.cols, t)
-            want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits, begin)
-            assert defects_from(developed, v, t, v**t, begin) == want
+            want = _ref_count_orbit_defects(base, v, t, structure, structure.n_orbits)
+            assert count_defects(developed, v, t, v**t) == want
+            if resample is not None:
+                redrawn, through = resampled(resample, a.cells, v, t, seed=v + 1)
+                counts = coverage_profile(Array(developed, v), t).counts
+                redeveloped = np.vstack((develop(Array(redrawn, v), action).cells, tail))
+                short = recount(counts, redeveloped, v, t, through) < v**t
+                want = _ref_count_orbit_defects(
+                    np.vstack((redrawn, tail)), v, t, structure, structure.n_orbits
+                )
+                assert np.count_nonzero(short) == want
 
 
 DIFFERENCE_SHAPES = [

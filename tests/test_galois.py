@@ -9,7 +9,9 @@ import pytest
 from pcaforge.bounds import bound_apca_frobenius
 from pcaforge.core import Array, rank_weights, tuple_rank, tuple_unrank
 from pcaforge.coverage import coverage_profile
-from pcaforge.errors import CapacityExceeded, DimensionMismatch, NotPrimePower, OrderTooLarge
+from pcaforge.errors import (
+    CapacityExceeded, DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge,
+)
 from pcaforge.galois import (
     _IRREDUCIBLE,
     act,
@@ -205,6 +207,12 @@ class TestActions:
     def test_frobenius_needs_prime_power(self):
         with pytest.raises(NotPrimePower):
             frobenius_action(6)
+
+    def test_frobenius_cache_keeps_the_integer_check(self):
+        # the cached action of 2 must not answer for 2.0, which hashes alike
+        assert frobenius_action(np.int64(2)) is frobenius_action(2)
+        with pytest.raises(DomainError):
+            frobenius_action(2.0)
 
     def test_all_elements_are_permutations(self):
         for action in (cyclic_action(6), frobenius_action(5), frobenius_action(8)):

@@ -1,4 +1,5 @@
-"""The incremental Moser-Tardos loop against a full rescan after every resample."""
+"""The Moser-Tardos loop on its table of short t-sets against a full rescan
+after every resample."""
 
 import logging
 import math
@@ -16,7 +17,7 @@ from pcaforge.coverage import coverage_profile, first_defect
 
 
 def _ref_defects(cells, v, t, m):
-    """The loop the incremental one replaced: every t-set rescanned after each resample."""
+    """The loop the table replaced: every t-set rescanned after each resample."""
     while (defect := first_defect(cells, v, t, m)) is not None:
         yield defect
 
@@ -62,17 +63,8 @@ class TestSameBuilds:
         (3, 9, 2, 7, 17, 2),
     ])
     def test_defect_sequence_on_tight_arrays(self, monkeypatch, t, k, v, m, n, seed):
-        # So few rows that recounts find several short t-sets and carry them
-        # to the next recount: the first 60 defects (all of them, when fewer)
-        # must come in the order of a full rescan.
-        carried = []
-        stale = construct._stale
-
-        def spy(others, binom, columns, short, limit):
-            carried.append(len(short))
-            return stale(others, binom, columns, short, limit)
-
-        monkeypatch.setattr(construct, "_stale", spy)
+        # So few rows that many t-sets are short at once: the first 60 defects
+        # (all of them, when fewer) must come in the order of a full rescan.
         sequences = []
         for defects in (construct._defects, _ref_defects):
             rng = np.random.default_rng(seed)
@@ -82,7 +74,6 @@ class TestSameBuilds:
                 seen.append(defect)
                 cells[:, defect.tset] = rng.integers(0, v, size=(n, t))
             sequences.append(seen)
-        assert max(carried) > 0
         assert sequences[0] == sequences[1]
 
 
@@ -95,19 +86,18 @@ class TestHelpers:
             np.testing.assert_array_equal(ranks, np.arange(math.comb(k, t)))
 
     @pytest.mark.parametrize("t,k", [(2, 7), (3, 9), (4, 10)])
-    def test_stale_matches_brute_force(self, t, k):
+    def test_through_matches_brute_force(self, t, k):
         rng = np.random.default_rng(t * k)
         every = list(combinations(range(k), t))
         others = np.array(list(combinations(range(k - 1), t - 1))).reshape(-1, t - 1)
         binom = coverage._binomials(k, t)
         for _ in range(20):
             columns = tuple(sorted(rng.choice(k, size=t, replace=False).tolist()))
-            short = np.array(sorted(rng.choice(len(every), size=3, replace=False)))
-            limit = int(rng.integers(0, len(every) + 1))
-            want = [s for i, s in enumerate(every)
-                    if i < limit and (set(s) & set(columns) or i in short)]
-            got = construct._stale(others, binom, columns, np.array(every)[short], limit)
-            assert [tuple(s) for s in got.tolist()] == want
+            want = [(i, s) for i, s in enumerate(every) if set(s) & set(columns)]
+            ranks, tsets = construct._through(others, binom, columns)
+            # lex order without repeats, each rank that of its t-set
+            assert ranks.tolist() == [i for i, _ in want]
+            assert [tuple(s) for s in tsets.tolist()] == [s for _, s in want]
 
     @pytest.mark.parametrize("t,v,n", [
         (2, 3, 200),  # N above the head of 74 rows
@@ -134,8 +124,10 @@ class TestHelpers:
 class TestWork:
     def test_counted_tsets_per_build(self, monkeypatch):
         # A full rescan after every resample counted 71.9k t-sets per build
-        # here; the incremental loop counts each C(60,3) = 34,220 once plus
-        # the stale t-sets of each resample.
+        # here.  The table counts each of the C(60,3) = 34,220 once, then per
+        # resample the defect and the t-sets through its three columns: 46.6k
+        # per build on average.  N = 201 is below the 251-row head, so no
+        # t-set is counted twice in a scan.
         counted = []
         count = coverage._count
 
@@ -144,9 +136,11 @@ class TestWork:
             return count(ranks, vt)
 
         monkeypatch.setattr(coverage, "_count", spy)
+        total, through = math.comb(60, 3), math.comb(60, 3) - math.comb(57, 3)
         for seed in range(10):
-            build_pca_moser_tardos(PcaParams(3, 60, 3, 26, 0.0, seed))
-        assert sum(counted) / 10 <= 46_000
+            counted.clear()
+            report = build_pca_moser_tardos(PcaParams(3, 60, 3, 26, 0.0, seed))
+            assert sum(counted) == total + report.iterations * (through + 1)
 
     def test_no_array_of_every_tset(self):
         # C(3000, 2) = 4,498,500 t-sets: one int64 entry each is 36 MB
