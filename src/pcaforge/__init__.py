@@ -32,7 +32,7 @@ from .construct import (
     build_concat,
     build_pca_moser_tardos,
 )
-from .core import Array, BoundResult, PcaParams, project, tuple_rank, tuple_unrank, validate
+from .core import Array, BoundResult, PcaParams, validate
 from .coverage import (
     ApcaCheck,
     CoverageProfile,
@@ -47,15 +47,12 @@ from .coverage import (
 from .galois import (
     Field,
     GroupAction,
-    OrbitStructure,
-    act,
     constant_rows,
     cyclic_action,
     develop,
     field_make,
     frobenius_action,
     is_prime_power,
-    orbits,
 )
 
 __version__ = "0.1.0"
@@ -70,11 +67,9 @@ __all__ = [
     "Defect",
     "Field",
     "GroupAction",
-    "OrbitStructure",
     "PcaCheck",
     "PcaParams",
     "SweepPoint",
-    "act",
     "bound_apca",
     "bound_apca_cyclic",
     "bound_apca_frobenius",
@@ -102,10 +97,6 @@ __all__ = [
     "is_prime_power",
     "log_binomial",
     "naive_oracle",
-    "orbits",
-    "project",
     "sweep",
-    "tuple_rank",
-    "tuple_unrank",
     "validate",
 ]

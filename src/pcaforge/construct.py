@@ -86,15 +86,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY, Defect, _allowed, _binomials, _count_tsets, _lex_ranks, _scan,
-    _scan_size, _unrank, count_defects,
+    PROFILE_CAPACITY, Defect, _allowed, _binomials, _check_cells, _count_tsets, _lex_ranks,
+    _scan, _scan_size, _unrank, count_defects,
 )
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
@@ -128,11 +127,6 @@ class BuildReport:
 
 def _pcg64(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _check_cells(n_rows: int, k: int) -> None:
-    if n_rows * k > PROFILE_CAPACITY:
-        raise CapacityExceeded(f"N*k = {n_rows}*{k} exceeds {PROFILE_CAPACITY}")
 
 
 def _sample(rng: np.random.Generator, n: int, k: int, v: int) -> np.ndarray:
@@ -444,7 +438,7 @@ def derandomize_rows(
     if n_tsets * vt > PROFILE_CAPACITY or max_rows * k > PROFILE_CAPACITY:
         raise CapacityExceeded(f"C(k,t)*v^t = {n_tsets}*{vt} or N*k = {max_rows}*{k} "
                                f"exceeds {PROFILE_CAPACITY}")
-    tsets = np.array(list(combinations(range(k), t)), dtype=np.int64)
+    tsets = _unrank(_binomials(k, t), t, 0, n_tsets)
     level = np.arange(t + 1)
     base = np.concatenate(([0], np.cumsum(n_tsets * v**level)))
     missing = np.repeat((vt // v**level).astype(np.min_scalar_type(vt)), n_tsets * v**level)

@@ -1,4 +1,5 @@
-"""Shared domain types, parameter validation, and tuple ranking.
+"""Shared domain types and parameter validation: ``PcaParams``, the
+parameter rules, ``Array`` and ``BoundResult``.
 
 Symbols are 0-based ``{0, ..., v-1}`` everywhere in memory; the 1-based
 presentation exists only as a file-format option in :mod:`pcaforge.artifact_io`.
@@ -25,13 +26,12 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     AlphabetTooSmall,
-    ColumnOutOfRange,
     DimensionMismatch,
     DomainError,
     EpsilonOutOfRange,
@@ -39,11 +39,9 @@ from .errors import (
     MNotFull,
     MOutOfRange,
     Overflow,
-    RankOutOfRange,
     SeedOutOfRange,
     StrengthTooSmall,
     SymbolOutOfRange,
-    UnsortedColumnSet,
 )
 
 # v^t must stay below this for parameters to be accepted at all (64-bit safe).
@@ -270,46 +268,3 @@ class BoundResult:
     n_rows: int
     source: str
     detail: dict = field(default_factory=dict, compare=False)
-
-
-def rank_weights(t: int, v: int) -> np.ndarray:
-    """Mixed-radix weights making coordinate 0 most significant."""
-    return v ** np.arange(t - 1, -1, -1, dtype=np.int64)
-
-
-def tuple_rank(x: Iterable[int], v: int) -> int:
-    """Rank of a tuple over ``{0..v-1}`` in [0, v^t), coordinate 0 most significant."""
-    v, coords = _as_int(v, "v"), [_as_int(c, "coordinate") for c in x]
-    _check_v(v)
-    r = 0
-    for c in coords:
-        if not 0 <= c < v:
-            raise SymbolOutOfRange(f"coordinate {c} outside [0, {v})")
-        r = r * v + c
-    return r
-
-
-def tuple_unrank(r: int, t: int, v: int) -> tuple[int, ...]:
-    """Inverse of :func:`tuple_rank`: the t-tuple with the given rank."""
-    r, t, v = _as_int(r, "rank"), _as_int(t, "t"), _as_int(v, "v")
-    _check_v(v)
-    if t < 0:
-        raise StrengthTooSmall(f"tuple length t={t} is negative")
-    if not 0 <= r < v**t:
-        raise RankOutOfRange(f"rank {r} outside [0, {v ** t})")
-    out = []
-    for _ in range(t):
-        out.append(r % v)
-        r //= v
-    return tuple(reversed(out))
-
-
-def project(a: Array, columns: Sequence[int]) -> Array:
-    """Restrict ``a`` to the given strictly increasing column indices."""
-    cols = [_as_int(c, "column") for c in columns]
-    for c in cols:
-        if not 0 <= c < a.cols:
-            raise ColumnOutOfRange(f"column {c} outside [0, {a.cols})")
-    if any(b <= a_ for a_, b in zip(cols, cols[1:])):
-        raise UnsortedColumnSet(f"columns {cols} not strictly increasing")
-    return Array._wrap(a.cells.take(cols, axis=1), a.v)

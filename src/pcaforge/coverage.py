@@ -52,7 +52,8 @@ import numpy as np
 from .core import Array, _as_int, _check_fraction, _check_m, _snap
 from .errors import CapacityExceeded, StrengthTooSmall
 
-# Guard on v^t and on C(k,t) for every exhaustive scan.
+# Guard on v^t and on C(k,t) for every exhaustive scan, and on the cells of
+# every array a builder or a group table allocates.
 PROFILE_CAPACITY = 2**26
 # Work guard for the brute-force oracle: C(k,t) * N * v^t.
 ORACLE_CAPACITY = 10**8
@@ -228,6 +229,13 @@ def _count(ranks: np.ndarray, vt: int) -> np.ndarray:
         distinct = np.count_nonzero(ranks[:, 1:] != ranks[:, :-1], axis=1)
         counts = (ranks.shape[1] > 0) + distinct
     return counts.astype(np.int64)
+
+
+def _check_cells(n_rows: int, k: int) -> None:
+    """Refuse an N x k grid of more than :data:`PROFILE_CAPACITY` cells: the
+    guard of every array a builder or a group table allocates."""
+    if n_rows * k > PROFILE_CAPACITY:
+        raise CapacityExceeded(f"N*k = {n_rows}*{k} exceeds {PROFILE_CAPACITY}")
 
 
 def _scan_size(k: int, v: int, t: int) -> tuple[int, int]:

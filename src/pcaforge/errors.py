@@ -36,22 +36,10 @@ class EpsilonOutOfRange(PcaForgeError):
     """epsilon outside [0, 1]."""
 
 
-# -- tuple ranking / projection ----------------------------------------------
+# -- array cells ---------------------------------------------------------------
 
 class SymbolOutOfRange(PcaForgeError):
     """A symbol is negative or >= v."""
-
-
-class RankOutOfRange(PcaForgeError):
-    """A tuple rank is outside [0, v^t)."""
-
-
-class ColumnOutOfRange(PcaForgeError):
-    """A projection index is outside [0, k)."""
-
-
-class UnsortedColumnSet(PcaForgeError):
-    """Projection columns are not strictly increasing."""
 
 
 # -- bound evaluation ----------------------------------------------------------
@@ -78,11 +66,10 @@ class MConditionViolated(PcaForgeError):
 
 class DomainError(PcaForgeError, ValueError):
     """Argument outside the domain a function accepts: a non-integer t, k, v,
-    m, seed, tuple rank or coordinate, sweep value, array cell or
-    ``PCAFORGE_SEED``, a negative k for constant rows, an epsilon or q
-    that is not a real number, an informational formula's mathematical
-    domain, an unknown formula or axis label, a file base other than 0 or 1
-    or a malformed value list."""
+    m, seed, sweep value, array cell or ``PCAFORGE_SEED``, a negative k for
+    constant rows, an epsilon or q that is not a real number, an
+    informational formula's mathematical domain, an unknown formula or axis
+    label, a file base other than 0 or 1 or a malformed value list."""
 
 
 class EmptyRange(PcaForgeError):
@@ -100,7 +87,7 @@ class OrderTooLarge(PcaForgeError):
 
 
 class StructureMismatch(PcaForgeError, ValueError):
-    """An orbit structure or group action is for another strength or alphabet."""
+    """``develop`` was given a group action over another alphabet than the array's."""
 
 
 # -- enumeration / construction -------------------------------------------------

@@ -10,6 +10,13 @@ coordinatewise on t-tuples partitions ``[v]^t`` into orbits:
 * affine: ``(v^(t-1)-1)/(v-1)`` full orbits of length ``v(v-1)`` plus the one
   short orbit of length v made of the constant tuples.
 
+These counts are the closed forms behind the development bounds in
+:mod:`pcaforge.bounds`; no orbit is enumerated here.  :func:`develop` writes
+every image of a base array's rows, and :func:`constant_rows` the rows that
+cover the short orbit in every t-set.  The cyclic shift table, the constant
+rows and a developed array are each checked against
+:data:`~pcaforge.coverage.PROFILE_CAPACITY` cells before they are allocated.
+
 Field tables come from one fixed irreducible polynomial per (p, n) (x itself
 when v is prime), so element labels are deterministic across runs.  Which
 polynomial is chosen changes row labels of developed arrays but no coverage
@@ -23,19 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _as_int, _check_v, rank_weights
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    DomainError,
-    NotPrimePower,
-    OrderTooLarge,
-    StrengthTooSmall,
-    StructureMismatch,
-)
-
-# Enumeration guard for orbit computation: v^t tuples times |G| elements.
-ORBIT_CAPACITY = 2**24
+from .core import Array, _as_int, _check_v
+from .coverage import _check_cells
+from .errors import DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge, StructureMismatch
 
 # Irreducible polynomials over GF(p), ascending coefficients, monic.
 # One entry per proper prime power up to 64.
@@ -145,6 +142,7 @@ def cyclic_action(v: int) -> GroupAction:
     """The v shifts ``x -> x + c (mod v)``, c = 0..v-1."""
     v = _as_int(v, "v")
     _check_v(v)
+    _check_cells(v, v)
     x = np.arange(v, dtype=np.int64)
     perms = (x[None, :] + np.arange(v, dtype=np.int64)[:, None]) % v
     perms.setflags(write=False)
@@ -171,74 +169,6 @@ def _frobenius_action(v: int) -> GroupAction:
     return GroupAction(kind="frobenius", v=v, perms=perms)
 
 
-def act(action: GroupAction, element: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply one group element coordinatewise to a tuple of symbols."""
-    perm = action.perms[element]
-    return tuple(int(perm[c]) for c in x)
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitStructure:
-    """The partition of ``[v]^t`` under a coordinatewise group action.
-
-    ``orbit_index[r]`` is the orbit id of the tuple with rank r;
-    ``representatives[o]`` is the minimum rank in orbit o; ``lengths[o]`` its
-    size.  For the affine action ``short_orbit_id`` names the constant-tuple
-    orbit; full orbits are all the others.
-    """
-
-    t: int
-    v: int
-    kind: str
-    orbit_index: np.ndarray
-    representatives: np.ndarray
-    lengths: np.ndarray
-    short_orbit_id: int | None
-
-    @property
-    def n_orbits(self) -> int:
-        return len(self.lengths)
-
-
-def orbits(t: int, v: int, action: GroupAction) -> OrbitStructure:
-    """Enumerate all orbits of ``[v]^t``, representatives in increasing rank."""
-    t, v = _as_int(t, "t"), _as_int(v, "v")
-    if action.v != v:
-        raise StructureMismatch(f"action is over v={action.v}, asked for v={v}")
-    if t < 1:
-        raise StrengthTooSmall(f"strength t={t} must be at least 1")
-    vt = v**t
-    g = action.order
-    if vt * g > ORBIT_CAPACITY:
-        raise CapacityExceeded(f"v^t * |G| = {vt * g} exceeds {ORBIT_CAPACITY}")
-    weights = rank_weights(t, v)
-    orbit_index = np.full(vt, -1, dtype=np.int64)
-    representatives: list[int] = []
-    lengths: list[int] = []
-    for r in range(vt):
-        if orbit_index[r] >= 0:
-            continue
-        # the ranks of every group element applied to the tuple with rank r
-        members = np.unique(action.perms[:, (r // weights) % v] @ weights)
-        oid = len(representatives)
-        orbit_index[members] = oid
-        representatives.append(r)
-        lengths.append(len(members))
-    short_id: int | None = None
-    if action.kind == "frobenius":
-        short_id = int(orbit_index[0])  # orbit of the all-zero (constant) tuple
-    orbit_index.setflags(write=False)
-    return OrbitStructure(
-        t=t,
-        v=v,
-        kind=action.kind,
-        orbit_index=orbit_index,
-        representatives=np.array(representatives, dtype=np.int64),
-        lengths=np.array(lengths, dtype=np.int64),
-        short_orbit_id=short_id,
-    )
-
-
 def develop(a: Array, action: GroupAction, tail: Array | None = None) -> Array:
     """Replace each row by its images under every group element.
 
@@ -252,7 +182,9 @@ def develop(a: Array, action: GroupAction, tail: Array | None = None) -> Array:
     if tail is not None and (tail.v != a.v or tail.cols != a.cols):
         raise DimensionMismatch("a tail must share the array's column count and alphabet")
     n = a.rows * action.order
-    out = np.empty((n + (0 if tail is None else tail.rows), a.cols), dtype=np.int64)
+    total = n + (0 if tail is None else tail.rows)
+    _check_cells(total, a.cols)
+    out = np.empty((total, a.cols), dtype=np.int64)
     for block, row in zip(out[:n].reshape(a.rows, action.order, a.cols), a.cells):
         # every symbol is in [0, v), so "clip" never moves an index; unlike
         # "raise" it writes to ``out`` without a buffer
@@ -268,4 +200,5 @@ def constant_rows(k: int, v: int) -> Array:
     if k < 0:
         raise DomainError(f"k={k} must be nonnegative")
     _check_v(v)
+    _check_cells(v, max(k, 1))  # the v symbols are listed even when k = 0
     return Array._wrap(np.repeat(np.arange(v, dtype=np.int64), k).reshape(v, k), v)

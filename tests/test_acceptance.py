@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from orbit_reference import orbits, rank_weights
 
 from pcaforge.artifact_io import read_array, sweep_csv_text, write_array
 from pcaforge.bounds import (
@@ -30,9 +31,9 @@ from pcaforge.construct import (
     build_concat,
     build_pca_moser_tardos,
 )
-from pcaforge.core import Array, PcaParams, rank_weights
+from pcaforge.core import Array, PcaParams
 from pcaforge.coverage import coverage_profile, is_apca, is_pca, naive_oracle
-from pcaforge.galois import cyclic_action, develop, frobenius_action, orbits
+from pcaforge.galois import cyclic_action, develop, frobenius_action
 
 
 def _report(num: int, ok: bool, desc: str) -> None:

@@ -1,34 +1,26 @@
-"""Tests for domain types, validation, tuple ranking, and projection."""
+"""Tests for domain types, validation and the package's public names."""
 
+import ast
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import pcaforge
+from pcaforge import core, errors, galois
 from pcaforge.construct import build_pca_moser_tardos
-from pcaforge.core import (
-    Array,
-    PcaParams,
-    project,
-    tuple_rank,
-    tuple_unrank,
-    validate,
-)
+from pcaforge.core import Array, PcaParams, validate
 from pcaforge.errors import (
     AlphabetTooSmall,
-    ColumnOutOfRange,
     DomainError,
     EpsilonOutOfRange,
     MOutOfRange,
     Overflow,
-    RankOutOfRange,
     SeedOutOfRange,
     StrengthTooSmall,
     SymbolOutOfRange,
-    UnsortedColumnSet,
 )
 
 
@@ -97,50 +89,6 @@ class TestValidate:
         assert build_pca_moser_tardos(p).array == build_pca_moser_tardos(want).array
 
 
-class TestTupleRank:
-    def test_zero_tuple(self):
-        assert tuple_rank((0, 0, 0), 2) == 0
-
-    def test_mixed_radix(self):
-        assert tuple_rank((1, 0), 2) == 2
-
-    def test_hand_value(self):
-        # 1*16 + 2*4 + 3 = 27
-        assert tuple_rank((1, 2, 3), 4) == 27
-
-    def test_symbol_out_of_range(self):
-        with pytest.raises(SymbolOutOfRange):
-            tuple_rank((0, 2), 2)
-
-    def test_unrank_zero(self):
-        assert tuple_unrank(0, 3, 2) == (0, 0, 0)
-
-    def test_unrank_two(self):
-        assert tuple_unrank(2, 2, 2) == (1, 0)
-
-    def test_unrank_hand_value(self):
-        assert tuple_unrank(27, 3, 4) == (1, 2, 3)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
-            tuple_unrank(8, 3, 2)
-        with pytest.raises(RankOutOfRange):
-            tuple_unrank(-1, 3, 2)
-
-    def test_bijection_exhaustive(self):
-        # exhaustive round trip over the whole supported spot-check grid
-        for t in range(2, 7):
-            for v in range(2, 6):
-                for r in range(v**t):
-                    assert tuple_rank(tuple_unrank(r, t, v), v) == r
-
-    @given(st.integers(2, 6), st.integers(2, 5), st.data())
-    @settings(max_examples=200, derandomize=True)
-    def test_bijection_random_tuples(self, t, v, data):
-        x = tuple(data.draw(st.integers(0, v - 1)) for _ in range(t))
-        assert tuple_unrank(tuple_rank(x, v), t, v) == x
-
-
 class TestArray:
     def test_shape(self):
         a = Array([[0, 1, 2], [2, 1, 0]], 3)
@@ -175,9 +123,9 @@ class TestArray:
 
     def test_derived_arrays_are_read_only_copies(self):
         a = Array([[0, 1, 2], [2, 1, 0]], 3)
-        for derived in (a.stack(a), project(a, (0, 2))):
-            assert derived.cells.flags.c_contiguous and not derived.cells.flags.writeable
-            assert not np.shares_memory(derived.cells, a.cells)
+        stacked = a.stack(a)
+        assert stacked.cells.flags.c_contiguous and not stacked.cells.flags.writeable
+        assert not np.shares_memory(stacked.cells, a.cells)
 
     def test_equality(self):
         assert Array([[0, 1]], 2) == Array([[0, 1]], 2)
@@ -193,39 +141,20 @@ class TestArray:
         assert a.rows == 0 and a.cols == 4
 
 
-class TestProject:
-    def test_identity(self):
-        a = Array([[0, 1, 2], [2, 1, 0]], 3)
-        assert project(a, (0, 1, 2)) == a
-
-    def test_single_column(self):
-        a = Array([[0, 1, 2], [2, 1, 0]], 3)
-        assert project(a, (1,)).cells.tolist() == [[1], [1]]
-
-    def test_hand_projection(self):
-        a = Array([[0, 1, 2], [2, 1, 0]], 3)
-        assert project(a, (0, 2)).cells.tolist() == [[0, 2], [2, 0]]
-
-    def test_column_out_of_range(self):
-        with pytest.raises(ColumnOutOfRange):
-            project(Array([[0, 1]], 2), (0, 2))
-
-    def test_unsorted(self):
-        with pytest.raises(UnsortedColumnSet):
-            project(Array([[0, 1]], 2), (1, 0))
-        with pytest.raises(UnsortedColumnSet):
-            project(Array([[0, 1]], 2), (0, 0))
-
-    def test_composition(self):
-        # projecting to C then restricting further equals projecting directly
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            k = int(rng.integers(3, 9))
-            n = int(rng.integers(1, 12))
-            v = int(rng.integers(2, 5))
-            a = Array(rng.integers(0, v, size=(n, k)), v)
-            c2 = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False))
-            inner = sorted(rng.choice(len(c2), size=int(rng.integers(1, len(c2) + 1)),
-                                      replace=False))
-            c1 = [c2[i] for i in inner]
-            assert project(a, c1) == project(project(a, c2), inner)
+def test_public_surface():
+    # every exported name resolves, and the exports are exactly the public
+    # names the package module imports
+    assert all(hasattr(pcaforge, name) for name in pcaforge.__all__)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(inspect.getsource(pcaforge)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(pcaforge.__all__) == sorted(n for n in imported if not n.startswith("_"))
+    # the orbit enumerator, the tuple helpers and the errors only they raised
+    removed = ("act", "OrbitStructure", "orbits", "ORBIT_CAPACITY", "rank_weights",
+               "tuple_rank", "tuple_unrank", "project", "RankOutOfRange",
+               "ColumnOutOfRange", "UnsortedColumnSet")
+    for module in (pcaforge, core, galois, errors):
+        assert [name for name in removed if hasattr(module, name)] == []

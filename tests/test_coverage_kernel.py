@@ -2,8 +2,8 @@
 
 The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
-table of an undeveloped base that the development identity is checked
-against.  The developed builders' count on a base's difference vectors is
+table of an undeveloped base, from the tests' enumerator in
+``orbit_reference``, that the development identity is checked against.  The developed builders' count on a base's difference vectors is
 checked against the kernel's scan of the developed rows.  Every case runs under the default chunk budget and under tiny ones.
 The default budget holds every t-set of the small arrays in one chunk; the
 tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
@@ -34,12 +34,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_reference import orbits, rank_weights
 
 from pcaforge import bounds, construct, coverage
 from pcaforge.cli import main
-from pcaforge.core import Array, rank_weights
+from pcaforge.core import Array
 from pcaforge.coverage import count_defects, coverage_profile, first_defect, naive_oracle
-from pcaforge.galois import constant_rows, cyclic_action, develop, frobenius_action, orbits
+from pcaforge.galois import constant_rows, cyclic_action, develop, frobenius_action
 
 
 # -- reference: the loops the kernel replaced --------------------------------------

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from pcaforge.artifact_io import MAGIC, read_array
 from pcaforge.bounds import FORMULAS, evaluate_formula
-from pcaforge.core import (
-    WIDE_INT_MAX, Array, PcaParams, project, tuple_rank, tuple_unrank, validate,
-)
+from pcaforge.core import WIDE_INT_MAX, Array, PcaParams, validate
 from pcaforge.coverage import completeness, coverage_profile, is_apca, is_pca, naive_oracle
 from pcaforge.errors import DomainError, PcaForgeError, StrengthTooSmall
 from pcaforge.galois import (
     GroupAction, constant_rows, cyclic_action, develop, field_make, frobenius_action,
-    is_prime_power, orbits,
+    is_prime_power,
 )
 
 small = st.integers(-3, 9)
@@ -157,37 +155,18 @@ def test_coverage_fractions(name, x):
         assert isinstance(x, numbers.Real) and 0 <= x <= 1
 
 
-@FUZZ
-@given(st.lists(loose(small), max_size=4), loose(small), loose(small), loose(small))
-@example([1, 0], 0, 2, 2.5)  # returned 2.5 and (0.0, 0.0)
-@example([1.5, 0], 0, 2.0, 2)  # truncated to 2; raised a builtin TypeError
-def test_tuple_rank_unrank(x, r, t, v):
-    rank, tup = _outcome(tuple_rank, x, v), _outcome(tuple_unrank, r, t, v)
-    if not _integral(*x, v):
-        assert rank is DomainError
-    else:  # numpy integers behave exactly like the equal Python ints
-        assert rank == _outcome(tuple_rank, [int(c) for c in x], int(v))
-        assert isinstance(rank, type) or type(rank) is int
-    if not _integral(r, t, v):
-        assert tup is DomainError
-    else:
-        assert tup == _outcome(tuple_unrank, int(r), int(t), int(v))
-        assert isinstance(tup, type) or all(type(c) is int for c in tup)
-
-
 # array cells: integers, floats, None, strings and the first values past int64
 cell_values = st.one_of(small, st.floats(), st.none(), st.text(max_size=2),
                         st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63)]))
 
 
 @FUZZ
-@given(st.lists(st.lists(cell_values, max_size=4), max_size=4), small,
-       st.lists(small, max_size=4))
-@example([[0.5, 1.7]], 2, [0])
-@example([[1, None]], 2, [0])
-@example([["a", "b"]], 2, [0])
-@example([[0, 2**63]], 2, [0])
-def test_array_and_project(cells, v, columns):
+@given(st.lists(st.lists(cell_values, max_size=4), max_size=4), small)
+@example([[0.5, 1.7]], 2)
+@example([[1, None]], 2)
+@example([["a", "b"]], 2)
+@example([[0, 2**63]], 2)
+def test_array_holds_its_cells(cells, v):
     try:
         a = Array(cells, v)
     except PcaForgeError:
@@ -195,25 +174,19 @@ def test_array_and_project(cells, v, columns):
     # an accepted grid holds exactly the values it was given
     assert len(a.cells) == len(cells)
     assert all(list(row) == got for row, got in zip(cells, a.cells.tolist()))
-    _contained(project, a, columns)
 
 
 @FUZZ
-@given(loose(st.integers(-2, 3)), loose(st.integers(2, 6)), loose(st.integers(2, 6)),
-       st.booleans(),
+@given(loose(st.integers(2, 6)), loose(st.integers(2, 6)), st.booleans(),
        st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=3))
-@example(2, 3, 2.5, False, [[0, 1, 2]])  # cyclic_action returned a float group
-@example(2, 4, 4.0, True, [[0, 1, 2]])  # these two raised a builtin TypeError
-@example(2.0, 3, 3, False, [[0, 1, 2]])
-def test_orbits_and_develop_with_any_action(t, v, action_v, affine, rows):
+@example(3, 2.5, False, [[0, 1, 2]])  # cyclic_action returned a float group
+@example(4, 4.0, True, [[0, 1, 2]])  # raised a builtin TypeError
+def test_develop_with_any_action(v, action_v, affine, rows):
     action = _outcome(frobenius_action if affine else cyclic_action, action_v)
     if not isinstance(action, GroupAction):
         assert _integral(action_v) or action is DomainError
         return
     assert type(action.v) is int
-    structure = _outcome(orbits, t, v, action)
-    if not _integral(t, v):
-        assert structure is DomainError
     try:
         a = Array(rows, v)
     except PcaForgeError:
@@ -222,23 +195,30 @@ def test_orbits_and_develop_with_any_action(t, v, action_v, affine, rows):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: tuple_unrank(0, 2, 2.5),
-    lambda: tuple_rank((1, 0), 2.5),
-    lambda: tuple_rank((1.5, 0), 2),
     lambda: cyclic_action(2.5),
-    lambda: tuple_unrank(0, 2.0, 2),
     lambda: field_make(4.0),
     lambda: frobenius_action(4.0),
     lambda: constant_rows(2.5, 2),
     lambda: constant_rows(-1, 2),
-    lambda: orbits(2.0, 3, cyclic_action(3)),
-], ids=["tuple_unrank(0, 2, 2.5)", "tuple_rank((1, 0), 2.5)", "tuple_rank((1.5, 0), 2)",
-        "cyclic_action(2.5)", "tuple_unrank(0, 2.0, 2)", "field_make(4.0)",
-        "frobenius_action(4.0)", "constant_rows(2.5, 2)", "constant_rows(-1, 2)",
-        "orbits(2.0, 3, cyclic_action(3))"])
-def test_sizes_ranks_and_coordinates_must_be_integers(call):
+], ids=["cyclic_action(2.5)", "field_make(4.0)", "frobenius_action(4.0)",
+        "constant_rows(2.5, 2)", "constant_rows(-1, 2)"])
+def test_sizes_must_be_integers(call):
     # each returned a float result or raised a builtin TypeError or ValueError
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cyclic_action(2.0),
+    lambda: cyclic_action("3"),
+    lambda: field_make(np.float64(4)),
+    lambda: constant_rows(2.0, 2),
+    lambda: constant_rows(2, 2.0),
+], ids=["cyclic_action(2.0)", "cyclic_action('3')", "field_make(np.float64(4))",
+        "constant_rows(2.0, 2)", "constant_rows(2, 2.0)"])
+def test_integral_floats_and_strings_are_not_sizes(call):
+    # 2.0 == 2 and int("3") == 3, yet neither is an integer size
+    with pytest.raises(DomainError, match="must be an integer"):
         call()
 
 
@@ -253,26 +233,6 @@ def test_read_array_on_any_bytes(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "a.pca"
     path.write_bytes(data)
     _contained(read_array, path)
-
-
-@pytest.mark.parametrize("r,t,v", [(0, -1, 0), (0, -1, 2)])
-def test_tuple_unrank_rejects_bad_sizes(r, t, v):
-    # (0, -1, 0) escaped as ZeroDivisionError, (0, -1, 2) returned ()
-    with pytest.raises(PcaForgeError):
-        tuple_unrank(r, t, v)
-
-
-def test_orbits_rejects_negative_strength():
-    # v ** -1 is a float, which numpy refused with a TypeError
-    with pytest.raises(PcaForgeError):
-        orbits(-1, 2, cyclic_action(2))
-
-
-@pytest.mark.parametrize("columns", [(0, 1.9), ("0", "2")])
-def test_project_rejects_non_integer_columns(columns):
-    # int(c) read (0, 1.9) as columns 0 and 1 and accepted ("0", "2")
-    with pytest.raises(DomainError, match="must be an integer"):
-        project(Array([[0, 1, 0]], 2), columns)
 
 
 @pytest.mark.parametrize("v", [4.0, "4", None])

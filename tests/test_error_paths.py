@@ -22,7 +22,7 @@ from pcaforge.errors import (
     StructureMismatch,
     SymbolOutOfRange,
 )
-from pcaforge.galois import constant_rows, cyclic_action, develop, orbits
+from pcaforge.galois import constant_rows, cyclic_action, develop
 
 
 class TestBoundsEdges:
@@ -110,17 +110,9 @@ class TestCoreEdges:
 
 
 class TestGaloisEdges:
-    def test_orbits_rejects_mismatched_v(self):
-        with pytest.raises(ValueError):
-            orbits(2, 3, cyclic_action(2))
-
     def test_develop_rejects_mismatched_v(self):
         with pytest.raises(ValueError):
             develop(Array([[0, 1]], 2), cyclic_action(3))
-
-    def test_orbits_mismatch_is_package_error(self):
-        with pytest.raises(StructureMismatch):
-            orbits(2, 3, cyclic_action(2))
 
     def test_develop_mismatch_is_package_error(self):
         with pytest.raises(StructureMismatch):

@@ -1,27 +1,28 @@
 """Tests for finite fields, group actions, orbits, and development."""
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from orbit_reference import orbits, rank_weights
 
+from pcaforge import coverage
 from pcaforge.bounds import bound_apca_frobenius
-from pcaforge.core import Array, rank_weights, tuple_rank, tuple_unrank
+from pcaforge.core import Array
 from pcaforge.coverage import coverage_profile
 from pcaforge.errors import (
     CapacityExceeded, DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge,
 )
 from pcaforge.galois import (
     _IRREDUCIBLE,
-    act,
+    GroupAction,
     constant_rows,
     cyclic_action,
     develop,
     field_make,
     frobenius_action,
     is_prime_power,
-    orbits,
 )
 
 PRIME_POWERS_TO_64 = [
@@ -183,6 +184,27 @@ class TestAgainstLoopReference:
         _assert_same_table(frobenius_action(v).perms, _ref_frobenius_perms(v))
 
 
+@pytest.mark.parametrize("v", PRIME_POWERS_TO_64)
+def test_affine_maps_form_a_sharply_two_transitive_group(v):
+    # Over a field the maps x -> a*x + b (a != 0) are permutations forming a
+    # group that sends the pair (0, 1) to each pair of distinct symbols once,
+    # which splits [v]^2 into the v constant pairs and one orbit of the other
+    # v(v-1): the orbit counts behind the affine bounds, checked here on the
+    # action's own table at every supported order.
+    perms = frobenius_action(v).perms
+    # every map is a permutation
+    assert (np.sort(perms, axis=1) == np.arange(v)).all()
+    pairs = perms[:, 0] * v + perms[:, 1]
+    x, y = np.divmod(np.arange(v * v), v)
+    np.testing.assert_array_equal(np.sort(pairs), np.flatnonzero(x != y))
+    # closed under composition: h then g is the element sending (0, 1) where it does
+    element = np.full(v * v, -1)
+    element[pairs] = np.arange(len(perms))
+    for g, h in np.random.default_rng(v).integers(0, len(perms), size=(200, 2)):
+        composed = perms[g][perms[h]]
+        assert np.array_equal(perms[element[composed[0] * v + composed[1]]], composed)
+
+
 class TestActions:
     def test_cyclic_identity_first(self):
         a = cyclic_action(5)
@@ -191,7 +213,7 @@ class TestActions:
 
     def test_cyclic_bit_flip(self):
         a = cyclic_action(2)
-        assert act(a, 1, (0, 1)) == (1, 0)
+        assert a.perms[1][[0, 1]].tolist() == [1, 0]
 
     def test_frobenius_identity_first(self):
         a = frobenius_action(4)
@@ -202,7 +224,7 @@ class TestActions:
         # x -> 2x + 1 mod 3 sends (0,1,2) to (1,0,2)
         a = frobenius_action(3)
         element = (2 - 1) * 3 + 1  # a=2, b=1 in the listed order
-        assert act(a, element, (0, 1, 2)) == (1, 0, 2)
+        assert a.perms[element][[0, 1, 2]].tolist() == [1, 0, 2]
 
     def test_frobenius_needs_prime_power(self):
         with pytest.raises(NotPrimePower):
@@ -221,13 +243,13 @@ class TestActions:
 
 
 class TestOrbits:
+    """The tests' orbit enumerator against hand values and closed forms."""
+
     def test_cyclic_t2_v2(self):
         st = orbits(2, 2, cyclic_action(2))
         assert st.n_orbits == 2
-        groups = [
-            {tuple_unrank(r, 2, 2) for r in range(4) if st.orbit_index[r] == o}
-            for o in range(2)
-        ]
+        tuples = list(product(range(2), repeat=2))
+        groups = [{tuples[r] for r in range(4) if st.orbit_index[r] == o} for o in range(2)]
         assert {(0, 0), (1, 1)} in groups
         assert {(0, 1), (1, 0)} in groups
 
@@ -265,8 +287,7 @@ class TestOrbits:
     def test_short_orbit_is_constant_tuples(self):
         st = orbits(3, 4, frobenius_action(4))
         members = [
-            tuple_unrank(r, 3, 4)
-            for r in range(4**3)
+            x for r, x in enumerate(product(range(4), repeat=3))
             if st.orbit_index[r] == st.short_orbit_id
         ]
         assert members == [(c, c, c) for c in range(4)]
@@ -286,30 +307,28 @@ class TestOrbits:
         ]
         for t, v, action in cases:
             st = orbits(t, v, action)
-            for r in range(v**t):
-                x = tuple_unrank(r, t, v)
+            weights = rank_weights(t, v)
+            for r, x in enumerate(product(range(v), repeat=t)):
                 for e in range(action.order):
-                    image = tuple_rank(act(action, e, x), v)
+                    image = action.perms[e][list(x)] @ weights
                     assert st.orbit_index[image] == st.orbit_index[r]
-
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityExceeded):
-            orbits(12, 5, cyclic_action(5))
-
-    def test_no_image_table(self):
-        # a (|G|, v^t) table of images would take 132 MB here
-        action = frobenius_action(64)
-        tracemalloc.start()
-        try:
-            st = orbits(2, 64, action)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert list(st.lengths) == [64, 64 * 63]
 
 
 class TestDevelop:
+    def test_writes_in_place(self):
+        # one GF(64) base row developed into 4032 x 60 cells: the output is
+        # the only large allocation, where a buffered take would double it
+        action = frobenius_action(64)
+        base = Array(np.random.default_rng(0).integers(0, 64, size=(1, 60)), 64)
+        tracemalloc.start()
+        try:
+            out = develop(base, action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.rows == 4032
+        assert peak < 1.25 * out.cells.nbytes
+
     def test_single_row_cyclic(self):
         out = develop(Array([[0, 1]], 2), cyclic_action(2))
         assert sorted(map(tuple, out.cells.tolist())) == [(0, 1), (1, 0)]
@@ -379,13 +398,14 @@ class TestDevelopmentLemma:
         for v, make in [(2, cyclic_action), (3, frobenius_action), (4, cyclic_action)]:
             action = make(v)
             st = orbits(2, v, action)
+            weights = rank_weights(2, v)
             for _ in range(10):
                 k = int(rng.integers(2, 6))
                 base = Array(rng.integers(0, v, size=(3, k)), v)
                 developed = develop(base, action)
                 for tset in combinations(range(k), 2):
-                    base_rows = {tuple_rank(tuple(row), v) for row in base.cells[:, tset]}
-                    dev_rows = {tuple_rank(tuple(row), v) for row in developed.cells[:, tset]}
+                    base_rows = set((base.cells[:, tset] @ weights).tolist())
+                    dev_rows = set((developed.cells[:, tset] @ weights).tolist())
                     base_orbits = {int(st.orbit_index[r]) for r in base_rows}
                     for x in range(v**2):
                         assert (x in dev_rows) == (int(st.orbit_index[x]) in base_orbits)
@@ -399,5 +419,44 @@ class TestConstantRows:
         rows = constant_rows(5, 3)
         st = orbits(2, 3, frobenius_action(3))
         for tset in combinations(range(5), 2):  # exactly the short orbit in every t-set
-            oids = {int(st.orbit_index[tuple_rank(tuple(row), 3)]) for row in rows.cells[:, tset]}
+            oids = {int(st.orbit_index[r]) for r in rows.cells[:, tset] @ rank_weights(2, 3)}
             assert oids == {st.short_orbit_id}
+
+
+
+class TestCapacity:
+    """Each group table and developed array is refused before it is allocated
+    once it would hold more than PROFILE_CAPACITY cells."""
+
+    def test_cyclic_shift_table(self):
+        # the v x v table would take 728 TiB
+        with pytest.raises(CapacityExceeded, match=r"N\*k = 10000000\*10000000 "):
+            cyclic_action(10**7)
+
+    def test_constant_rows(self):
+        with pytest.raises(CapacityExceeded, match=r"N\*k = 10000000\*1000000 "):
+            constant_rows(10**6, 10**7)
+        # the v symbols are listed even without a column
+        with pytest.raises(CapacityExceeded, match=r"N\*k = 10000000000\*1 "):
+            constant_rows(0, 10**10)
+
+    def test_developed_rows(self):
+        # every element maps x to x, but the group lists it 10^12 times; the
+        # table is a broadcast view, so it takes no memory
+        action = GroupAction("cyclic", 2, np.broadcast_to(np.arange(2), (10**12, 2)))
+        base = Array([[0, 1]], 2)
+        with pytest.raises(CapacityExceeded, match=r"N\*k = 1000000000000\*2 "):
+            develop(base, action)
+        with pytest.raises(CapacityExceeded, match=r"N\*k = 1000000000002\*2 "):
+            develop(base, action, constant_rows(2, 2))
+
+    def test_a_table_at_the_capacity_is_built(self, monkeypatch):
+        monkeypatch.setattr(coverage, "PROFILE_CAPACITY", 12)
+        assert cyclic_action(3).order == 3
+        assert constant_rows(6, 2).rows == 2
+        base, action = Array([[0, 1, 0]], 2), cyclic_action(2)
+        assert develop(base, action, constant_rows(3, 2)).rows == 4
+        for call in (lambda: cyclic_action(4), lambda: constant_rows(7, 2),
+                     lambda: develop(base.stack(base), action, constant_rows(3, 2))):
+            with pytest.raises(CapacityExceeded, match="exceeds 12"):
+                call()

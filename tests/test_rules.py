@@ -20,7 +20,7 @@ from pcaforge.construct import (
     build_apca_randomized,
     build_pca_moser_tardos,
 )
-from pcaforge.core import Array, PcaParams, tuple_rank, tuple_unrank, validate
+from pcaforge.core import Array, PcaParams, validate
 from pcaforge.coverage import coverage_profile, is_apca, is_pca
 from pcaforge.errors import (
     AlphabetTooSmall,
@@ -115,8 +115,6 @@ def test_v_rule(v):
         "validate": lambda v: validate(PcaParams(T, K, v, 1)),
         "eq5": lambda v: bound_pca_union(T, K, v, 1),
         "Array": lambda v: Array([[0, 0]], v),
-        "tuple_rank": lambda v: tuple_rank((0, 0), v),
-        "tuple_unrank": lambda v: tuple_unrank(0, 2, v),
         "cyclic_action": cyclic_action,
         "constant_rows": lambda v: constant_rows(K, v),
     }
