@@ -12,10 +12,10 @@ claim a report states was established by the counts that accepted the rows
 the builder returns, not by a second pass afterwards, and the returned array
 wraps those very rows.  The Moser-Tardos builder accepts once every t-set
 was counted at >= m tuples after its columns last changed; the developed
-builders accept on one scan of their base's difference vectors, which
-decides as a scan of the developed rows would (see below); the other
-builders accept on one full scan of their rows.  Hitting an iteration cap
-raises instead of returning a partial result.
+builders accept on one count of every t-set on their base's difference
+vectors, which decides as a scan of the developed rows would (see below);
+the other builders accept on one full scan of their rows.  Hitting an
+iteration cap raises instead of returning a partial result.
 
 The epsilon-almost builders are one Las Vegas restart algorithm: sample a
 uniform array at the row count whose union bound holds for epsilon/2, accept
@@ -61,8 +61,10 @@ Builders:
   a t-set is complete in the developed rows exactly when the base's
   difference vectors, scaled by every multiplier a (a = 1 alone for Z_v) and
   with one zero row for the affine group, cover all v^(t-1) classes.  The
-  count runs the coverage kernel once per c0 on those vectors, over
-  v^(t-1) classes, and never develops a rejected base.
+  count takes the t-sets in the kernel's lex chunks; in a chunk, the t-sets
+  of one first column c0 share one store of those vectors, on which the
+  kernel's gather loop counts their (t-1)-suffixes.  A rejected base is
+  never developed.
 * :func:`build_concat` — stack a partial-coverage component on a
   cyclic-development component.  Each component's scan proves its claim, and
   the stack keeps both: m <= m1, and added rows never lower a t-set's count.
@@ -92,8 +94,8 @@ import numpy as np
 
 from . import bounds
 from .coverage import (
-    PROFILE_CAPACITY, Defect, _allowed, _binomials, _check_cells, _count_tsets, _lex_ranks,
-    _scan, _scan_size, _unrank, count_defects,
+    PROFILE_CAPACITY, Defect, _allowed, _binomials, _check_cells, _count_tsets, _gather_counts,
+    _lex_chunks, _lex_ranks, _scan, _scan_size, _unrank, count_defects,
 )
 from .core import (
     Array, BoundResult, PcaParams, _check_fraction, _check_full, validate,
@@ -161,9 +163,9 @@ def _verified(
 ) -> BuildReport:
     """Wrap the rows a builder made, neither copied nor rescanned, in a report
     stating the claims its counts have proved: one full scan for the apca
-    restart builder and the derandomizer, one scan of the accepted base's
-    difference vectors for the developed builders, and for Moser-Tardos every
-    t-set counted at >= m after its columns last changed.
+    restart builder and the derandomizer, one count of every t-set on the
+    accepted base's difference vectors for the developed builders, and for
+    Moser-Tardos every t-set counted at >= m after its columns last changed.
 
     ``pca_m`` claims every t-set covers that many tuples, ``apca_m`` that all
     but ``floor(epsilon * C(k,t))`` do.
@@ -280,36 +282,38 @@ def build_apca_randomized(params: PcaParams) -> BuildReport:
     return _verified(params, cells, bound, attempts, apca_m=m, detail=detail)
 
 
-def _difference_defects(base: np.ndarray, action: GroupAction, t: int) -> int:
-    """``count_defects`` at m = v^t of the development of ``base`` over
-    ``action``, followed for the affine group by the v constant rows, counted
-    on the base's difference vectors without developing it.
+def _difference_counts(base: np.ndarray, action: GroupAction, tsets: np.ndarray) -> np.ndarray:
+    """The difference classes each t-set of the lex-ordered ``(B, t)`` array
+    ``tsets`` covers in the development of ``base`` over ``action``, followed
+    for the affine group by the v constant rows, counted on the base's
+    difference vectors without developing it.
 
     ``sub[x0, x]`` is x under the translation (one of ``perms[:v]``, the
     a = 1 elements) that sends x0 to 0: x - x0 mod v over Z_v, digit-wise
     mod p over GF(p^n) (XOR for p = 2).  The multipliers are the elements
-    fixing 0.  The t-sets with first column c0 are c0 with each (t-1)-set of
-    the later columns, and row x gives there the difference vector
-    ``sub[x_c0, x_j]`` (j > c0) under every multiplier; the constant rows
-    give the zero vector.  By the identity in the module docstring a t-set
-    is complete exactly when its (t-1)-set covers all v^(t-1) classes of
-    those vectors.  One :func:`count_defects` per c0 counts them, each on n
-    rows per multiplier (plus one zero row) of at most k - 1 columns.  The
-    caller checks v^t and C(k,t) against the scan guard, as a scan of the
-    developed rows would.
+    fixing 0.  In lex order the t-sets with first column c0 form one run,
+    and row x gives there the difference vector ``sub[x_c0, x_j]`` (j > c0)
+    under every multiplier; the constant rows give the zero vector.  One
+    column-major store, in the kernel's dtype, holds those vectors for the
+    run's c0, and :func:`~pcaforge.coverage._gather_counts` counts the run's
+    (t-1)-suffixes on it.  By the identity in the module docstring a t-set
+    is complete exactly when its count is v^(t-1).
     """
     n, k = base.shape
     v = action.v
     translations = action.perms[:v]
     sub = translations[np.argmax(translations == 0, axis=0)]
-    scaled = action.perms[action.perms[:, 0] == 0][:, sub]  # [multiplier, x0, x]
-    developed, zero = len(scaled) * n, int(action.kind == "frobenius")
-    defective = 0
-    for c0 in range(k - t + 1):
-        diffs = np.zeros((developed + zero, k - 1 - c0), dtype=np.int64)
-        diffs[:developed] = scaled[:, base[:, c0, None], base[:, c0 + 1:]].reshape(developed, -1)
-        defective += count_defects(diffs, v, t - 1, v ** (t - 1))
-    return defective
+    dtype = np.min_scalar_type(v ** (tsets.shape[1] - 1) - 1)
+    # scaled[x0, x, g]: sub[x0, x] under the g-th multiplier
+    scaled = action.perms[action.perms[:, 0] == 0][:, sub].transpose(1, 2, 0).astype(dtype)
+    developed = n * scaled.shape[2]
+    cols = np.zeros((k, developed + (action.kind == "frobenius")), dtype)  # the zero row last
+    starts = np.flatnonzero(np.diff(tsets[:, 0], prepend=-1))
+    counts = []
+    for c0, run in zip(tsets[starts, 0].tolist(), np.split(tsets[:, 1:], starts[1:])):
+        cols[c0 + 1:, :developed] = scaled[base[:, c0], base[:, c0 + 1:].T].reshape(k - 1 - c0, -1)
+        counts.append(_gather_counts(cols, v, run))
+    return np.concatenate(counts)
 
 
 def _build_developed(
@@ -317,15 +321,17 @@ def _build_developed(
     bound_fn: Callable[[int, int, float], BoundResult], rng: np.random.Generator,
 ) -> BuildReport:
     """Restart on base arrays until their development over the group
-    ``make_action(v)`` covers all v^t tuples in enough t-sets, as
-    :func:`_difference_defects` counts on each draw, then develop the
-    accepted base once.
+    ``make_action(v)`` covers all v^t tuples in enough t-sets, then develop
+    the accepted base once.  A draw's defects are the t-sets, taken in the
+    chunks of :func:`~pcaforge.coverage._lex_chunks`, whose
+    :func:`_difference_counts` fall short of v^(t-1).
 
     ``bound_fn`` at epsilon/2 gives the base size and the developed row
     count.  Before the group is built, that count is checked against the
     cell cap, and v^t and C(k,t) against the guard a scan of the developed
     rows applies, so the same sizes are refused as by such a scan; every
-    difference array the count scans is smaller than the developed rows.
+    store of difference vectors the count fills is smaller than the
+    developed rows.
     The affine group also has a short orbit, its constant tuples, which the
     v constant rows, written after the developed rows in one buffer, cover
     in every t-set.
@@ -336,9 +342,11 @@ def _build_developed(
     _scan_size(k, v, t)
     action = make_action(v)
     n_base, bound = half.detail["base_rows"], bound_fn(t, v, epsilon)
-    base, attempts, defective = _restart(
-        params, rng, n_base, lambda base: _difference_defects(base, action, t)
-    )
+    # chunks sized by their t-sets alone: each run's gather keeps to the budget
+    base, attempts, defective = _restart(params, rng, n_base, lambda base: sum(
+        int(np.count_nonzero(_difference_counts(base, action, tsets) < v ** (t - 1)))
+        for tsets in _lex_chunks(k, t, 1)
+    ))
     tail = constant_rows(k, v) if action.kind == "frobenius" else None
     cells = develop(Array._wrap(base, v), action, tail).cells
     detail = {"base_rows": n_base, "defective_tsets": defective}

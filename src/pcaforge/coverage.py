@@ -2,22 +2,24 @@
 
 Every scan runs through one counting kernel, :func:`_scan`, which counts the
 distinct tuples of column t-sets in batches and yields them in lexicographic
-order.  Each batch (a chunk) is a range of consecutive lex ranks, ``step =
-max(1, _CHUNK_BUDGET // max(N, t))`` of them for N rows counted (the last
-range may be shorter), which :func:`_unrank` turns into an explicit
-``(B, t)`` array of t-sets by the combinatorial number system.  A chunk's
-ranks and its t-sets thus hold at most ``_CHUNK_BUDGET`` entries each, or
-one t-set's N ranks if that is more, whatever N and v^t are.  Early-exit
-callers stop taking chunks.  :func:`_binomials`, :func:`_lex_ranks` and
+order.  The batches (chunks) come from one walk, :func:`_lex_chunks`: each
+is a range of consecutive lex ranks, ``step = max(1, _CHUNK_BUDGET //
+max(N, t))`` of them for N rows counted (the last range may be shorter),
+which :func:`_unrank` turns into an explicit ``(B, t)`` array of t-sets by
+the combinatorial number system.  A chunk's ranks and its t-sets thus hold
+at most ``_CHUNK_BUDGET`` entries each, or one t-set's N ranks if that is
+more, whatever N and v^t are.  Early-exit callers stop taking chunks.  The
+developed builders take their t-sets from the same walk, to count them on a
+base's difference vectors.  :func:`_binomials`, :func:`_lex_ranks` and
 :func:`_unrank` are the one lex numbering of t-sets; the resampling builder
 indexes its table of short t-sets with them too.
 
 Every ``(B, t)`` array of t-sets is counted by one gather loop,
 :func:`_gather_counts`, which builds its tuple ranks column by column, in
 chunks within the same budget, for :func:`_count` to count.  It serves the
-kernel's chunks, the kernel's recounts below, and :func:`_count_tsets`,
-which counts on all N rows the t-sets through a resample's columns for the
-resampling builder.
+kernel's chunks, the kernel's recounts below, :func:`_count_tsets`, which
+counts on all N rows the t-sets through a resample's columns for the
+resampling builder, and the developed builders' difference counts.
 
 On tall arrays (N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows) the
 kernel counts every t-set on that many leading rows first, the head, where
@@ -250,17 +252,31 @@ def _scan_size(k: int, v: int, t: int) -> tuple[int, int]:
     return vt, total
 
 
+def _lex_chunks(k: int, t: int, rows: int) -> Iterator[np.ndarray]:
+    """Every t-set of ``range(k)`` in lex order, in chunks of consecutive ranks.
+
+    The chunks are the lex-rank ranges ``range(0, C(k,t), step)``, where
+    ``step = max(1, _CHUNK_BUDGET // max(rows, t))`` (the last may be
+    shorter), each built by :func:`_unrank` as a ``(B, t)`` array.  Counted
+    on ``rows`` rows, a chunk's ranks and its t-sets thus each hold at most
+    ``_CHUNK_BUDGET`` entries, or one t-set's ``rows`` ranks if that is
+    more.  The caller checks C(k,t) against :data:`PROFILE_CAPACITY`.
+    """
+    binom = _binomials(k, t)
+    total = int(binom[k, t])
+    step = max(1, _CHUNK_BUDGET // max(rows, t))
+    for lo in range(0, total, step):
+        yield _unrank(binom, t, lo, min(lo + step, total))
+
+
 def _scan(cells: np.ndarray, v: int, t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Distinct tuples covered per column t-set, in lexicographic chunks.
 
     The scan covers every t-set.  Both v^t and C(k,t) must stay within
-    :data:`PROFILE_CAPACITY`.  The chunks are the lex-rank ranges
-    ``range(0, C(k,t), step)``, where ``step =
-    max(1, _CHUNK_BUDGET // max(head, t))``, so a chunk's ranks and its t-sets
-    each hold at most ``_CHUNK_BUDGET`` entries, or one t-set's ``head``
-    ranks if that is more.  Every chunk's t-sets are built by :func:`_unrank`
-    and counted as ``_gather_counts(head_cols, v, tsets)`` on a column-major
-    copy of the head rows.
+    :data:`PROFILE_CAPACITY`.  The chunks are those of
+    ``_lex_chunks(k, t, head)``, each counted as
+    ``_gather_counts(head_cols, v, tsets)`` on a column-major copy of the
+    head rows.
 
     With N above ``head = v^t * (ln v^t + _HEAD_SLACK)`` rows, the chunks are
     first counted, and sized, on the first ``head`` rows only.  Before a chunk
@@ -273,16 +289,13 @@ def _scan(cells: np.ndarray, v: int, t: int) -> Iterator[tuple[np.ndarray, np.nd
     """
     n, k = cells.shape
     t = _check_t(t, k)
-    vt, total = _scan_size(k, v, t)
+    vt = _scan_size(k, v, t)[0]
     dtype = np.min_scalar_type(vt - 1)
     head = min(n, _head_rows(vt))
     head_cols = np.ascontiguousarray(cells[:head].T, dtype)
     if head < n:  # the recount's columns, each filled when a recount first reads it
         cols, filled = np.empty((k, n), dtype), np.zeros(k, dtype=bool)
-    binom = _binomials(k, t)
-    step = max(1, _CHUNK_BUDGET // max(head, t))  # t-sets per chunk
-    for lo in range(0, total, step):
-        tsets = _unrank(binom, t, lo, min(lo + step, total))
+    for tsets in _lex_chunks(k, t, head):
         counts = _gather_counts(head_cols, v, tsets)
         short = np.flatnonzero(counts < vt) if head < n else ()
         if len(short):

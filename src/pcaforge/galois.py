@@ -32,7 +32,10 @@ import numpy as np
 
 from .core import Array, _as_int, _check_v
 from .coverage import _check_cells
-from .errors import DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge, StructureMismatch
+from .errors import (
+    DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge, StructureMismatch,
+    SymbolOutOfRange,
+)
 
 # Irreducible polynomials over GF(p), ascending coefficients, monic.
 # One entry per proper prime power up to 64.
@@ -126,12 +129,27 @@ class GroupAction:
 
     ``perms[g, x]`` is the image of symbol x under element g.  Element 0 is
     the identity; element order is fixed so developed row order is
-    reproducible byte for byte.
+    reproducible byte for byte.  A table that is not an integer array
+    (``DomainError``), not shaped (order >= 1, v) (``DimensionMismatch``) or
+    that holds a symbol outside [0, v) (``SymbolOutOfRange``) is refused on
+    construction, so :func:`develop` never writes such a symbol.
     """
 
     kind: str  # "cyclic" | "frobenius"
     v: int
     perms: np.ndarray
+
+    def __post_init__(self) -> None:
+        perms = self.perms
+        if not isinstance(perms, np.ndarray) or not np.issubdtype(perms.dtype, np.integer):
+            raise DomainError("a group table must be an integer array")
+        if perms.ndim != 2 or 0 in perms.shape or perms.shape[1] != self.v:
+            raise DimensionMismatch(f"a group table over v={self.v} must be shaped "
+                                    f"(order >= 1, {self.v}), got {perms.shape}")
+        # a broadcast table repeats its entries along zero-stride axes: read one of each
+        entries = perms[tuple(slice(None if step else 1) for step in perms.strides)]
+        if entries.min() < 0 or entries.max() >= self.v:
+            raise SymbolOutOfRange(f"a group table holds a symbol outside [0, {self.v})")
 
     @property
     def order(self) -> int:

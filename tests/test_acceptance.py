@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from orbit_reference import orbits, rank_weights
 
+from pcaforge import construct
 from pcaforge.artifact_io import read_array, sweep_csv_text, write_array
 from pcaforge.bounds import (
     bound_apca,
@@ -32,7 +33,7 @@ from pcaforge.construct import (
     build_pca_moser_tardos,
 )
 from pcaforge.core import Array, PcaParams
-from pcaforge.coverage import coverage_profile, is_apca, is_pca, naive_oracle
+from pcaforge.coverage import coverage_profile, first_defect, is_apca, is_pca, naive_oracle
 from pcaforge.galois import cyclic_action, develop, frobenius_action
 
 
@@ -112,6 +113,27 @@ def test_c03_bound_spot_values():
     )
 
     _report(3, all(checks), "spot row counts 12/16/21/24 match high-precision oracles")
+
+
+def test_c04_moser_tardos_resamples_in_full_rescan_order():
+    # The resampling builder's table of short t-sets is checked against a
+    # full rescan at every resample of a small grid, so a stale entry fails
+    # here within seconds instead of spinning toward RESAMPLE_CAP below.
+    ok = True
+    for t, v in ((2, 2), (2, 3), (3, 2)):
+        for k in (6, 9):
+            m = v**t
+            n = bound_pca_lll(t, k, v, m).n_rows
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                cells = rng.integers(0, v, size=(n, k))
+                for resamples, defect in enumerate(construct._defects(cells, v, t, m)):
+                    ok = ok and resamples < 200 and defect == first_defect(cells, v, t, m)
+                    if not ok:
+                        break
+                    cells[:, defect.tset] = rng.integers(0, v, size=(n, t))
+                ok = ok and first_defect(cells, v, t, m) is None
+    _report(4, ok, "every resample takes the defect a full rescan finds, up to none left")
 
 
 def test_c04_moser_tardos_validity_grid():

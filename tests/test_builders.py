@@ -1,12 +1,13 @@
 """Every builder's output checked by the independent oracle against the claim
 its report states, on a small grid that includes seeds needing a restart, and
 each claim proved by one kernel scan of the rows the builder returns, for
-a developed build by the scans of its base's difference vectors, or for a
+a developed build by one difference count of each t-set on its base, or for a
 Moser-Tardos build by one scan of its first draw and the recount of the
 t-sets through each resample's columns."""
 
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +96,22 @@ def test_restarting_seed_hits_restart_cap(monkeypatch, build, params):
         build(params)
 
 
+def test_developed_build_peak_memory_within_the_chunk_budget():
+    # 4,455,100 t-sets: the accept counts them in the kernel's lex chunks, so
+    # its peak stays far below one int64 per t-set.
+    params = PcaParams(3, 300, 2, 8, 0.5, 0)
+    total = math.comb(params.k, params.t)
+    assert total >= 4 * 10**6
+    tracemalloc.start()
+    try:
+        report = build_apca_cyclic(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.detail == {"base_rows": 10, "defective_tsets": 970864}
+    assert peak < total * 8
+
+
 def _difference_arrays(base, v, t, affine):
     """For each first column c0, the rows x_j - x_c0 (j > c0) of ``base``
     under every multiplier, plus one zero row for the affine group; built
@@ -111,10 +128,6 @@ def _difference_arrays(base, v, t, affine):
         zero = np.zeros((int(affine), diffs.shape[1]), dtype=np.int64)
         arrays.append(np.concatenate([scale[diffs] for scale in multipliers] + [zero]))
     return arrays
-
-
-def _sorted_rows(cells):
-    return cells[np.lexsort(cells.T[::-1])]
 
 
 def _replay_resamples(scanned, drawn, resampled, counted, k):
@@ -155,7 +168,8 @@ def _replay_resamples(scanned, drawn, resampled, counted, k):
 def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
     scanned, drawn, resampled, counted = [], [], [], []
     scan, sample, defects = coverage._scan, construct._sample, construct._defects
-    count_tsets = construct._count_tsets
+    count_tsets, difference_counts = construct._count_tsets, construct._difference_counts
+    differences = []
 
     def recording_scan(cells, *args, **kwargs):
         scanned.append(np.array(cells))  # a copy: resampling redraws cells in place
@@ -175,7 +189,13 @@ def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
         counted.append((np.array(cells), tsets.copy()))
         return count_tsets(cells, v, tsets)
 
+    def recording_difference_counts(base, action, tsets):
+        counts = difference_counts(base, action, tsets)
+        differences.append((base.copy(), tsets.copy(), counts))
+        return counts
+
     monkeypatch.setattr(coverage, "_scan", recording_scan)
+    monkeypatch.setattr(construct, "_difference_counts", recording_difference_counts)
     monkeypatch.setattr(construct, "_scan", recording_scan)
     monkeypatch.setattr(construct, "_sample", recording_sample)
     monkeypatch.setattr(construct, "_defects", recording_defects)
@@ -204,18 +224,31 @@ def test_each_claim_scanned_once_on_returned_rows(monkeypatch, build, params):
             assert len(scanned) == report.iterations
         np.testing.assert_array_equal(scanned[-1], cells)
         return
-    # A developed claim rests on the difference vectors of the accepted base,
+    # A developed claim rests on the difference counts of the accepted base,
     # the last one drawn, and on the identity that test_coverage_kernel.py
-    # checks: each attempt scans one difference array per first column, and
-    # no scan reads developed rows.
+    # checks: no scan reads developed rows, each attempt counts every t-set
+    # once, in lex order, on its own draw, and the returned rows are the last
+    # draw developed.
     t, k, v = params.t, params.k, params.v
     affine = build is build_apca_frobenius
-    assert len(scanned) == attempts * (k - t + 1)
-    assert all(scan.shape[1] < k for scan in scanned)
-    base = drawn[-1]
-    for got, want in zip(scanned[-(k - t + 1):], _difference_arrays(base, v, t, affine),
-                         strict=True):
-        np.testing.assert_array_equal(_sorted_rows(got), _sorted_rows(want))
+    assert scanned == []
+    per_attempt = []  # (base, t-sets, counts) of each attempt
+    for base, tsets, counts in differences:
+        if tsets[0].tolist() == list(range(t)):  # an attempt starts at the first t-set
+            per_attempt.append((base, [], []))
+        np.testing.assert_array_equal(base, per_attempt[-1][0])
+        per_attempt[-1][1].extend(map(tuple, tsets.tolist()))
+        per_attempt[-1][2].extend(counts.tolist())
+    assert len(per_attempt) == attempts
+    for (base, tsets, _), want in zip(per_attempt, drawn[-attempts:], strict=True):
+        np.testing.assert_array_equal(base, want)
+        assert tsets == list(combinations(range(k), t))
+    base, tsets, counts = per_attempt[-1]
+    arrays = _difference_arrays(base, v, t, affine)
+    assert counts == [len(np.unique(arrays[s[0]][:, np.array(s[1:]) - s[0] - 1], axis=0))
+                      for s in tsets]
+    defective = sum(c < v ** (t - 1) for c in counts)
+    assert report.detail.get("defective_tsets", defective) == defective  # concat has none
     action = frobenius_action(v) if affine else cyclic_action(v)
     tail = constant_rows(k, v).cells[: v if affine else 0]
     np.testing.assert_array_equal(

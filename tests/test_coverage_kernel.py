@@ -3,8 +3,11 @@
 The ``_ref_*`` functions are per-t-set loops kept as the reference: the loops
 ``pcaforge.coverage`` used before its single batched kernel, and the orbit
 table of an undeveloped base, from the tests' enumerator in
-``orbit_reference``, that the development identity is checked against.  The developed builders' count on a base's difference vectors is
-checked against the kernel's scan of the developed rows.  Every case runs under the default chunk budget and under tiny ones.
+``orbit_reference``, that the development identity is checked against.
+The developed builders' count on a base's difference vectors is checked
+against the kernel's scan of the developed rows, over every t-set in the
+kernel's lex chunks and on explicit lists of t-sets.  Every case runs under
+the default chunk budget and under tiny ones.
 The default budget holds every t-set of the small arrays in one chunk; the
 tiny ones cut the t-sets into chunks of a few, so that a chunk often holds the
 end of one prefix's t-sets and the start of the next.  Each budget runs with
@@ -654,14 +657,28 @@ DIFFERENCE_SHAPES = [
 ]
 
 
-def developed_defects(base, action, t):
-    """``count_defects`` at m = v^t of ``base`` developed over ``action``,
-    with the v constant rows appended for the affine group, as the developed
-    builders return it."""
+def developed_rows(base, action):
+    """``base`` developed over ``action``, with the v constant rows appended
+    for the affine group, as the developed builders return it."""
     k, v = base.shape[1], action.v
     tail = constant_rows(k, v).cells[: v if action.kind == "frobenius" else 0]
-    developed = np.vstack((develop(Array(base, v), action).cells, tail))
-    return count_defects(developed, v, t, v**t)
+    return np.vstack((develop(Array(base, v), action).cells, tail))
+
+
+def developed_defects(base, action, t):
+    """``count_defects`` at m = v^t of :func:`developed_rows`."""
+    v = action.v
+    return count_defects(developed_rows(base, action), v, t, v**t)
+
+
+def difference_defects(base, action, t):
+    """The developed builders' accept: the t-sets, in the kernel's lex
+    chunks, whose difference counts fall short of v^(t-1)."""
+    k, v = base.shape[1], action.v
+    return sum(
+        int(np.count_nonzero(construct._difference_counts(base, action, tsets) < v ** (t - 1)))
+        for tsets in coverage._lex_chunks(k, t, 1)
+    )
 
 
 @pytest.mark.parametrize("t,v,make_action", DIFFERENCE_SHAPES)
@@ -679,7 +696,7 @@ def test_difference_count_matches_developed_scan(budget, head, t, v, make_action
         for n in (1, max(1, full // 8), full):
             base = rng.integers(0, v, size=(n, k))
             want = developed_defects(base, action, t)
-            assert construct._difference_defects(base, action, t) == want
+            assert difference_defects(base, action, t) == want
             seen.add(want > 0)
     assert seen == {False, True}  # bases that are defective and bases that are not
 
@@ -691,7 +708,35 @@ def test_difference_count_matches_developed_scan_gf64(budget, head):
     base = np.random.default_rng(64).integers(0, 64, size=(2, 60))
     for n, want in ((1, 27), (2, 0)):
         assert developed_defects(base[:n], action, 2) == want
-        assert construct._difference_defects(base[:n], action, 2) == want
+        assert difference_defects(base[:n], action, 2) == want
+
+
+@pytest.mark.parametrize("t,v,make_action", DIFFERENCE_SHAPES)
+def test_difference_counts_match_developed_profile_on_explicit_lists(budget, t, v, make_action):
+    # A difference class holds v tuples, so on any lex-ordered list of t-sets
+    # the difference counts are the developed profile's counts over v: a
+    # random subset, the t-sets through 1 to t columns that Moser-Tardos
+    # recounts, and a lex range that starts and ends inside first-column runs.
+    action = make_action(v)
+    k = t + 4
+    rng = np.random.default_rng(10 * t + v)
+    base = rng.integers(0, v, size=(3, k))
+    want = coverage_profile(Array(developed_rows(base, action), v), t).counts
+    binom = coverage._binomials(k, t)
+    every = coverage._unrank(binom, t, 0, len(want))
+    others = coverage._unrank(coverage._binomials(k - 1, t - 1), t - 1, 0, math.comb(k - 1, t - 1))
+    lists = [np.sort(rng.choice(len(want), size=len(want) // 3, replace=False))]
+    for size in range(1, t + 1):
+        columns = rng.choice(k, size=size, replace=False)
+        lists.append(np.flatnonzero(np.isin(every, columns).any(axis=1)))
+    through, _ = construct._through(others, binom, tuple(sorted(columns.tolist())))
+    np.testing.assert_array_equal(through, lists[-1])  # a defect's t columns
+    lo, hi = 1, len(want) - 2
+    assert every[lo - 1, 0] == every[lo, 0] and every[hi - 1, 0] == every[hi, 0]
+    lists.append(np.arange(lo, hi))
+    for ranks in lists:
+        counts = construct._difference_counts(base, action, every[ranks])
+        np.testing.assert_array_equal(v * counts, want[ranks])
 
 
 # -- generated arrays are the same as before the kernel ------------------------------

@@ -13,6 +13,7 @@ from pcaforge.core import Array
 from pcaforge.coverage import coverage_profile
 from pcaforge.errors import (
     CapacityExceeded, DimensionMismatch, DomainError, NotPrimePower, OrderTooLarge,
+    SymbolOutOfRange,
 )
 from pcaforge.galois import (
     _IRREDUCIBLE,
@@ -240,6 +241,33 @@ class TestActions:
         for action in (cyclic_action(6), frobenius_action(5), frobenius_action(8)):
             for perm in action.perms:
                 assert sorted(perm.tolist()) == list(range(action.v))
+
+    @pytest.mark.parametrize("perms,error", [
+        ([[0, 1]], DomainError),  # not an array
+        (np.array([[0.0, 1.0]]), DomainError),
+        (np.array([[False, True]]), DomainError),
+        (np.array([0, 1]), DimensionMismatch),
+        (np.array([[[0, 1]]]), DimensionMismatch),
+        (np.empty((0, 2), dtype=np.int64), DimensionMismatch),
+        (np.array([[0, 1, 2]]), DimensionMismatch),
+        (np.array([[0, 5]]), SymbolOutOfRange),
+        (np.array([[0, 1], [-1, 0]]), SymbolOutOfRange),
+        (np.array([[0, 2]], dtype=np.uint8), SymbolOutOfRange),
+        (np.broadcast_to(np.array([0, 2]), (10**12, 2)), SymbolOutOfRange),
+    ], ids=["list", "float", "bool", "1-d", "3-d", "no-element", "wide", "above-v",
+            "negative", "unsigned", "broadcast"])
+    def test_a_bad_table_is_refused_before_any_development(self, perms, error):
+        # a table holding 5 over v = 2 used to develop into an Array over v = 2
+        # that held 5
+        with pytest.raises(error):
+            develop(Array([[0, 1]], 2), GroupAction("cyclic", 2, perms))
+
+    def test_package_tables_are_accepted(self):
+        for v in (2, 3, 6, 10):
+            assert cyclic_action(v).perms.shape == (v, v)
+        for v in PRIME_POWERS_TO_64:
+            action = frobenius_action(v)
+            assert GroupAction(action.kind, v, action.perms).order == v * (v - 1)
 
 
 class TestOrbits:

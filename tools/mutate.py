@@ -49,15 +49,24 @@ class Mutant:
 MUTANTS = [
     Mutant(
         "zero-row-dropped", "src/pcaforge/construct.py",
-        '    developed, zero = len(scaled) * n, int(action.kind == "frobenius")',
-        "    developed, zero = len(scaled) * n, 0",
+        '    cols = np.zeros((k, developed + (action.kind == "frobenius")), dtype)'
+        "  # the zero row last",
+        "    cols = np.zeros((k, developed), dtype)",
         "the affine group's difference count loses the zero row of its constant rows",
     ),
     Mutant(
         "last-c0-skipped", "src/pcaforge/construct.py",
-        "    for c0 in range(k - t + 1):",
-        "    for c0 in range(k - t):",
-        "the difference count skips the t-sets whose first column is k - t",
+        "    for c0, run in zip(tsets[starts, 0].tolist(), np.split(tsets[:, 1:], starts[1:])):",
+        "    for c0, run in zip(tsets[starts, 0].tolist(), "
+        "np.split(tsets[:, 1:], starts[1:])[:-1]):",
+        "the difference count skips the last first-column run of every chunk",
+    ),
+    Mutant(
+        "last-tset-never-yielded", "src/pcaforge/coverage.py",
+        "        yield _unrank(binom, t, lo, min(lo + step, total))",
+        "        yield _unrank(binom, t, lo, min(lo + step, total - 1))",
+        "the lex chunk walk never yields the last t-set, to the kernel or to the "
+        "difference count",
     ),
     Mutant(
         "gather-skips-first-row", "src/pcaforge/coverage.py",
